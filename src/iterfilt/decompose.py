@@ -14,7 +14,7 @@ import numpy as np
 
 from .boundary import BoundaryKind, extend
 from .filters import Filter, FilterShape, convolve_self, filter_length, raised_cosine_shape, sample_filter
-from .operators import StructuredOperator, _to_eigenbasis
+from .operators import StructuredOperator
 from .signal import _as_values, count_extrema
 
 __all__ = [
@@ -31,6 +31,8 @@ __all__ = [
 
 # below this iterate norm the relative step change is undefined
 _ZERO_ITERATE = 1e-14
+# entries of the (steps, coefficients) block scanned at once by the spectral sift
+_SCAN_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -129,9 +131,13 @@ def _sift(values: np.ndarray, filt: Filter, kind: BoundaryKind,
 
     Boundary conditions are re-imposed by every application. Stops early
     when the iterate is numerically zero (the step change is undefined
-    there). Returns (iterate, steps, last step change).
+    there). Returns (iterate, steps, last step change). The zero kind
+    applies W once per step; the others take the same steps in the
+    eigenbasis (:func:`_sift_spectral`).
     """
     op = StructuredOperator(filt, kind, values.size)
+    if kind is not BoundaryKind.ZERO:
+        return _sift_spectral(op, values, cfg)
     cur = values.copy()
     k = 0
     d = None
@@ -145,6 +151,53 @@ def _sift(values: np.ndarray, filt: Filter, kind: BoundaryKind,
         cur = nxt
         if d < cfg.delta:
             break
+    return cur, k, d
+
+
+def _sift_spectral(op: StructuredOperator, values: np.ndarray,
+                   cfg: StoppingConfig) -> tuple[np.ndarray, int, float | None]:
+    """:func:`_sift` in the eigenbasis: one transform round trip plus O(n)
+    per step, since a step scales each coefficient c by 1 - lambda and
+    changes the iterate by ||lambda c||.
+
+    Step 1 runs in signal space: the anti-reflective transform is not
+    orthogonal, but its ramp coefficients (eigenvalue one) vanish in that
+    step, after which coefficient norms equal signal norms for every kind.
+    Later steps are scanned in blocks whose row j holds the squared
+    coefficients before step k + j + 1. The steps agree with the loop's for
+    any delta above the iterate's round-off (about 1e-15), below which the
+    loop's step change is rounding noise.
+    """
+    norm_cur = float(np.linalg.norm(values))
+    if norm_cur < _ZERO_ITERATE:
+        return values.copy(), 0, None
+    c, lam = op.to_eigenbasis(values)
+    z = 1.0 - lam
+    c = z * c
+    cur = op.from_eigenbasis(c)
+    k, d = 1, float(np.linalg.norm(cur - values)) / norm_cur
+    energy, decay = np.abs(c) ** 2, z**2
+    rows = max(1, _SCAN_BLOCK // c.size)
+    while not d < cfg.delta and k < cfg.max_inner:
+        block = np.empty((min(rows, cfg.max_inner - k), c.size))
+        block[0] = energy
+        for i in range(1, len(block)):
+            np.multiply(block[i - 1], decay, out=block[i])
+        norms = np.sqrt(block.sum(axis=1))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            changes = np.sqrt(block @ lam**2) / norms
+        stop = np.flatnonzero((norms < _ZERO_ITERATE) | (changes < cfg.delta))
+        if stop.size:
+            j = int(stop[0])
+            if norms[j] < _ZERO_ITERATE:
+                k, d = k + j, (float(changes[j - 1]) if j else d)
+            else:
+                k, d = k + j + 1, float(changes[j])
+            break
+        k, d = k + len(block), float(changes[-1])
+        energy = block[-1] * decay
+    if k > 1:
+        cur = op.from_eigenbasis(z ** (k - 1) * c)
     return cur, k, d
 
 
@@ -263,7 +316,7 @@ def stopping_bound_k0(delta: float, op: StructuredOperator, s) -> int:
         raise ValueError("delta must be positive")
     consts = ConvergenceConstants.for_operator(op)
     s = np.asarray(s, dtype=float)
-    coeffs = _to_eigenbasis(op, s, fast=False)
+    coeffs, _ = op.to_eigenbasis(s)
     c_inf = float(np.abs(coeffs).max())
     m = op.n - consts.beta - consts.zeta
     if m <= 0 or c_inf == 0.0:

@@ -149,23 +149,49 @@ class StructuredOperator:
             return Spectrum.from_values(vals.real)
         return Spectrum.from_values(np.linalg.eigvalsh(dense))
 
+    def to_eigenbasis(self, s) -> tuple[np.ndarray, np.ndarray]:
+        """Coefficients of s in the diagonalizing basis, with the eigenvalue
+        belonging to each coefficient.
+
+        The basis is that of :func:`transform_apply`: the unitary DFT
+        (periodic), the orthonormal cosine transform (reflective) and the
+        anti-reflective transform. Raises ValueError for the zero kind.
+        """
+        lam = self._transform_eigenvalues()
+        s = np.asarray(s, dtype=float)
+        if self.kind is BoundaryKind.PERIODIC:
+            return np.fft.fft(s) / np.sqrt(self.n), lam
+        if self.kind is BoundaryKind.REFLECTIVE:
+            return _dct2(s), lam
+        return _art_inverse_apply(s), lam
+
+    def from_eigenbasis(self, c) -> np.ndarray:
+        """Signal with eigenbasis coefficients c, the inverse of :meth:`to_eigenbasis`."""
+        if self.kind is BoundaryKind.PERIODIC:
+            return (np.fft.ifft(c) * np.sqrt(self.n)).real
+        if self.kind is BoundaryKind.REFLECTIVE:
+            return _dct3(c)
+        if self.kind is BoundaryKind.ANTIREFLECTIVE:
+            return _art_apply(c)
+        raise ValueError("no diagonalizing transform for kind 'zero'")
+
     # -- internal ---------------------------------------------------------
 
-    def _symbol(self, theta: np.ndarray) -> np.ndarray:
-        """Filter frequency response w_0 + 2 sum_j w_j cos(j theta)."""
+    def _symbol(self, m: int) -> np.ndarray:
+        """Filter frequency response w_0 + 2 sum_j w_j cos(2 pi i j / m),
+        i = 0..m-1, from one FFT of the zero-padded taps."""
         w = self.filter.half_weights
-        j = np.arange(1, w.size)
-        return w[0] + 2.0 * (w[1:] * np.cos(np.multiply.outer(theta, j))).sum(axis=-1)
+        return 2.0 * np.fft.fft(w, m).real - w[0]
 
     def _transform_eigenvalues(self) -> np.ndarray:
         """Eigenvalues ordered to match the diagonalizing transform's basis."""
         n = self.n
         if self.kind is BoundaryKind.PERIODIC:
-            return self._symbol(2.0 * np.pi * np.arange(n) / n)
+            return self._symbol(n)
         if self.kind is BoundaryKind.REFLECTIVE:
-            return self._symbol(np.pi * np.arange(n) / n)
+            return self._symbol(2 * n)[:n]
         if self.kind is BoundaryKind.ANTIREFLECTIVE:
-            inner = self._symbol(np.pi * np.arange(1, n - 1) / (n - 1))
+            inner = self._symbol(2 * (n - 1))[1: n - 1]
             return np.concatenate([[1.0], inner, [1.0]])
         raise ValueError("no closed-form eigenvalues for zero boundary conditions")
 
@@ -188,22 +214,27 @@ def unit_eigenvectors(kind: BoundaryKind, n: int) -> list[np.ndarray]:
 # -- trigonometric transforms ------------------------------------------------
 
 
-def _dft_matrix(n: int) -> np.ndarray:
-    """Unitary inverse-DFT matrix exp(2 pi i jk / n) / sqrt(n)."""
-    j = np.arange(n)
-    return np.exp(2j * np.pi * np.outer(j, j) / n) / np.sqrt(n)
+def _dct2(x: np.ndarray) -> np.ndarray:
+    """Orthonormal DCT-II sqrt((2 - delta_i0)/n) sum_j x_j cos(i (2j+1) pi / (2n)),
+    by an FFT of the even extension."""
+    n = x.size
+    y = np.fft.rfft(np.concatenate([x, x[::-1]]))[:n] * np.exp(-0.5j * np.pi * np.arange(n) / n)
+    return 0.5 * np.sqrt((2.0 - (np.arange(n) == 0)) / n) * y.real
 
 
-def _dct3_matrix(n: int) -> np.ndarray:
-    """Orthogonal matrix sqrt((2 - delta_i0)/n) cos(i (2j+1) pi / (2n))."""
-    i, j = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-    return np.sqrt((2.0 - (i == 0)) / n) * np.cos(i * (2 * j + 1) * np.pi / (2 * n))
+def _dct3(c: np.ndarray) -> np.ndarray:
+    """Orthonormal DCT-III, the transpose (and inverse) of :func:`_dct2`."""
+    n = c.size
+    b = np.sqrt((2.0 - (np.arange(n) == 0)) / n) * np.exp(0.5j * np.pi * np.arange(n) / n) * c
+    return (2 * n) * np.fft.ifft(b, 2 * n)[:n].real
 
 
-def _dst1_matrix(m: int) -> np.ndarray:
-    """Symmetric self-inverse matrix sqrt(2/(m+1)) sin((i+1)(j+1) pi / (m+1))."""
-    i, j = np.meshgrid(np.arange(m), np.arange(m), indexing="ij")
-    return np.sqrt(2.0 / (m + 1)) * np.sin((i + 1) * (j + 1) * np.pi / (m + 1))
+def _dst1(x: np.ndarray) -> np.ndarray:
+    """Self-inverse DST-I sqrt(2/(m+1)) sum_j x_j sin((i+1)(j+1) pi / (m+1)),
+    by an FFT of the odd extension."""
+    m = x.size
+    odd = np.concatenate([[0.0], x, [0.0], -x[::-1]])
+    return -np.sqrt(0.5 / (m + 1)) * np.fft.rfft(odd)[1: m + 1].imag
 
 
 def _ramps(n: int) -> tuple[np.ndarray, np.ndarray, float]:
@@ -215,16 +246,9 @@ def _ramps(n: int) -> tuple[np.ndarray, np.ndarray, float]:
 def _art_apply(c: np.ndarray) -> np.ndarray:
     """Anti-reflective transform: two normalized ramp columns around an
     embedded sine-transform block."""
-    n = c.size
-    down, up, eta = _ramps(n)
-    y = np.zeros(n)
-    y[0] = c[0] * (n - 1) / eta
-    y[-1] = c[-1] * (n - 1) / eta
-    y[1:-1] = (
-        _dst1_matrix(n - 2) @ c[1:-1]
-        + c[0] * down[1:-1] / eta
-        + c[-1] * up[1:-1] / eta
-    )
+    down, up, eta = _ramps(c.size)
+    y = (c[0] * down + c[-1] * up) / eta
+    y[1:-1] += _dst1(c[1:-1])
     return y
 
 
@@ -238,43 +262,38 @@ def _art_inverse_apply(y: np.ndarray) -> np.ndarray:
     """
     n = y.size
     down, up, eta = _ramps(n)
-    c = np.zeros(n)
-    c[0] = eta * y[0] / (n - 1)
-    c[-1] = eta * y[-1] / (n - 1)
-    t = y[1:-1] - c[0] * down[1:-1] / eta - c[-1] * up[1:-1] / eta
-    c[1:-1] = _dst1_matrix(n - 2) @ t
+    c = np.empty(n)
+    c[0], c[-1] = eta * y[0] / (n - 1), eta * y[-1] / (n - 1)
+    c[1:-1] = _dst1(y[1:-1] - (c[0] * down[1:-1] + c[-1] * up[1:-1]) / eta)
     return c
 
 
-def transform_apply(which: str, x, *, fast: bool = False) -> np.ndarray:
+def transform_apply(which: str, x) -> np.ndarray:
     """Apply one of the diagonalizing transforms to a vector.
+
+    Every transform runs through ``numpy.fft`` in O(n log n).
 
     Parameters
     ----------
     which : {'dft', 'dct3', 'dst1', 'art', 'art_inverse'}
-        Transform to apply. 'dft' is the unitary transform diagonalizing
-        circulants (complex output); 'dct3' the orthogonal cosine transform
-        for the reflective algebra; 'dst1' the self-inverse sine transform
-        (acts on vectors of length n-2); 'art' / 'art_inverse' the
-        non-orthogonal anti-reflective transform and its inverse.
-    fast : bool
-        Use an FFT for 'dft' instead of the direct O(n^2) product. Only
-        supported there.
+        Transform to apply. 'dft' is the unitary transform
+        exp(2 pi i jk / n) / sqrt(n) diagonalizing circulants (complex
+        output); 'dct3' the orthogonal cosine transform of the reflective
+        algebra, sqrt((2 - delta_i0)/n) cos(i (2j+1) pi / (2n)), which is
+        the orthonormal DCT-II; 'dst1' the self-inverse sine transform (acts
+        on vectors of length n-2); 'art' / 'art_inverse' the non-orthogonal
+        anti-reflective transform and its inverse.
     """
     x = np.asarray(x)
     if x.ndim != 1 or x.size < 1:
         raise ValueError("transform input must be a nonempty vector")
-    if fast and which != "dft":
-        raise ValueError("the fast path is only available for 'dft'")
     if which == "dft":
-        if fast:
-            return np.fft.ifft(x) * np.sqrt(x.size)
-        return _dft_matrix(x.size) @ x
+        return np.fft.ifft(x) * np.sqrt(x.size)
     xf = np.asarray(x, dtype=float)
     if which == "dct3":
-        return _dct3_matrix(xf.size) @ xf
+        return _dct2(xf)
     if which == "dst1":
-        return _dst1_matrix(xf.size) @ xf
+        return _dst1(xf)
     if which in ("art", "art_inverse"):
         if xf.size < 3:
             raise ValueError("anti-reflective transform needs length >= 3")
@@ -282,33 +301,12 @@ def transform_apply(which: str, x, *, fast: bool = False) -> np.ndarray:
     raise ValueError(f"unknown transform {which!r}")
 
 
-def _to_eigenbasis(op: StructuredOperator, s: np.ndarray, fast: bool) -> np.ndarray:
-    if op.kind is BoundaryKind.PERIODIC:
-        if fast:
-            return np.fft.fft(s) / np.sqrt(op.n)
-        return np.conj(_dft_matrix(op.n)) @ s
-    if op.kind is BoundaryKind.REFLECTIVE:
-        return _dct3_matrix(op.n) @ s
-    return _art_inverse_apply(s)
-
-
-def _from_eigenbasis(op: StructuredOperator, c: np.ndarray, fast: bool) -> np.ndarray:
-    if op.kind is BoundaryKind.PERIODIC:
-        if fast:
-            return (np.fft.ifft(c) * np.sqrt(op.n)).real
-        return (_dft_matrix(op.n) @ c).real
-    if op.kind is BoundaryKind.REFLECTIVE:
-        return _dct3_matrix(op.n).T @ c
-    return _art_apply(c)
-
-
-def diagonalized_power_apply(op: StructuredOperator, s, k: int, *, fast: bool = False) -> np.ndarray:
+def diagonalized_power_apply(op: StructuredOperator, s, k: int) -> np.ndarray:
     """Compute (I - W)^k s through the operator's eigenbasis.
 
-    One transform round-trip regardless of k, so the cost is independent of
-    the iteration count. Only the kinds with a diagonalizing transform are
-    supported (periodic, reflective, anti-reflective); ``fast`` switches the
-    periodic kind to FFTs.
+    One FFT-based transform round trip regardless of k, O(n log n). Only
+    the kinds with a diagonalizing transform are supported (periodic,
+    reflective, anti-reflective).
 
     Notes
     -----
@@ -317,11 +315,8 @@ def diagonalized_power_apply(op: StructuredOperator, s, k: int, *, fast: bool = 
     periodic and anti-reflective the transforms' columns are the
     eigenvectors and the round trip is Q diag(...) Q^{-1}.
     """
-    kind = BoundaryKind(op.kind)
-    if kind not in TRANSFORM_KINDS:
-        raise ValueError(f"no diagonalizing transform for kind {kind.value!r}")
-    if fast and kind is not BoundaryKind.PERIODIC:
-        raise ValueError("the fast path is only available for the periodic kind")
+    if op.kind not in TRANSFORM_KINDS:
+        raise ValueError(f"no diagonalizing transform for kind {op.kind.value!r}")
     if k < 0:
         raise ValueError("power must be nonnegative")
     s = np.asarray(s, dtype=float)
@@ -329,6 +324,5 @@ def diagonalized_power_apply(op: StructuredOperator, s, k: int, *, fast: bool = 
         raise ValueError(f"expected vector of length {op.n}, got shape {s.shape}")
     if k == 0:
         return s.copy()
-    z = 1.0 - op._transform_eigenvalues()
-    c = _to_eigenbasis(op, s, fast)
-    return _from_eigenbasis(op, z**k * c, fast)
+    c, lam = op.to_eigenbasis(s)
+    return op.from_eigenbasis((1.0 - lam) ** k * c)

@@ -1,0 +1,97 @@
+"""Independent reference implementations the fast paths are checked against.
+
+The dense transform matrices and the cosine-sum eigenvalue table are the
+O(n^2) and O(n l) definitions the FFT-based code replaces; the reference
+sift is the per-step loop of operator applications that the spectral sift
+must reproduce step for step.
+"""
+
+import numpy as np
+
+from iterfilt import BoundaryKind, StructuredOperator
+
+# below this iterate norm the relative step change is undefined
+ZERO_ITERATE = 1e-14
+
+
+def dft_matrix(n):
+    """Unitary inverse-DFT matrix exp(2 pi i jk / n) / sqrt(n)."""
+    j = np.arange(n)
+    return np.exp(2j * np.pi * np.outer(j, j) / n) / np.sqrt(n)
+
+
+def dct3_matrix(n):
+    """Orthogonal matrix sqrt((2 - delta_i0)/n) cos(i (2j+1) pi / (2n))."""
+    i, j = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+    return np.sqrt((2.0 - (i == 0)) / n) * np.cos(i * (2 * j + 1) * np.pi / (2 * n))
+
+
+def dst1_matrix(m):
+    """Symmetric self-inverse matrix sqrt(2/(m+1)) sin((i+1)(j+1) pi / (m+1))."""
+    i, j = np.meshgrid(np.arange(m), np.arange(m), indexing="ij")
+    return np.sqrt(2.0 / (m + 1)) * np.sin((i + 1) * (j + 1) * np.pi / (m + 1))
+
+
+def symbol_table(filt, theta):
+    """Filter frequency response w_0 + 2 sum_j w_j cos(j theta), summed
+    from an (angles x taps) cosine table."""
+    w = filt.half_weights
+    j = np.arange(1, w.size)
+    return w[0] + 2.0 * (w[1:] * np.cos(np.multiply.outer(theta, j))).sum(axis=-1)
+
+
+def closed_form_eigenvalues(op):
+    """The paper's eigenvalue formulas, in the order of the transform basis."""
+    n = op.n
+    if op.kind is BoundaryKind.PERIODIC:
+        return symbol_table(op.filter, 2.0 * np.pi * np.arange(n) / n)
+    if op.kind is BoundaryKind.REFLECTIVE:
+        return symbol_table(op.filter, np.pi * np.arange(n) / n)
+    inner = symbol_table(op.filter, np.pi * np.arange(1, n - 1) / (n - 1))
+    return np.concatenate([[1.0], inner, [1.0]])
+
+
+def dense_eigenbasis(op):
+    """(Q, Q^{-1}) with W = Q diag(eigenvalues) Q^{-1}, from dense matrices."""
+    n = op.n
+    if op.kind is BoundaryKind.PERIODIC:
+        q = dft_matrix(n)
+        return q, np.conj(q)
+    if op.kind is BoundaryKind.REFLECTIVE:
+        q = dct3_matrix(n)
+        return q.T, q
+    down = np.arange(n - 1, -1, -1, dtype=float)
+    eta = np.sqrt(np.sum(down**2))
+    q = np.zeros((n, n))
+    q[:, 0] = down / eta
+    q[:, -1] = down[::-1] / eta
+    q[1:-1, 1:-1] = dst1_matrix(n - 2)
+    return q, np.linalg.inv(q)
+
+
+def dense_power_apply(op, s, k):
+    """(I - W)^k s through dense transform matrices and tabled eigenvalues."""
+    q, q_inv = dense_eigenbasis(op)
+    z = 1.0 - closed_form_eigenvalues(op)
+    return (q @ (z**k * (q_inv @ np.asarray(s, dtype=float)))).real
+
+
+def reference_sift(values, filt, kind, cfg):
+    """One operator application per inner step until the step change drops
+    below delta, the iterate is numerically zero or max_inner is reached.
+    Returns (iterate, steps, last step change)."""
+    op = StructuredOperator(filt, kind, values.size)
+    cur = np.asarray(values, dtype=float).copy()
+    k = 0
+    d = None
+    while k < cfg.max_inner:
+        norm_cur = float(np.linalg.norm(cur))
+        if norm_cur < ZERO_ITERATE:
+            break
+        nxt = cur - op.apply(cur)
+        k += 1
+        d = float(np.linalg.norm(nxt - cur)) / norm_cur
+        cur = nxt
+        if d < cfg.delta:
+            break
+    return cur, k, d

@@ -12,12 +12,15 @@ from iterfilt import (
     diagonalized_power_apply,
     dif,
     eif,
+    filter_length,
     inner_loop,
     raised_cosine_shape,
     sample_filter,
     stopping_bound_k0,
 )
+from iterfilt.decompose import _sift
 from conftest import random_doubled_filter, sine_trend
+from oracles import reference_sift
 
 TRANSFORM_KINDS = [BoundaryKind.PERIODIC, BoundaryKind.REFLECTIVE, BoundaryKind.ANTIREFLECTIVE]
 
@@ -82,7 +85,10 @@ class TestInnerLoop:
                 imf, used = inner_loop(s, filt, kind, cfg)
                 # the loop may quit early only through the zero-iterate guard
                 assert used == k or np.linalg.norm(imf) < 1e-14
-                assert np.abs(imf - diagonalized_power_apply(op, s, used)).max() <= 1e-8
+                direct = s.copy()
+                for _ in range(used):
+                    direct = direct - op.apply(direct)
+                assert np.abs(imf - direct).max() <= 1e-8
 
     def test_iteration_cap(self, rng):
         filt = random_doubled_filter(rng, 20)
@@ -289,3 +295,101 @@ class TestLimitBehavior:
         s = sine + 1.5  # constant sits at eigenvalue one, vanishing from the imf
         iterate = diagonalized_power_apply(op, s, 2000)
         assert np.linalg.norm(iterate - sine) < 1e-6
+
+
+def chirp(n, seed=7):
+    """Chirp, two tones, linear trend and 10 % noise."""
+    x = np.linspace(0.0, 1.0, n)
+    clean = (np.sin(2.0 * np.pi * (20.0 * x + 40.0 * x**2) + 0.3)
+             + 0.5 * np.sin(2.0 * np.pi * 12.0 * x + 1.1)
+             + 0.8 * np.sin(2.0 * np.pi * x + 2.0) + 1.5 * x - 0.5)
+    return clean + 0.1 * clean.std() * np.random.default_rng(seed).standard_normal(n)
+
+
+def kernel_vector(kind, period):
+    """A vector the null-tuned filter of this period maps to zero under
+    ``kind``, with the length it needs: the basis vector of the kind's
+    transform at the filter's spectral zero."""
+    if kind is BoundaryKind.PERIODIC:
+        j = np.arange(4 * period)
+        return np.sin(2.0 * np.pi * j / period)
+    if kind is BoundaryKind.REFLECTIVE:
+        j = np.arange(4 * period)
+        return np.cos(np.pi * (2 * j + 1) / period)
+    j = np.arange(4 * period + 1)
+    return np.sin(2.0 * np.pi * j / period)
+
+
+def plain_or_doubled(l, doubled):
+    filt = sample_filter(raised_cosine_shape(), l)
+    return convolve_self(filt) if doubled else filt
+
+
+# (kind, doubled filter, n, stop case); the doubled filter needs n >= 5
+SIFT_CASES = [
+    (kind, doubled, n, stop)
+    for kind in TRANSFORM_KINDS
+    for doubled in (True, False)
+    for n in (3, 4, 5, 64, 301)
+    for stop in ("delta", "cap", "one_step", "zero_guard")
+    if n >= 5 or not doubled
+] + [
+    (kind, doubled, n, stop)
+    for kind in TRANSFORM_KINDS
+    for doubled in (True, False)
+    for n, stop in ((32, "kernel"), (2048, "chirp"))
+]
+
+
+def stop_reason(imf, k, cfg):
+    if np.linalg.norm(imf) < 1e-14:
+        return "zero iterate"
+    return "cap" if k == cfg.max_inner else "delta"
+
+
+class TestSpectralSift:
+    """The eigenbasis sift against one operator application per step."""
+
+    @pytest.mark.parametrize("kind,doubled,n,stop", SIFT_CASES)
+    def test_matches_reference_sift(self, kind, doubled, n, stop):
+        rng = np.random.default_rng([n, len(stop), int(doubled)])
+        cfg = StoppingConfig()
+        s = rng.standard_normal(n)
+        cap = (n - 1) // 4 if doubled else (n - 1) // 2
+        if stop == "kernel":
+            s = kernel_vector(kind, 8)
+            filt = plain_or_doubled(7, doubled)
+        elif stop == "chirp":
+            s = chirp(n)
+            filt = plain_or_doubled(filter_length(s, cfg.xi, doubled=doubled), doubled)
+        else:
+            filt = plain_or_doubled(int(rng.integers(1, cap + 1)), doubled)
+        if stop == "zero_guard":
+            s = np.ones(n)  # eigenvalue one for every kind: zero after one step
+        elif stop == "cap":
+            cfg = StoppingConfig(delta=1e-12, max_inner=20)
+        elif stop == "one_step":
+            cfg = StoppingConfig(max_inner=1)
+
+        ref, k_ref, d_ref = reference_sift(s, filt, kind, cfg)
+        imf, k = inner_loop(s, filt, kind, cfg)
+        assert k == k_ref
+        # without doubling, eigenvalues below zero make both iterates grow
+        assert np.abs(imf - ref).max() <= 1e-12 * max(np.abs(s).max(), np.abs(ref).max())
+        assert abs(_sift(s, filt, kind, cfg)[2] - d_ref) <= 1e-12
+
+        # the case exercises the stop it is named for: a wide doubled filter
+        # has eigenvalues near zero, so delta is met; without doubling the
+        # chirp's iterate grows and runs to the cap
+        expected = {
+            "cap": "cap",
+            "one_step": "cap",
+            "zero_guard": "zero iterate",
+            "kernel": "delta",
+            "delta": "delta" if doubled and n >= 64 else None,
+            "chirp": "delta" if doubled else "cap",
+        }[stop]
+        if expected:
+            assert stop_reason(ref, k_ref, cfg) == expected
+        if stop in ("one_step", "zero_guard", "kernel"):
+            assert k == 1

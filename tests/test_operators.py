@@ -10,11 +10,20 @@ from iterfilt import (
     transform_apply,
     unit_eigenvectors,
 )
-from iterfilt.operators import _art_apply, _dct3_matrix, _dft_matrix, _dst1_matrix
 from conftest import random_doubled_filter, random_filter
+from oracles import (
+    closed_form_eigenvalues,
+    dct3_matrix,
+    dense_eigenbasis,
+    dense_power_apply,
+    dft_matrix,
+    dst1_matrix,
+)
 
 ALL_KINDS = list(BoundaryKind)
 TRANSFORM_KINDS = [BoundaryKind.PERIODIC, BoundaryKind.REFLECTIVE, BoundaryKind.ANTIREFLECTIVE]
+# even and odd sizes, including the smallest ones
+SIZES = (1, 2, 3, 4, 5, 16, 21, 64, 301)
 
 W5 = Filter(np.array([3 / 9, 2 / 9, 1 / 9]))  # (1/9,2/9,3/9,2/9,1/9) full
 
@@ -136,6 +145,14 @@ class TestEigenvalues:
                 dense = op.dense_spectrum().eigenvalues
                 assert np.abs(closed - dense).max() <= 1e-10
 
+    def test_fft_symbol_matches_cosine_table(self, rng):
+        for kind in TRANSFORM_KINDS:
+            for n in (3, 4, 5, 8, 33, 64, 301):
+                l = int(rng.integers(1, (n - 1) // 2 + 1))
+                op = StructuredOperator(random_filter(rng, l), kind, n)
+                table = closed_form_eigenvalues(op)
+                assert np.abs(op._transform_eigenvalues() - table).max() <= 1e-13
+
     def test_zero_kind_has_no_closed_form(self, rng):
         op = StructuredOperator(random_filter(rng, 2), BoundaryKind.ZERO, 10)
         with pytest.raises(ValueError, match="closed-form"):
@@ -211,12 +228,24 @@ class TestTransforms:
 
     def test_dct3_against_scipy(self, rng):
         # this cosine matrix coincides with scipy's orthonormal DCT-II
-        x = rng.standard_normal(21)
-        assert np.abs(transform_apply("dct3", x) - scipy.fft.dct(x, type=2, norm="ortho")).max() <= 1e-12
+        for n in SIZES:
+            x = rng.standard_normal(n)
+            ref = scipy.fft.dct(x, type=2, norm="ortho")
+            assert np.abs(transform_apply("dct3", x) - ref).max() <= 1e-12
 
     def test_dst1_against_scipy(self, rng):
-        x = rng.standard_normal(19)
-        assert np.abs(transform_apply("dst1", x) - scipy.fft.dst(x, type=1, norm="ortho")).max() <= 1e-12
+        for n in SIZES + (19,):
+            x = rng.standard_normal(n)
+            ref = scipy.fft.dst(x, type=1, norm="ortho")
+            assert np.abs(transform_apply("dst1", x) - ref).max() <= 1e-12
+
+    def test_fft_transforms_match_dense(self, rng):
+        for n in SIZES:
+            x = rng.standard_normal(n)
+            assert np.abs(transform_apply("dct3", x) - dct3_matrix(n) @ x).max() <= 1e-12
+            assert np.abs(transform_apply("dst1", x) - dst1_matrix(n) @ x).max() <= 1e-12
+            z = x + 1j * rng.standard_normal(n)
+            assert np.abs(transform_apply("dft", z) - dft_matrix(n) @ z).max() <= 1e-12
 
     def test_dst1_self_inverse(self, rng):
         x = rng.standard_normal(12)
@@ -224,8 +253,8 @@ class TestTransforms:
 
     def test_dft_fast_path_matches_direct(self, rng):
         x = rng.standard_normal(33)
-        direct = transform_apply("dft", x)
-        fast = transform_apply("dft", x, fast=True)
+        direct = dft_matrix(33) @ x
+        fast = transform_apply("dft", x)
         assert np.abs(direct - fast).max() <= 1e-11
 
     def test_art_first_column_normalized(self):
@@ -248,10 +277,6 @@ class TestTransforms:
         with pytest.raises(ValueError, match="unknown"):
             transform_apply("hadamard", np.ones(4))
 
-    def test_fast_only_for_dft(self):
-        with pytest.raises(ValueError, match="fast"):
-            transform_apply("dct3", np.ones(4), fast=True)
-
 
 class TestDiagonalization:
     def test_reconstruction_matches_dense(self, rng):
@@ -260,20 +285,20 @@ class TestDiagonalization:
         filt = random_filter(rng, 4)
 
         op = StructuredOperator(filt, BoundaryKind.PERIODIC, n)
-        Q = _dft_matrix(n)
+        Q = dft_matrix(n)
         lam = op._transform_eigenvalues()
         rebuilt = (Q @ np.diag(lam) @ np.conj(Q)).real
         assert np.abs(rebuilt - op.to_dense()).max() <= 1e-10
 
         op = StructuredOperator(filt, BoundaryKind.REFLECTIVE, n)
-        Q = _dct3_matrix(n)
+        Q = dct3_matrix(n)
         lam = op._transform_eigenvalues()
         rebuilt = Q.T @ np.diag(lam) @ Q
         assert np.abs(rebuilt - op.to_dense()).max() <= 1e-10
 
         op = StructuredOperator(filt, BoundaryKind.ANTIREFLECTIVE, n)
         lam = op._transform_eigenvalues()
-        cols = [_art_apply(col) for col in np.eye(n)]
+        cols = [transform_apply("art", col) for col in np.eye(n)]
         Q = np.column_stack(cols)
         rebuilt = Q @ np.diag(lam) @ np.linalg.inv(Q)
         assert np.abs(rebuilt - op.to_dense()).max() <= 1e-10
@@ -283,10 +308,28 @@ class TestDiagonalization:
         n = 12
         op = StructuredOperator(random_filter(rng, 3), BoundaryKind.ANTIREFLECTIVE, n)
         inner = op.to_dense()[1:-1, 1:-1]
-        S = _dst1_matrix(n - 2)
+        S = dst1_matrix(n - 2)
         diag = S @ inner @ S
         off = diag - np.diag(np.diag(diag))
         assert np.abs(off).max() <= 1e-12
+
+    def test_eigenbasis_round_trip_matches_dense(self, rng):
+        for kind in TRANSFORM_KINDS:
+            for n in (3, 4, 5, 16, 33):
+                l = int(rng.integers(1, (n - 1) // 2 + 1))
+                op = StructuredOperator(random_filter(rng, l), kind, n)
+                q, q_inv = dense_eigenbasis(op)
+                s = rng.standard_normal(n)
+                c, _ = op.to_eigenbasis(s)
+                assert np.abs(c - q_inv @ s).max() <= 1e-12
+                assert np.abs(op.from_eigenbasis(c) - s).max() <= 1e-12
+
+    def test_zero_kind_has_no_eigenbasis(self, rng):
+        op = StructuredOperator(random_filter(rng, 2), BoundaryKind.ZERO, 10)
+        with pytest.raises(ValueError):
+            op.to_eigenbasis(np.ones(10))
+        with pytest.raises(ValueError):
+            op.from_eigenbasis(np.ones(10))
 
 
 class TestDiagonalizedPowerApply:
@@ -312,16 +355,11 @@ class TestDiagonalizedPowerApply:
     def test_fast_periodic_path(self, rng):
         op = StructuredOperator(random_doubled_filter(rng, 32), BoundaryKind.PERIODIC, 32)
         s = rng.standard_normal(32)
-        slow = diagonalized_power_apply(op, s, 50)
-        fast = diagonalized_power_apply(op, s, 50, fast=True)
+        slow = dense_power_apply(op, s, 50)
+        fast = diagonalized_power_apply(op, s, 50)
         assert np.abs(slow - fast).max() <= 1e-11
 
     def test_zero_kind_unsupported(self, rng):
         op = StructuredOperator(random_filter(rng, 2), BoundaryKind.ZERO, 10)
         with pytest.raises(ValueError, match="transform"):
             diagonalized_power_apply(op, np.ones(10), 3)
-
-    def test_fast_flag_only_periodic(self, rng):
-        op = StructuredOperator(random_filter(rng, 2), BoundaryKind.REFLECTIVE, 10)
-        with pytest.raises(ValueError, match="fast"):
-            diagonalized_power_apply(op, np.ones(10), 3, fast=True)
