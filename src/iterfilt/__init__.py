@@ -47,6 +47,7 @@ from .decompose import (
     Decomposition,
     ImfDiagnostics,
     StoppingConfig,
+    build_filter,
     delta_metric,
     dif,
     eif,
@@ -77,7 +78,7 @@ __all__ = [
     "Spectrum", "StructuredOperator", "diagonalized_power_apply",
     "transform_apply", "unit_eigenvectors",
     "ConvergenceConstants", "Decomposition", "ImfDiagnostics", "StoppingConfig",
-    "delta_metric", "dif", "eif", "inner_loop", "stopping_bound_k0",
+    "build_filter", "delta_metric", "dif", "eif", "inner_loop", "stopping_bound_k0",
     "ErrorEstimate", "SweepPoint", "actual_error", "boundary_error_estimate",
     "dominant_period", "error_propagation", "error_upper_bound",
     "make_sine_trend_generator", "phase_sweep", "relative_error",

@@ -11,7 +11,7 @@ from enum import Enum
 
 import numpy as np
 
-from .signal import _as_values
+from .signal import as_values
 
 __all__ = ["BoundaryKind", "ExtendedSignal", "extend", "constant_error_extension"]
 
@@ -61,7 +61,7 @@ def extend(s, kind: BoundaryKind, p: int) -> ExtendedSignal:
     Periodic and reflective need p <= n; anti-reflective needs p <= n-1
     because it indexes sample j = p.
     """
-    v = _as_values(s)
+    v = as_values(s)
     n = v.size
     kind = BoundaryKind(kind)
     if p < 0:
@@ -96,7 +96,7 @@ def constant_error_extension(s, p: int) -> ExtendedSignal:
     bounds the assumed constant discrepancy between any extension rule and
     the unknown true continuation.
     """
-    v = _as_values(s)
+    v = as_values(s)
     if p < 0:
         raise ValueError("pad must be nonnegative")
     chi = float(np.abs(v).max())

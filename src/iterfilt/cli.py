@@ -16,15 +16,16 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .boundary import BoundaryKind
-from .decompose import Decomposition, StoppingConfig, dif, eif
+from .decompose import Decomposition, StoppingConfig, build_filter, dif, eif, inner_loop
 from .error_analysis import boundary_error_estimate, make_sine_trend_generator, phase_sweep
-from .filters import SHAPE_NAMES, get_shape, sample_filter, convolve_self, filter_length
+from .filters import SHAPE_NAMES, get_shape, sample_filter, convolve_self
 from .operators import StructuredOperator
 from .signal import ParseError, load_signal, normalize
 
@@ -87,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("input", help="input CSV, one sample per line")
     e.add_argument("output", help="output CSV (x_index,err_k,ub_k)")
     e.add_argument("--bc", default="periodic", choices=_KINDS,
-                   help="boundary conditions for the reference decomposition that "
+                   help="boundary conditions for the first-component sift that "
                         "fixes the default step count (the propagation itself is "
                         "extension-rule independent)")
     e.add_argument("--pad", type=int, default=None,
@@ -106,7 +107,6 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--trend", type=float, default=1.5, help="constant trend level (default: 1.5)")
     ps.add_argument("--base", type=float, default=-8.0, help="left end of the base support (default: -8)")
     ps.add_argument("--phase", type=float, default=0.4, help="sine phase at the support centre")
-    ps.add_argument("--seed", type=int, default=0, help="reserved for randomized fixtures; echoed in metadata")
     _add_stopping_flags(ps)
     _add_filter_flags(ps)
 
@@ -123,6 +123,14 @@ def _stopping_config(args) -> StoppingConfig:
     )
 
 
+def _stopping_fields(args) -> dict:
+    """The stopping and filter settings every sifting command echoes."""
+    return {
+        "delta": args.delta, "max_inner": args.max_inner, "max_imfs": args.max_imfs,
+        "xi": args.xi, "double_filter": args.double_filter, "shape": args.shape,
+    }
+
+
 def _write_meta(output: str, config: dict, extra: dict | None = None):
     meta = {"config": config}
     if extra:
@@ -136,50 +144,31 @@ def _write_csv(output: str, header: str, rows: list[str]):
     Path(output).write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
 
 
-def _first_filter(values, args):
-    shape = get_shape(args.shape)
-    doubled = args.double_filter == "on"
-    l = filter_length(values, args.xi, doubled=doubled)
-    filt = sample_filter(shape, l)
-    return convolve_self(filt) if doubled else filt
-
-
 def _cmd_decompose(args) -> int:
     if args.pad is not None and args.mode != "eif":
         print("error: --pad is only valid with --mode eif", file=sys.stderr)
         return USAGE_ERROR
     signal = load_signal(args.input)
+    if args.normalize:
+        signal = normalize(signal)
     cfg = _stopping_config(args)
     shape = get_shape(args.shape)
     kind = BoundaryKind(args.bc)
 
     if args.mode == "dif":
         pad = 0
-        result = dif(signal, shape, kind, cfg, normalize=args.normalize)
+        result = dif(signal, shape, kind, cfg)
     else:
-        values = normalize(signal).values if args.normalize else signal.values
-        pad = args.pad if args.pad is not None else 2 * _first_filter(values, args).length
-        result = eif(values, shape, kind, pad, cfg)
+        pad = args.pad if args.pad is not None else 2 * build_filter(signal, shape, cfg).length
+        result = eif(signal, shape, kind, pad, cfg)
 
     _write_decomposition(args.output, result)
     config = {
         "command": "decompose", "input": args.input, "output": args.output,
         "bc": args.bc, "mode": args.mode, "pad": pad, "normalize": args.normalize,
-        "delta": args.delta, "max_inner": args.max_inner, "max_imfs": args.max_imfs,
-        "xi": args.xi, "double_filter": args.double_filter, "shape": args.shape,
+        **_stopping_fields(args),
     }
-    diagnostics = [
-        {
-            "imf": m + 1,
-            "inner_steps": d.inner_steps,
-            "filter_length": d.filter_length,
-            "final_delta": d.final_delta,
-            "kind": d.kind,
-            "mode": d.mode,
-            "pad": d.pad,
-        }
-        for m, d in enumerate(result.diagnostics)
-    ]
+    diagnostics = [{"imf": m + 1, **asdict(d)} for m, d in enumerate(result.diagnostics)]
     _write_meta(args.output, config, {"imfs": diagnostics})
     return 0
 
@@ -220,11 +209,10 @@ def _cmd_spectrum(args) -> int:
 def _cmd_errorbound(args) -> int:
     signal = load_signal(args.input)
     cfg = _stopping_config(args)
-    filt = _first_filter(signal.values, args)
+    filt = build_filter(signal, get_shape(args.shape), cfg)
     steps = args.steps
     if steps is None:
-        reference = dif(signal, get_shape(args.shape), BoundaryKind(args.bc), cfg)
-        steps = max(reference.diagnostics[0].inner_steps, 1)
+        steps = max(inner_loop(signal, filt, BoundaryKind(args.bc), cfg)[1], 1)
     pad = args.pad if args.pad is not None else 2 * filt.length
     estimate = boundary_error_estimate(signal.values, filt, pad, steps)
     err_last = estimate.per_step[-1]
@@ -236,8 +224,7 @@ def _cmd_errorbound(args) -> int:
     config = {
         "command": "errorbound", "input": args.input, "output": args.output,
         "bc": args.bc, "pad": pad, "steps": steps, "chi": estimate.chi,
-        "delta": args.delta, "max_inner": args.max_inner, "max_imfs": args.max_imfs,
-        "xi": args.xi, "double_filter": args.double_filter, "shape": args.shape,
+        **_stopping_fields(args),
     }
     _write_meta(args.output, config)
     return 0
@@ -267,9 +254,7 @@ def _cmd_phasesweep(args) -> int:
     config = {
         "command": "phasesweep", "output": args.output, "dt": args.dt, "span": args.span,
         "period": args.period, "amplitude": args.amplitude, "trend": args.trend,
-        "base": args.base, "phase": args.phase, "seed": args.seed,
-        "delta": args.delta, "max_inner": args.max_inner, "max_imfs": args.max_imfs,
-        "xi": args.xi, "double_filter": args.double_filter, "shape": args.shape,
+        "base": args.base, "phase": args.phase, **_stopping_fields(args),
     }
     _write_meta(args.output, config)
     return 0

@@ -13,9 +13,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .boundary import BoundaryKind, extend
-from .filters import Filter, FilterShape, convolve_self, filter_length, raised_cosine_shape, sample_filter
+from .filters import (Filter, FilterShape, convolve_self, filter_length, max_filter_length,
+                      raised_cosine_shape, sample_filter)
 from .operators import StructuredOperator
-from .signal import _as_values, count_extrema
+from .signal import as_values, count_extrema
 
 __all__ = [
     "StoppingConfig",
@@ -24,6 +25,7 @@ __all__ = [
     "ConvergenceConstants",
     "delta_metric",
     "inner_loop",
+    "build_filter",
     "dif",
     "eif",
     "stopping_bound_k0",
@@ -68,9 +70,6 @@ class ImfDiagnostics:
     inner_steps: int
     filter_length: int
     final_delta: float | None
-    kind: str
-    mode: str
-    pad: int
 
 
 @dataclass(frozen=True)
@@ -125,18 +124,21 @@ def delta_metric(s_next, s_cur) -> float:
     return float(np.linalg.norm(s_next - s_cur)) / denom
 
 
-def _sift(values: np.ndarray, filt: Filter, kind: BoundaryKind,
-          cfg: StoppingConfig) -> tuple[np.ndarray, int, float | None]:
-    """Iterate s <- s - W s until the step change drops below delta.
+def inner_loop(s, filt: Filter, kind: BoundaryKind,
+               cfg: StoppingConfig | None = None) -> tuple[np.ndarray, int, float | None]:
+    """Extract one component: iterate s <- s - W s until the step change
+    drops below delta.
 
     Boundary conditions are re-imposed by every application. Stops early
     when the iterate is numerically zero (the step change is undefined
-    there). Returns (iterate, steps, last step change). The zero kind
-    applies W once per step; the others take the same steps in the
-    eigenbasis (:func:`_sift_spectral`).
+    there). Returns (iterate, steps, last step change), the change being
+    None when no step was taken. The zero kind applies W once per step; the
+    others take the same steps in the eigenbasis (:func:`_sift_spectral`).
     """
-    op = StructuredOperator(filt, kind, values.size)
-    if kind is not BoundaryKind.ZERO:
+    cfg = cfg or StoppingConfig()
+    values = as_values(s)
+    op = StructuredOperator(filt, BoundaryKind(kind), values.size)
+    if op.kind is not BoundaryKind.ZERO:
         return _sift_spectral(op, values, cfg)
     cur = values.copy()
     k = 0
@@ -156,7 +158,7 @@ def _sift(values: np.ndarray, filt: Filter, kind: BoundaryKind,
 
 def _sift_spectral(op: StructuredOperator, values: np.ndarray,
                    cfg: StoppingConfig) -> tuple[np.ndarray, int, float | None]:
-    """:func:`_sift` in the eigenbasis: one transform round trip plus O(n)
+    """:func:`inner_loop` in the eigenbasis: one transform round trip plus O(n)
     per step, since a step scales each coefficient c by 1 - lambda and
     changes the iterate by ||lambda c||.
 
@@ -201,42 +203,38 @@ def _sift_spectral(op: StructuredOperator, values: np.ndarray,
     return cur, k, d
 
 
-def inner_loop(s, filt: Filter, kind: BoundaryKind,
-               cfg: StoppingConfig | None = None) -> tuple[np.ndarray, int]:
-    """Extract one component by iterated smoothing subtraction.
-
-    Returns the final iterate and the number of smoothing steps applied.
-    """
-    cfg = cfg or StoppingConfig()
-    imf, k, _ = _sift(_as_values(s), filt, BoundaryKind(kind), cfg)
-    return imf, k
-
-
-def _build_filter(values: np.ndarray, shape: FilterShape, cfg: StoppingConfig) -> Filter:
+def build_filter(values, shape: FilterShape, cfg: StoppingConfig) -> Filter:
+    """The filter an outer step uses on ``values``: its length comes from
+    the extrema count and ``cfg.xi``, and it is self-convolved when
+    ``cfg.double_filter`` is set."""
     l = filter_length(values, cfg.xi, doubled=cfg.double_filter)
     filt = sample_filter(shape, l)
     return convolve_self(filt) if cfg.double_filter else filt
 
 
-def _outer_loop(values: np.ndarray, shape: FilterShape, op_kind: BoundaryKind,
-                cfg: StoppingConfig, diag_kind: str, mode: str, pad: int):
+def _outer_loop(values: np.ndarray, shape: FilterShape | None, kind: BoundaryKind,
+                cfg: StoppingConfig | None):
+    cfg = cfg or StoppingConfig()
+    shape = shape or raised_cosine_shape()
     imfs: list[np.ndarray] = []
     diags: list[ImfDiagnostics] = []
     residual = values.copy()
-    while len(imfs) < cfg.max_imfs - 1 and count_extrema(residual) >= 2:
-        filt = _build_filter(residual, shape, cfg)
-        imf, k, d = _sift(residual, filt, op_kind, cfg)
+    # without an admissible filter length the residual is the trend
+    admissible = max_filter_length(values.size, doubled=cfg.double_filter) >= 1
+    while admissible and len(imfs) < cfg.max_imfs - 1 and count_extrema(residual) >= 2:
+        filt = build_filter(residual, shape, cfg)
+        imf, k, d = inner_loop(residual, filt, kind, cfg)
         imfs.append(imf)
-        diags.append(ImfDiagnostics(k, filt.length, d, diag_kind, mode, pad))
+        diags.append(ImfDiagnostics(k, filt.length, d))
         residual = residual - imf
     imfs.append(residual)
-    diags.append(ImfDiagnostics(0, 0, None, diag_kind, mode, pad))
+    diags.append(ImfDiagnostics(0, 0, None))
     return imfs, diags
 
 
 def dif(s, shape: FilterShape | None = None,
         kind: BoundaryKind = BoundaryKind.PERIODIC,
-        cfg: StoppingConfig | None = None, *, normalize: bool = False) -> Decomposition:
+        cfg: StoppingConfig | None = None) -> Decomposition:
     """Decompose a signal by direct iterative filtering.
 
     Each outer step picks a filter length from the residual's extrema
@@ -244,7 +242,8 @@ def dif(s, shape: FilterShape | None = None,
     chosen boundary conditions every iteration) and subtracts it. The loop
     ends when fewer than two extrema remain or max_imfs is reached; the
     final residual is appended as the trend, so the components always sum
-    back to the (optionally normalized) input.
+    back to the input. A signal too short for any admissible filter length
+    (fewer than 5 samples with the doubled filter) is returned as its trend.
 
     Parameters
     ----------
@@ -255,25 +254,14 @@ def dif(s, shape: FilterShape | None = None,
     kind : BoundaryKind
         Extension rule imposed inside the inner loop.
     cfg : StoppingConfig, optional
-    normalize : bool
-        Rescale the input to unit Euclidean norm first.
     """
-    cfg = cfg or StoppingConfig()
-    shape = shape or raised_cosine_shape()
-    kind = BoundaryKind(kind)
-    values = _as_values(s).copy()
-    if normalize:
-        nrm = float(np.linalg.norm(values))
-        if nrm == 0.0:
-            raise ValueError("cannot normalize the zero signal")
-        values /= nrm
-    imfs, diags = _outer_loop(values, shape, kind, cfg, kind.value, "dif", 0)
+    imfs, diags = _outer_loop(as_values(s), shape, BoundaryKind(kind), cfg)
     return Decomposition(imfs=imfs, diagnostics=diags)
 
 
 def eif(s, shape: FilterShape | None = None,
         kind: BoundaryKind = BoundaryKind.PERIODIC, p: int = 0,
-        cfg: StoppingConfig | None = None, *, normalize: bool = False) -> Decomposition:
+        cfg: StoppingConfig | None = None) -> Decomposition:
     """Decompose with a single up-front extension instead of re-imposition.
 
     The signal is extended once by p samples per side under ``kind``; every
@@ -282,20 +270,9 @@ def eif(s, shape: FilterShape | None = None,
     back to the central n samples on output. With p = 0 and periodic
     conditions this reproduces :func:`dif` exactly.
     """
-    cfg = cfg or StoppingConfig()
-    shape = shape or raised_cosine_shape()
-    kind = BoundaryKind(kind)
-    values = _as_values(s).copy()
-    if normalize:
-        nrm = float(np.linalg.norm(values))
-        if nrm == 0.0:
-            raise ValueError("cannot normalize the zero signal")
-        values /= nrm
-    n = values.size
-    extended = extend(values, kind, p).values
-    imfs_ext, diags = _outer_loop(extended, shape, BoundaryKind.PERIODIC, cfg,
-                                  kind.value, "eif", p)
-    imfs = [f[p: p + n].copy() for f in imfs_ext]
+    extended = extend(s, kind, p)
+    imfs_ext, diags = _outer_loop(extended.values, shape, BoundaryKind.PERIODIC, cfg)
+    imfs = [f[p: p + extended.n].copy() for f in imfs_ext]
     return Decomposition(imfs=imfs, diagnostics=diags)
 
 

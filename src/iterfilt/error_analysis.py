@@ -15,10 +15,10 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .boundary import BoundaryKind, ExtendedSignal, constant_error_extension
-from .decompose import StoppingConfig, _build_filter, inner_loop
+from .decompose import StoppingConfig, build_filter, inner_loop
 from .filters import Filter, FilterShape, raised_cosine_shape
 from .operators import StructuredOperator
-from .signal import _as_values
+from .signal import as_values
 
 __all__ = [
     "ErrorEstimate",
@@ -117,7 +117,7 @@ def relative_error(f1, f1_exact) -> float:
 
 def boundary_error_estimate(s, filt: Filter, p: int, steps: int) -> ErrorEstimate:
     """Run the full worst-case propagation for a signal and filter."""
-    values = _as_values(s)
+    values = as_values(s)
     u = constant_error_extension(values, p)
     op = StructuredOperator(filt, BoundaryKind.PERIODIC, values.size + 2 * p)
     per_step = error_propagation(op, u, steps)
@@ -191,12 +191,12 @@ def phase_sweep(generator: Callable, dt: float, span: float,
         samples, exact = generator(endpoint, dt)
         samples = np.asarray(samples, dtype=float)
         exact = np.asarray(exact, dtype=float)
-        filt = _build_filter(samples, shape, cfg)
+        filt = build_filter(samples, shape, cfg)
 
         errs: dict[str, float] = {}
         k_used = 0
         for kind in kinds:
-            imf, k = inner_loop(samples, filt, kind, cfg)
+            imf, k, _ = inner_loop(samples, filt, kind, cfg)
             k_used = max(k_used, k)
             errs[kind.value] = relative_error(imf, exact)
 

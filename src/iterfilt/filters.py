@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .signal import _as_values, count_extrema
+from .signal import as_values, count_extrema
 
 __all__ = [
     "FilterShape",
@@ -163,6 +163,11 @@ def convolve_self(v: Filter) -> Filter:
     return Filter(half / total)
 
 
+def max_filter_length(n: int, *, doubled: bool = False) -> int:
+    """Largest admissible half length for n samples; below 1 none exists."""
+    return (n - 1) // 4 if doubled else (n - 1) // 2
+
+
 def filter_length(s, xi: float, *, doubled: bool = False) -> int:
     """Pick a filter half length from the oscillation density of a signal.
 
@@ -175,12 +180,12 @@ def filter_length(s, xi: float, *, doubled: bool = False) -> int:
     decomposition loop should already have stopped) or when no admissible
     doubled length exists (n < 5).
     """
-    v = _as_values(s)
+    v = as_values(s)
     n = v.size
     n_ext = count_extrema(v)
     if n_ext < 2:
         raise ValueError(f"filter length needs at least 2 extrema, found {n_ext}")
-    cap = (n - 1) // 4 if doubled else (n - 1) // 2
+    cap = max_filter_length(n, doubled=doubled)
     if cap < 1:
         raise ValueError(f"no admissible {'doubled ' if doubled else ''}filter length for n={n}")
     raw = max(1, math.floor(xi * n / n_ext))

@@ -52,7 +52,7 @@ class Signal:
         return np.linspace(0.0, 1.0, self.n)
 
 
-def _as_values(s) -> np.ndarray:
+def as_values(s) -> np.ndarray:
     """Accept a Signal or any 1-D array-like and return a float ndarray."""
     return np.asarray(getattr(s, "values", s), dtype=float)
 
@@ -94,7 +94,7 @@ def normalize(s) -> Signal:
 
     Raises ValueError for the all-zero signal, whose direction is undefined.
     """
-    v = _as_values(s)
+    v = as_values(s)
     nrm = float(np.linalg.norm(v))
     if nrm == 0.0:
         raise ValueError("cannot normalize the zero signal")
@@ -108,7 +108,7 @@ def count_extrema(s) -> int:
     neighbours counts as exactly one extremum; the endpoint samples never
     qualify because they lack a two-sided neighbourhood.
     """
-    v = _as_values(s)
+    v = as_values(s)
     # collapse runs of equal samples, then count slope sign flips
     r = v[np.concatenate([[True], v[1:] != v[:-1]])]
     if r.size < 3:

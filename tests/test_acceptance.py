@@ -220,7 +220,7 @@ def test_criterion_08_error_bound_domination():
         for k in (3, 9):
             estimate = boundary_error_estimate(s, filt, 2 * filt.length, k)
             for kind in BoundaryKind:
-                imf, _ = inner_loop(s, filt, kind, StoppingConfig(delta=1e-300, max_inner=k))
+                imf, _, _ = inner_loop(s, filt, kind, StoppingConfig(delta=1e-300, max_inner=k))
                 err = actual_error(imf, exact)
                 interior = slice(1, n - 1)
                 frac = float(np.mean(estimate.upper_bound[interior] >= err[interior]))

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from iterfilt import BoundaryKind, StoppingConfig, dif, load_signal
 from iterfilt.cli import run
 from conftest import sine_trend
 
@@ -77,6 +78,25 @@ class TestDecomposeCommand:
         zeros.write_text("0.0\n0.0\n0.0\n0.0\n")
         assert run(["decompose", "--normalize", str(zeros), str(tmp_path / "o.csv")]) == 4
 
+    def test_sidecar_contract(self, tmp_path, signal_file):
+        out = tmp_path / "out.csv"
+        assert run(["decompose", "--mode", "eif", "--max-inner", "30", "--max-imfs", "4",
+                    str(signal_file), str(out)]) == 0
+        meta = json.loads((tmp_path / "out.csv.meta.json").read_text())
+        assert all(set(d) == {"imf", "inner_steps", "filter_length", "final_delta"}
+                   for d in meta["imfs"])
+        assert meta["imfs"][-1]["filter_length"] == 0  # the trend entry
+        assert {"bc", "mode", "pad", "normalize"} <= set(meta["config"])
+
+    @pytest.mark.parametrize("bc", ["zero", "periodic", "reflective", "antireflective"])
+    def test_short_signal_is_its_trend(self, tmp_path, bc):
+        short = tmp_path / "short.csv"
+        short.write_text("0\n1\n0\n1\n")
+        out = tmp_path / "o.csv"
+        assert run(["decompose", "--mode", "dif", "--bc", bc, str(short), str(out)]) == 0
+        header, rows = read_table(out)
+        assert header == ["imf_1"] and [float(r[0]) for r in rows] == [0.0, 1.0, 0.0, 1.0]
+
 
 class TestSpectrumCommand:
     def test_periodic_spectrum(self, tmp_path):
@@ -120,6 +140,17 @@ class TestErrorboundCommand:
         meta = json.loads((tmp_path / "eb.csv.meta.json").read_text())
         assert 1 <= meta["config"]["steps"] <= 25
         assert meta["config"]["pad"] >= 2
+
+    @pytest.mark.parametrize("bc", ["zero", "periodic", "reflective", "antireflective"])
+    @pytest.mark.parametrize("double", ["on", "off"])
+    def test_default_steps_match_first_component(self, tmp_path, signal_file, bc, double):
+        out = tmp_path / "eb.csv"
+        assert run(["errorbound", "--bc", bc, "--double-filter", double, "--max-inner", "200",
+                    str(signal_file), str(out)]) == 0
+        steps = json.loads((tmp_path / "eb.csv.meta.json").read_text())["config"]["steps"]
+        cfg = StoppingConfig(max_inner=200, double_filter=double == "on")
+        reference = dif(load_signal(signal_file), kind=BoundaryKind(bc), cfg=cfg)
+        assert steps == max(reference.diagnostics[0].inner_steps, 1)
 
     def test_flat_signal_domain_error(self, tmp_path):
         flat = tmp_path / "flat.csv"

@@ -127,7 +127,7 @@ class TestActualError:
         n = period * reps
         s, exact = sine_trend(n, period)
         filt = null_tuned_filter(period)
-        imf, _ = inner_loop(s, filt, BoundaryKind.PERIODIC, StoppingConfig(delta=1e-300, max_inner=k))
+        imf, _, _ = inner_loop(s, filt, BoundaryKind.PERIODIC, StoppingConfig(delta=1e-300, max_inner=k))
         err = actual_error(imf, exact)
         est = boundary_error_estimate(s, filt, 2 * filt.length, k)
         interior = slice(1, n - 1)
