@@ -25,15 +25,17 @@ from . import __version__
 from .boundary import BoundaryKind
 from .decompose import Decomposition, StoppingConfig, build_filter, dif, eif, inner_loop
 from .error_analysis import boundary_error_estimate, make_sine_trend_generator, phase_sweep
-from .filters import SHAPE_NAMES, get_shape, sample_filter, convolve_self
+from .filters import SHAPE_NAMES, convolve_self, get_shape, max_filter_length, sample_filter
 from .operators import StructuredOperator
-from .signal import ParseError, load_signal, normalize
+from .signal import ParseError, count_extrema, load_signal, normalize
 
 USAGE_ERROR = 2
 IO_ERROR = 3
 DOMAIN_ERROR = 4
 
 _KINDS = [k.value for k in BoundaryKind]
+# entries (rows x columns) of the decomposition CSV formatted at once
+_CSV_BLOCK = 1 << 14
 
 
 def _fmt(x: float) -> str:
@@ -159,7 +161,7 @@ def _cmd_decompose(args) -> int:
         pad = 0
         result = dif(signal, shape, kind, cfg)
     else:
-        pad = args.pad if args.pad is not None else 2 * build_filter(signal, shape, cfg).length
+        pad = args.pad if args.pad is not None else _default_pad(signal, shape, cfg)
         result = eif(signal, shape, kind, pad, cfg)
 
     _write_decomposition(args.output, result)
@@ -173,11 +175,27 @@ def _cmd_decompose(args) -> int:
     return 0
 
 
+def _default_pad(signal, shape, cfg: StoppingConfig) -> int:
+    """Twice the first component's filter length; 0 when the decomposition
+    has no first component (no admissible filter length, or fewer than two
+    extrema), so eif returns the signal as its trend like dif does."""
+    if max_filter_length(signal.n, doubled=cfg.double_filter) < 1 or count_extrema(signal) < 2:
+        return 0
+    return 2 * build_filter(signal, shape, cfg).length
+
+
 def _write_decomposition(output: str, result: Decomposition):
-    header = ",".join(f"imf_{m + 1}" for m in range(len(result)))
+    """Components as CSV columns, formatted and written in blocks of about
+    _CSV_BLOCK entries so no whole-file string or list is built."""
+    m = len(result)
     matrix = np.column_stack(result.imfs)
-    rows = [",".join(_fmt(x) for x in row) for row in matrix]
-    _write_csv(output, header, rows)
+    row_fmt = ",".join(["%.17g"] * m) + "\n"  # the same digits as _fmt
+    rows = max(1, _CSV_BLOCK // m)
+    with open(output, "w", encoding="utf-8") as fh:
+        fh.write(",".join(f"imf_{j + 1}" for j in range(m)) + "\n")
+        for i in range(0, len(matrix), rows):
+            block = matrix[i: i + rows]
+            fh.write((row_fmt * len(block)) % tuple(block.ravel().tolist()))
 
 
 def _cmd_spectrum(args) -> int:

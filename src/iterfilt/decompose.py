@@ -31,7 +31,8 @@ __all__ = [
     "stopping_bound_k0",
 ]
 
-# below this iterate norm the relative step change is undefined
+# below this fraction of the input's norm an iterate counts as zero: its
+# relative step change is rounding noise
 _ZERO_ITERATE = 1e-14
 # entries of the (steps, coefficients) block scanned at once by the spectral sift
 _SCAN_BLOCK = 1 << 16
@@ -130,9 +131,9 @@ def inner_loop(s, filt: Filter, kind: BoundaryKind,
     drops below delta.
 
     Boundary conditions are re-imposed by every application. Stops early
-    when the iterate is numerically zero (the step change is undefined
-    there). Returns (iterate, steps, last step change), the change being
-    None when no step was taken. The zero kind applies W once per step; the
+    when the iterate is numerically zero, at most 1e-14 times the norm of s
+    (the step change is rounding noise there). Returns (iterate, steps,
+    last step change), the change being None when no step was taken. The zero kind applies W once per step; the
     others take the same steps in the eigenbasis (:func:`_sift_spectral`).
     """
     cfg = cfg or StoppingConfig()
@@ -141,11 +142,12 @@ def inner_loop(s, filt: Filter, kind: BoundaryKind,
     if op.kind is not BoundaryKind.ZERO:
         return _sift_spectral(op, values, cfg)
     cur = values.copy()
+    tiny = _ZERO_ITERATE * float(np.linalg.norm(values))
     k = 0
     d = None
     while k < cfg.max_inner:
         norm_cur = float(np.linalg.norm(cur))
-        if norm_cur < _ZERO_ITERATE:
+        if norm_cur <= tiny:
             break
         nxt = cur - op.apply(cur)
         k += 1
@@ -171,7 +173,8 @@ def _sift_spectral(op: StructuredOperator, values: np.ndarray,
     loop's step change is rounding noise.
     """
     norm_cur = float(np.linalg.norm(values))
-    if norm_cur < _ZERO_ITERATE:
+    tiny = _ZERO_ITERATE * norm_cur
+    if norm_cur == 0.0:
         return values.copy(), 0, None
     c, lam = op.to_eigenbasis(values)
     z = 1.0 - lam
@@ -188,10 +191,10 @@ def _sift_spectral(op: StructuredOperator, values: np.ndarray,
         norms = np.sqrt(block.sum(axis=1))
         with np.errstate(divide="ignore", invalid="ignore"):
             changes = np.sqrt(block @ lam**2) / norms
-        stop = np.flatnonzero((norms < _ZERO_ITERATE) | (changes < cfg.delta))
+        stop = np.flatnonzero((norms <= tiny) | (changes < cfg.delta))
         if stop.size:
             j = int(stop[0])
-            if norms[j] < _ZERO_ITERATE:
+            if norms[j] <= tiny:
                 k, d = k + j, (float(changes[j - 1]) if j else d)
             else:
                 k, d = k + j + 1, float(changes[j])
@@ -224,6 +227,8 @@ def _outer_loop(values: np.ndarray, shape: FilterShape | None, kind: BoundaryKin
     while admissible and len(imfs) < cfg.max_imfs - 1 and count_extrema(residual) >= 2:
         filt = build_filter(residual, shape, cfg)
         imf, k, d = inner_loop(residual, filt, kind, cfg)
+        if np.linalg.norm(imf) <= _ZERO_ITERATE * np.linalg.norm(residual):
+            break  # the extraction removed nothing: the residual is the trend
         imfs.append(imf)
         diags.append(ImfDiagnostics(k, filt.length, d))
         residual = residual - imf
@@ -240,10 +245,12 @@ def dif(s, shape: FilterShape | None = None,
     Each outer step picks a filter length from the residual's extrema
     count, extracts one component with :func:`inner_loop` (re-imposing the
     chosen boundary conditions every iteration) and subtracts it. The loop
-    ends when fewer than two extrema remain or max_imfs is reached; the
-    final residual is appended as the trend, so the components always sum
-    back to the input. A signal too short for any admissible filter length
-    (fewer than 5 samples with the doubled filter) is returned as its trend.
+    ends when fewer than two extrema remain, max_imfs is reached or a
+    component is numerically zero (at most 1e-14 times the residual's norm,
+    and then dropped); the final residual is appended as the trend, so the
+    components always sum back to the input. A signal too short for any
+    admissible filter length (fewer than 5 samples with the doubled filter)
+    is returned as its trend.
 
     Parameters
     ----------

@@ -3,15 +3,18 @@
 A symmetric filter plus a boundary rule induces an n x n operator: Toeplitz
 for zero, circulant for periodic, Toeplitz-plus-Hankel for reflective and
 the anti-reflective algebra for anti-reflective extension. The operator is
-applied matrix-free (extend, then convolve); dense materialization built
-from the matrix structure serves as an independent oracle. Closed-form
-eigenvalues, the eigenvectors of eigenvalue one, the diagonalizing
-transforms and a k-step power application through the eigenbasis live here.
+applied matrix-free (extend, then convolve directly or by FFT, whichever
+costs less); dense materialization built from the matrix structure serves
+as an independent oracle. Closed-form eigenvalues, the eigenvectors of
+eigenvalue one, the diagonalizing transforms and a k-step power
+application through the eigenbasis live here.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -28,6 +31,10 @@ __all__ = [
 
 DENSE_GUARD = 4096
 _MULT_TOL = 1e-10
+# cost of an FFT convolution of length N in direct multiply-adds (see
+# StructuredOperator.fft_length)
+_FFT_COST_LOG = 16
+_FFT_COST_FIXED = 1 << 17
 
 # kinds with a diagonalizing transform and closed-form eigenvalues
 TRANSFORM_KINDS = (BoundaryKind.PERIODIC, BoundaryKind.REFLECTIVE, BoundaryKind.ANTIREFLECTIVE)
@@ -76,14 +83,48 @@ class StructuredOperator:
         """Matrix-free product W x: extend x by the filter length, convolve.
 
         Equals y_i = sum_{j=i-l}^{i+l} x_ext(j) w_|i-j| with x_ext the
-        boundary extension of x.
+        boundary extension of x; the zero rule convolves x itself. Short
+        filters convolve directly, O(n l); long ones (see :attr:`fft_length`)
+        by one rfft/irfft round trip with the cached tap spectrum.
         """
         x = np.asarray(x, dtype=float)
         if x.shape != (self.n,):
             raise ValueError(f"expected vector of length {self.n}, got shape {x.shape}")
-        ext = extend(x, self.kind, self.filter.length).values
-        # symmetric taps make convolution equal to correlation
-        return np.convolve(ext, self.filter.full(), mode="valid")
+        l = self.filter.length
+        zero = self.kind is BoundaryKind.ZERO
+        v = x if zero else extend(x, self.kind, l).values
+        if self.fft_length is None:
+            # symmetric taps make convolution equal to correlation
+            return np.convolve(v, self.filter.full(), mode="same" if zero else "valid")
+        # the taps occupy 0..2l, so W x starts l samples into the product,
+        # or 2l into that of the extended vector
+        start = l if zero else 2 * l
+        y = np.fft.irfft(np.fft.rfft(v, self.fft_length) * self._tap_spectrum, self.fft_length)
+        return y[start: start + self.n]
+
+    @cached_property
+    def fft_length(self) -> int | None:
+        """Transform length of :meth:`apply`'s FFT convolution, None when it
+        convolves directly.
+
+        N is the smallest 5-smooth length >= n + 2l: the whole linear
+        convolution of x with the 2l+1 taps, and enough for the n valid
+        outputs of the extended vector (the circular wrap reaches only
+        discarded outputs). The FFT is chosen when N (2l+1) > 16 N log2 N +
+        2^17, its cost in direct multiply-adds. On a 2-vCPU x86-64 host
+        (numpy 2.4) the two costs met at 2l+1 of 12-24 log2 N for n from 768
+        to 8,192 and about 20 log2 N at n = 200,000; at n = 384 the direct
+        product won for every l. Below n = 339 no filter is long enough.
+        """
+        l = self.filter.length
+        size = _fast_len(self.n + 2 * l)
+        fft_cost = _FFT_COST_LOG * size * math.log2(size) + _FFT_COST_FIXED
+        return size if (2 * l + 1) * size > fft_cost else None
+
+    @cached_property
+    def _tap_spectrum(self) -> np.ndarray:
+        """The taps' rfft at :attr:`fft_length`, computed once per operator."""
+        return np.fft.rfft(self.filter.full(), self.fft_length)
 
     def to_dense(self) -> np.ndarray:
         """Materialize W from its matrix structure (oracle path).
@@ -209,6 +250,21 @@ def unit_eigenvectors(kind: BoundaryKind, n: int) -> list[np.ndarray]:
         ramp = np.arange(n, dtype=float)
         return [ramp, ramp[::-1].copy()]
     raise ValueError("zero boundary conditions have no unit eigenvalue")
+
+
+def _fast_len(target: int) -> int:
+    """Smallest 5-smooth integer (2^a 3^b 5^c) at least ``target``; FFTs of
+    other lengths can cost many times more."""
+    best = 1 << (target - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            p2 = 1 << (-(-target // p35) - 1).bit_length()
+            best = min(best, p2 * p35)
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
 # -- trigonometric transforms ------------------------------------------------

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -80,7 +81,7 @@ def load_signal(path) -> Signal:
             if idx == 1:
                 continue  # header line
             raise ParseError(f"could not parse {token!r} as a number", row=idx) from None
-        if not np.isfinite(x):
+        if not math.isfinite(x):
             raise ParseError(f"non-finite value {token!r}", row=idx)
         values.append(x)
 

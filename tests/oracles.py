@@ -1,16 +1,18 @@
 """Independent reference implementations the fast paths are checked against.
 
 The dense transform matrices and the cosine-sum eigenvalue table are the
-O(n^2) and O(n l) definitions the FFT-based code replaces; the reference
-sift is the per-step loop of operator applications that the spectral sift
-must reproduce step for step.
+O(n^2) and O(n l) definitions the FFT-based code replaces; the direct
+product is the extend-then-convolve definition of W x that the operator's
+FFT convolution replaces for long filters; the reference sift is the
+per-step loop of direct products that every sift must reproduce step for
+step.
 """
 
 import numpy as np
 
-from iterfilt import BoundaryKind, StructuredOperator
+from iterfilt import BoundaryKind, extend
 
-# below this iterate norm the relative step change is undefined
+# below this fraction of the input's norm an iterate counts as zero
 ZERO_ITERATE = 1e-14
 
 
@@ -76,19 +78,26 @@ def dense_power_apply(op, s, k):
     return (q @ (z**k * (q_inv @ np.asarray(s, dtype=float)))).real
 
 
+def direct_apply(filt, kind, x):
+    """W x by definition: extend x by the filter length under ``kind`` and
+    take the valid part of its direct convolution with the taps."""
+    ext = extend(np.asarray(x, dtype=float), kind, filt.length).values
+    return np.convolve(ext, filt.full(), mode="valid")
+
+
 def reference_sift(values, filt, kind, cfg):
-    """One operator application per inner step until the step change drops
-    below delta, the iterate is numerically zero or max_inner is reached.
-    Returns (iterate, steps, last step change)."""
-    op = StructuredOperator(filt, kind, values.size)
+    """One direct product per inner step until the step change drops below
+    delta, the iterate is numerically zero (relative to the input's norm) or
+    max_inner is reached. Returns (iterate, steps, last step change)."""
     cur = np.asarray(values, dtype=float).copy()
+    tiny = ZERO_ITERATE * float(np.linalg.norm(cur))
     k = 0
     d = None
     while k < cfg.max_inner:
         norm_cur = float(np.linalg.norm(cur))
-        if norm_cur < ZERO_ITERATE:
+        if norm_cur <= tiny:
             break
-        nxt = cur - op.apply(cur)
+        nxt = cur - direct_apply(filt, kind, cur)
         k += 1
         d = float(np.linalg.norm(nxt - cur)) / norm_cur
         cur = nxt

@@ -3,8 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from iterfilt import BoundaryKind, StoppingConfig, dif, load_signal
-from iterfilt.cli import run
+from iterfilt import BoundaryKind, Decomposition, StoppingConfig, dif, load_signal
+from iterfilt.cli import _write_decomposition, run
 from conftest import sine_trend
 
 
@@ -98,6 +98,32 @@ class TestDecomposeCommand:
         assert header == ["imf_1"] and [float(r[0]) for r in rows] == [0.0, 1.0, 0.0, 1.0]
 
 
+    @pytest.mark.parametrize("bc", ["zero", "periodic", "reflective", "antireflective"])
+    def test_short_signal_eif_default_pad(self, tmp_path, bc):
+        # no admissible filter length, so no first filter to size the pad
+        short = tmp_path / "short.csv"
+        short.write_text("0\n1\n0\n1\n")
+        out = tmp_path / "o.csv"
+        assert run(["decompose", "--mode", "eif", "--bc", bc, str(short), str(out)]) == 0
+        header, rows = read_table(out)
+        assert header == ["imf_1"] and [float(r[0]) for r in rows] == [0.0, 1.0, 0.0, 1.0]
+        assert json.loads((tmp_path / "o.csv.meta.json").read_text())["config"]["pad"] == 0
+
+    def test_csv_bytes_match_per_float_formatting(self, tmp_path):
+        # more entries than one formatting block, with extreme and signed zeros
+        special = [1e300, -1e300, -0.0, 0.0, 5e-324, -2.5e-310, 1.0 / 3.0, 0.1, -123456789.125]
+        rng = np.random.default_rng(3)
+        imfs = [rng.choice(special, 7001), rng.choice(special, 7001),
+                rng.choice(special, 7001) * rng.standard_normal(7001)]
+        out = tmp_path / "d.csv"
+        _write_decomposition(str(out), Decomposition(imfs=imfs))
+        rows = [",".join(f"{x:.17g}" for x in row) for row in np.column_stack(imfs)]
+        expected = "\n".join(["imf_1,imf_2,imf_3", *rows]) + "\n"
+        assert out.read_bytes() == expected.encode("utf-8")
+        tokens = set(expected.replace("\n", ",").split(","))
+        assert {"-0", "0", "4.9406564584124654e-324", "-1.0000000000000001e+300"} <= tokens
+
+
 class TestSpectrumCommand:
     def test_periodic_spectrum(self, tmp_path):
         out = tmp_path / "spec.csv"
@@ -151,6 +177,14 @@ class TestErrorboundCommand:
         cfg = StoppingConfig(max_inner=200, double_filter=double == "on")
         reference = dif(load_signal(signal_file), kind=BoundaryKind(bc), cfg=cfg)
         assert steps == max(reference.diagnostics[0].inner_steps, 1)
+
+    @pytest.mark.parametrize("bc", ["zero", "periodic", "reflective", "antireflective"])
+    def test_short_signal_domain_error(self, tmp_path, bc, capsys):
+        # unlike decompose, there is no filter whose error could propagate
+        short = tmp_path / "short.csv"
+        short.write_text("0\n1\n0\n1\n")
+        assert run(["errorbound", "--bc", bc, str(short), str(tmp_path / "o.csv")]) == 4
+        assert "no admissible doubled filter length for n=4" in capsys.readouterr().err
 
     def test_flat_signal_domain_error(self, tmp_path):
         flat = tmp_path / "flat.csv"

@@ -2,7 +2,7 @@
 
 The kinds with a diagonalizing transform sift in the eigenbasis, so a
 decomposition or phase sweep on them applies no operator; only the zero
-kind iterates W directly.
+kind iterates W, by FFT for long filters with one tap spectrum per sift.
 """
 
 import os
@@ -10,6 +10,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import iterfilt
@@ -17,10 +18,14 @@ from iterfilt import (
     BoundaryKind,
     StoppingConfig,
     StructuredOperator,
+    convolve_self,
     dif,
     eif,
+    inner_loop,
     make_sine_trend_generator,
     phase_sweep,
+    raised_cosine_shape,
+    sample_filter,
 )
 from test_decompose import chirp
 
@@ -54,6 +59,24 @@ def test_transform_kinds_apply_no_operator(apply_calls):
 def test_zero_kind_applies_once_per_step(apply_calls):
     d = dif(chirp(256), kind=BoundaryKind.ZERO, cfg=CFG)
     assert len(apply_calls) == sum(diag.inner_steps for diag in d.diagnostics) > 0
+
+
+def test_zero_kind_fft_sift_builds_tap_spectrum_once(apply_calls, monkeypatch):
+    s = chirp(2048)
+    filt = convolve_self(sample_filter(raised_cosine_shape(), 142))
+    lengths = []
+    rfft = np.fft.rfft
+
+    def counted(a, *args, **kwargs):
+        lengths.append(np.shape(a)[-1])
+        return rfft(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfft", counted)
+    _, k, _ = inner_loop(s, filt, BoundaryKind.ZERO, StoppingConfig())
+    assert len(apply_calls) == k > 1
+    assert lengths.count(2 * filt.length + 1) == 1  # the taps, once per sift
+    assert lengths.count(s.size) == k               # the iterate, once per step
+    assert len(lengths) == k + 1
 
 
 def test_phase_sweep_applies_no_operator(apply_calls):

@@ -8,6 +8,7 @@ from iterfilt import (
     StoppingConfig,
     StructuredOperator,
     convolve_self,
+    count_extrema,
     delta_metric,
     diagonalized_power_apply,
     dif,
@@ -20,7 +21,7 @@ from iterfilt import (
     stopping_bound_k0,
 )
 from conftest import random_doubled_filter, sine_trend
-from oracles import reference_sift
+from oracles import direct_apply, reference_sift
 
 TRANSFORM_KINDS = [BoundaryKind.PERIODIC, BoundaryKind.REFLECTIVE, BoundaryKind.ANTIREFLECTIVE]
 
@@ -79,15 +80,15 @@ class TestInnerLoop:
         for kind in TRANSFORM_KINDS:
             for k in (37, 200):
                 filt = random_doubled_filter(rng, 24)
-                op = StructuredOperator(filt, kind, 24)
                 s = rng.standard_normal(24)
                 cfg = StoppingConfig(delta=1e-300, max_inner=k)
                 imf, used, _ = inner_loop(s, filt, kind, cfg)
-                # the loop may quit early only through the zero-iterate guard
-                assert used == k or np.linalg.norm(imf) < 1e-14
+                # the loop may quit early only through the zero-iterate guard,
+                # which is relative to the input's norm
+                assert used == k or np.linalg.norm(imf) <= 1e-14 * np.linalg.norm(s)
                 direct = s.copy()
                 for _ in range(used):
-                    direct = direct - op.apply(direct)
+                    direct = direct - direct_apply(filt, kind, direct)
                 assert np.abs(imf - direct).max() <= 1e-8
 
     def test_iteration_cap(self, rng):
@@ -95,6 +96,25 @@ class TestInnerLoop:
         s = rng.standard_normal(20)
         _, k, _ = inner_loop(s, filt, BoundaryKind.REFLECTIVE, StoppingConfig(delta=1e-300, max_inner=5))
         assert k == 5
+
+    @pytest.mark.parametrize("start", ["chirp", "residual"])
+    def test_zero_kind_fft_sift_matches_direct_iteration(self, start):
+        # the longest zero-kind filter of a decomposition of this chirp: on
+        # the chirp the sift meets delta, on the residual left after seven
+        # components it runs to the cap
+        s = chirp(2048)
+        if start == "residual":
+            s = dif(s, kind=BoundaryKind.ZERO, cfg=StoppingConfig(max_imfs=8)).imfs[-1]
+        filt = plain_or_doubled(142, True)
+        assert filt.length == 284
+        assert StructuredOperator(filt, BoundaryKind.ZERO, s.size).fft_length is not None
+        cfg = StoppingConfig()
+        imf, k, d = inner_loop(s, filt, BoundaryKind.ZERO, cfg)
+        ref, k_ref, d_ref = reference_sift(s, filt, BoundaryKind.ZERO, cfg)
+        assert k == k_ref
+        assert np.abs(imf - ref).max() <= 1e-12 * np.abs(s).max()
+        assert abs(d - d_ref) <= 1e-12
+        assert (k == cfg.max_inner) == (start == "residual")
 
 
 class TestDif:
@@ -116,6 +136,29 @@ class TestDif:
             assert len(d) == 1
             assert np.array_equal(d.imfs[0], s)
             assert d.diagnostics[0].inner_steps == 0
+
+    @pytest.mark.parametrize("kind", list(BoundaryKind))
+    @pytest.mark.parametrize("scale", [2.0**-66, 1e-20], ids=["2^-66", "1e-20"])
+    def test_tiny_scale_sifts_like_unit_scale(self, kind, scale):
+        # the zero-iterate guard is relative, so tiny inputs are not skipped
+        x = np.linspace(0.0, 1.0, 300)
+        s = np.sin(40 * np.pi * x) + np.sin(7 * np.pi * x) + x
+        cfg = StoppingConfig(max_inner=200)
+        steps = [g.inner_steps for g in dif(s, kind=kind, cfg=cfg).diagnostics]
+        scaled = dif(scale * s, kind=kind, cfg=cfg)
+        assert [g.inner_steps for g in scaled.diagnostics] == steps
+        assert len(steps) > 2
+
+    @pytest.mark.parametrize("kind", TRANSFORM_KINDS)
+    def test_no_progress_ends_with_the_trend(self, kind):
+        # a constant with a rounding-level ripple: the first step removes the
+        # constant, the ripple left is zero relative to the input, and that
+        # empty component ends the decomposition
+        s = 1.0 + np.finfo(float).eps * (np.arange(64) % 2)
+        assert count_extrema(s) == 62
+        d = dif(s, kind=kind)
+        assert len(d) == 1
+        assert np.array_equal(d.imfs[0], s)
 
     def test_known_component_recovered_linear_trend(self):
         # high-frequency sine plus a linear trend on an integer-period grid:

@@ -117,6 +117,64 @@ class TestDenseOracle:
             op.to_dense()
 
 
+def flat_operator(l, kind, n):
+    return StructuredOperator(Filter(np.full(l + 1, 1.0 / (2 * l + 1))), kind, n)
+
+
+def fft_crossover(n):
+    """Smallest filter length whose product :meth:`apply` takes by FFT at
+    dimension n, or None when every admissible length convolves directly."""
+    return next((l for l in range(1, (n - 1) // 2 + 1)
+                 if flat_operator(l, BoundaryKind.ZERO, n).fft_length is not None), None)
+
+
+def apply_lengths(n):
+    """l = 1, the crossover and one length either side of it, and the widest."""
+    c = fft_crossover(n)
+    around = (c - 1, c, c + 1) if c else ()
+    return sorted({1, *around, (n - 1) // 2})
+
+
+APPLY_CASES = [(n, l) for n in (5, 64, 301, 2048, 4096) for l in apply_lengths(n)]
+
+
+def is_5_smooth(m):
+    for p in (2, 3, 5):
+        while m % p == 0:
+            m //= p
+    return m == 1
+
+
+class TestConvolutionPaths:
+    """apply convolves directly or by FFT; both must equal the dense product."""
+
+    @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
+    @pytest.mark.parametrize("n,l", APPLY_CASES)
+    def test_apply_matches_dense(self, kind, n, l):
+        rng = np.random.default_rng([n, l])
+        op = StructuredOperator(random_filter(rng, l), kind, n)
+        x = rng.standard_normal(n)
+        assert np.abs(op.apply(x) - op.to_dense() @ x).max() <= 1e-13
+        c = fft_crossover(n)
+        assert (op.fft_length is not None) == (c is not None and l >= c)
+
+    def test_both_paths_covered(self):
+        # the dense comparison above takes both paths at these sizes
+        for n in (2048, 4096):
+            assert 1 < fft_crossover(n) < (n - 1) // 2
+
+    def test_fft_length_is_smallest_5_smooth(self):
+        for n in (339, 600, 2048, 3001, 4096, 20011):
+            for l in (fft_crossover(n), (n - 1) // 2):
+                size = flat_operator(l, BoundaryKind.REFLECTIVE, n).fft_length
+                assert size >= n + 2 * l and is_5_smooth(size)
+                assert not any(is_5_smooth(m) for m in range(n + 2 * l, size))
+
+    def test_small_sizes_convolve_directly(self):
+        for n in range(3, 339):
+            assert flat_operator((n - 1) // 2, BoundaryKind.ZERO, n).fft_length is None
+
+
 class TestEigenvalues:
     def test_leading_eigenvalue_is_one(self, rng):
         for kind in (BoundaryKind.PERIODIC, BoundaryKind.REFLECTIVE):

@@ -33,6 +33,14 @@ class TestLoadSignal:
         with pytest.raises(ParseError, match="row 2"):
             load_signal(f)
 
+    @pytest.mark.parametrize("token", ["nan", "-inf", "Infinity", "1e400"])
+    def test_non_finite_message(self, tmp_path, token):
+        f = tmp_path / "s.csv"
+        f.write_text(f"x\n1.0\n2.0\n{token}\n")
+        with pytest.raises(ParseError, match=rf"^row 4: non-finite value '{token}'$") as exc:
+            load_signal(f)
+        assert exc.value.row == 4
+
     def test_crlf_and_scientific_notation(self, tmp_path):
         f = tmp_path / "s.csv"
         f.write_bytes(b"1.5e-3\r\n-2E+1\r\n0.0\r\n")
