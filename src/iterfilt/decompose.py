@@ -133,29 +133,44 @@ def inner_loop(s, filt: Filter, kind: BoundaryKind,
     Boundary conditions are re-imposed by every application. Stops early
     when the iterate is numerically zero, at most 1e-14 times the norm of s
     (the step change is rounding noise there). Returns (iterate, steps,
-    last step change), the change being None when no step was taken. The zero kind applies W once per step; the
-    others take the same steps in the eigenbasis (:func:`_sift_spectral`).
+    last step change), the change being None when no step was taken. The
+    zero kind applies W once per step; the others take the same steps in
+    the eigenbasis (:func:`_sift_spectral`). Both run on s scaled by the
+    power of two that brings max|s| into [0.5, 1), so ``inner_loop(c*s)``
+    is ``c`` times ``inner_loop(s)`` for any power of two c that keeps the
+    samples normal.
     """
     cfg = cfg or StoppingConfig()
     values = as_values(s)
     op = StructuredOperator(filt, BoundaryKind(kind), values.size)
+    e = _unit_exponent(values)
     if op.kind is not BoundaryKind.ZERO:
-        return _sift_spectral(op, values, cfg)
-    cur = values.copy()
-    tiny = _ZERO_ITERATE * float(np.linalg.norm(values))
+        imf, k, d = _sift_spectral(op, np.ldexp(values, -e), cfg)
+        return np.ldexp(imf, e, out=imf), k, d
+    cur = np.ldexp(values, -e)
+    norm_cur = float(np.linalg.norm(cur))
+    tiny = _ZERO_ITERATE * norm_cur
     k = 0
     d = None
-    while k < cfg.max_inner:
-        norm_cur = float(np.linalg.norm(cur))
-        if norm_cur <= tiny:
-            break
-        nxt = cur - op.apply(cur)
+    while k < cfg.max_inner and norm_cur > tiny:
+        step = op.apply(cur)  # the step changes the iterate by W x
+        cur -= step
         k += 1
-        d = float(np.linalg.norm(nxt - cur)) / norm_cur
-        cur = nxt
+        d = float(np.linalg.norm(step)) / norm_cur
+        norm_cur = float(np.linalg.norm(cur))
         if d < cfg.delta:
             break
-    return cur, k, d
+    return np.ldexp(cur, e, out=cur), k, d
+
+
+def _unit_exponent(values: np.ndarray) -> int:
+    """The e with max|values| 2^-e in [0.5, 1), 0 for a zero signal.
+
+    Scaling by 2^-e is exact in binary floating point, so the loops run on
+    the same numbers at every power-of-two scale, and their norms neither
+    overflow nor underflow.
+    """
+    return math.frexp(float(np.max(np.abs(values), initial=0.0)))[1]
 
 
 def _sift_spectral(op: StructuredOperator, values: np.ndarray,
@@ -221,7 +236,8 @@ def _outer_loop(values: np.ndarray, shape: FilterShape | None, kind: BoundaryKin
     shape = shape or raised_cosine_shape()
     imfs: list[np.ndarray] = []
     diags: list[ImfDiagnostics] = []
-    residual = values.copy()
+    e = _unit_exponent(values)
+    residual = np.ldexp(values, -e)
     # without an admissible filter length the residual is the trend
     admissible = max_filter_length(values.size, doubled=cfg.double_filter) >= 1
     while admissible and len(imfs) < cfg.max_imfs - 1 and count_extrema(residual) >= 2:
@@ -234,7 +250,7 @@ def _outer_loop(values: np.ndarray, shape: FilterShape | None, kind: BoundaryKin
         residual = residual - imf
     imfs.append(residual)
     diags.append(ImfDiagnostics(0, 0, None))
-    return imfs, diags
+    return [np.ldexp(f, e, out=f) for f in imfs], diags
 
 
 def dif(s, shape: FilterShape | None = None,
@@ -250,7 +266,9 @@ def dif(s, shape: FilterShape | None = None,
     and then dropped); the final residual is appended as the trend, so the
     components always sum back to the input. A signal too short for any
     admissible filter length (fewer than 5 samples with the doubled filter)
-    is returned as its trend.
+    is returned as its trend. The loops run on s scaled by a power of two
+    (see :func:`inner_loop`), so ``dif(c*s)`` is exactly ``c`` times
+    ``dif(s)`` for powers of two c that keep the samples normal.
 
     Parameters
     ----------

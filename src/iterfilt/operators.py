@@ -3,11 +3,12 @@
 A symmetric filter plus a boundary rule induces an n x n operator: Toeplitz
 for zero, circulant for periodic, Toeplitz-plus-Hankel for reflective and
 the anti-reflective algebra for anti-reflective extension. The operator is
-applied matrix-free (extend, then convolve directly or by FFT, whichever
-costs less); dense materialization built from the matrix structure serves
-as an independent oracle. Closed-form eigenvalues, the eigenvectors of
-eigenvalue one, the diagonalizing transforms and a k-step power
-application through the eigenbasis live here.
+applied matrix-free (extend, then convolve directly, as a blocked Toeplitz
+product or by FFT, whichever costs least); dense materialization built from
+the matrix structure serves as an independent oracle. Closed-form
+eigenvalues, the eigenvectors of eigenvalue one, the diagonalizing
+transforms and a k-step power application through the eigenbasis live
+here.
 """
 
 from __future__ import annotations
@@ -31,10 +32,15 @@ __all__ = [
 
 DENSE_GUARD = 4096
 _MULT_TOL = 1e-10
-# cost of an FFT convolution of length N in direct multiply-adds (see
-# StructuredOperator.fft_length)
-_FFT_COST_LOG = 16
-_FFT_COST_FIXED = 1 << 17
+# filters of at most this many taps, and operators of fewer samples, take
+# numpy's convolution (see StructuredOperator.kernel)
+_CONVOLVE_TAPS = 11
+_BLOCKED_MIN_SIZE = 640
+# samples per chunk of the blocked product, so its scratch stays in cache
+_GEMM_CHUNK = 1 << 14
+# cost of an FFT convolution of length N, in blocked-product multiply-adds,
+# per N log2(N)^2 (see StructuredOperator.kernel)
+_FFT_COST = 2.75
 
 # kinds with a diagonalizing transform and closed-form eigenvalues
 TRANSFORM_KINDS = (BoundaryKind.PERIODIC, BoundaryKind.REFLECTIVE, BoundaryKind.ANTIREFLECTIVE)
@@ -83,9 +89,11 @@ class StructuredOperator:
         """Matrix-free product W x: extend x by the filter length, convolve.
 
         Equals y_i = sum_{j=i-l}^{i+l} x_ext(j) w_|i-j| with x_ext the
-        boundary extension of x; the zero rule convolves x itself. Short
-        filters convolve directly, O(n l); long ones (see :attr:`fft_length`)
-        by one rfft/irfft round trip with the cached tap spectrum.
+        boundary extension of x; the zero rule convolves x itself. The
+        kernel (see :attr:`kernel`) is numpy's convolution for short filters
+        and small n, a blocked Toeplitz product on BLAS for medium filters
+        and one rfft/irfft round trip with the cached tap spectrum for long
+        ones.
         """
         x = np.asarray(x, dtype=float)
         if x.shape != (self.n,):
@@ -93,9 +101,11 @@ class StructuredOperator:
         l = self.filter.length
         zero = self.kind is BoundaryKind.ZERO
         v = x if zero else extend(x, self.kind, l).values
-        if self.fft_length is None:
+        if self.kernel == "convolve":
             # symmetric taps make convolution equal to correlation
             return np.convolve(v, self.filter.full(), mode="same" if zero else "valid")
+        if self.kernel == "gemm":
+            return self._blocked_product(v, l if zero else 0)
         # the taps occupy 0..2l, so W x starts l samples into the product,
         # or 2l into that of the extended vector
         start = l if zero else 2 * l
@@ -103,28 +113,103 @@ class StructuredOperator:
         return y[start: start + self.n]
 
     @cached_property
+    def kernel(self) -> str:
+        """How :meth:`apply` convolves: "convolve", "gemm" or "fft".
+
+        numpy's convolution is fastest up to 11 taps (l <= 5), and below
+        n = 640, where the blocked product's fixed cost of about 2Q + 3
+        numpy calls outweighs its speed. Other filters take the blocked
+        Toeplitz product, about n (B + 2l) multiply-adds (B from
+        :func:`_block_size`), until the FFT convolution costs less, taken
+        as 2.75 N log2(N)^2 of them for N = n + 2l. Both sides grow with l,
+        so the choice switches once. The first l that takes the FFT, by the
+        rule and [as measured] on a 2-vCPU x86-64 host (numpy 2.4, OpenBLAS
+        on one thread):
+
+        ========  ======  ===========
+        n         rule    measured
+        ========  ======  ===========
+        384       none    [none]
+        512       none    [none]
+        2,048     170     [160-180]
+        4,096     189     [190-210]
+        200,000   397     [380-420]
+        ========  ======  ===========
+
+        At n = 384 and 512 numpy's convolution beat both other kernels for
+        l of about 20 and up (the FFT tied it at l = 255, n = 512); at
+        n = 768 the blocked product won up to l = 60.
+        """
+        l = self.filter.length
+        taps = 2 * l + 1
+        if taps <= _CONVOLVE_TAPS or self.n < _BLOCKED_MIN_SIZE:
+            return "convolve"
+        size = self.n + 2 * l
+        work = self.n * (_block_size(l) + 2 * l)
+        return "fft" if work > _FFT_COST * size * math.log2(size) ** 2 else "gemm"
+
+    @cached_property
     def fft_length(self) -> int | None:
-        """Transform length of :meth:`apply`'s FFT convolution, None when it
-        convolves directly.
+        """Transform length of :meth:`apply`'s FFT convolution, None when
+        another kernel is used.
 
         N is the smallest 5-smooth length >= n + 2l: the whole linear
         convolution of x with the 2l+1 taps, and enough for the n valid
         outputs of the extended vector (the circular wrap reaches only
-        discarded outputs). The FFT is chosen when N (2l+1) > 16 N log2 N +
-        2^17, its cost in direct multiply-adds. On a 2-vCPU x86-64 host
-        (numpy 2.4) the two costs met at 2l+1 of 12-24 log2 N for n from 768
-        to 8,192 and about 20 log2 N at n = 200,000; at n = 384 the direct
-        product won for every l. Below n = 339 no filter is long enough.
+        discarded outputs).
         """
-        l = self.filter.length
-        size = _fast_len(self.n + 2 * l)
-        fft_cost = _FFT_COST_LOG * size * math.log2(size) + _FFT_COST_FIXED
-        return size if (2 * l + 1) * size > fft_cost else None
+        return _fast_len(self.n + 2 * self.filter.length) if self.kernel == "fft" else None
 
     @cached_property
     def _tap_spectrum(self) -> np.ndarray:
         """The taps' rfft at :attr:`fft_length`, computed once per operator."""
         return np.fft.rfft(self.filter.full(), self.fft_length)
+
+    @cached_property
+    def _tap_blocks(self) -> np.ndarray:
+        """The taps t as Q Toeplitz blocks of B x B, built once per operator:
+        block q holds t[qB + c - b] at (c, b), zero outside 0..2l."""
+        taps = self.filter.full()
+        block = _block_size(self.filter.length)
+        count = -(-(block + taps.size - 1) // block)
+        m = np.arange(count * block)[:, None] - np.arange(block)
+        inside = (m >= 0) & (m < taps.size)
+        return np.where(inside, taps[np.where(inside, m, 0)], 0.0).reshape(count, block, block)
+
+    def _blocked_product(self, v: np.ndarray, offset: int) -> np.ndarray:
+        """y_i = sum_m t_m u_{i+m} for i < n, u being v shifted right by
+        ``offset`` samples with zeros outside it.
+
+        The outputs, in rows of B, are the sum over q of the input's rows
+        shifted by q, times the q-th tap block, taken in chunks of about
+        2^14 samples. A chunk's input is viewed as rows in place; only a
+        window reaching past either end of v is copied into a zero-padded
+        buffer.
+        """
+        blocks = self._tap_blocks
+        count, block = blocks.shape[:2]
+        rows = -(-self.n // block)
+        chunk = min(rows, max(1, _GEMM_CHUNK // block))
+        y = np.empty((rows, block))
+        buf = np.empty((chunk + count - 1) * block)
+        part = np.empty((chunk, block))
+        for a in range(0, rows, chunk):
+            r = min(chunk, rows - a)
+            lo = a * block - offset  # the index in v of the window's first sample
+            size = (r + count - 1) * block
+            if 0 <= lo and lo + size <= v.size:
+                win = v[lo: lo + size]
+            else:
+                win = buf[:size]
+                s, e = max(lo, 0), min(lo + size, v.size)
+                win[:] = 0.0
+                win[s - lo: e - lo] = v[s:e]
+            view = win.reshape(-1, block)
+            out = y[a: a + r]
+            np.matmul(view[:r], blocks[0], out=out)
+            for q in range(1, count):
+                out += np.matmul(view[q: q + r], blocks[q], out=part[:r])
+        return y.reshape(-1)[: self.n]
 
     def to_dense(self) -> np.ndarray:
         """Materialize W from its matrix structure (oracle path).
@@ -137,7 +222,7 @@ class StructuredOperator:
             raise ValueError(f"dense materialization limited to n <= {DENSE_GUARD}")
         w = np.zeros(2 * n + 2)
         w[: l + 1] = self.filter.half_weights
-        i, j = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+        i, j = np.ogrid[:n, :n]
 
         if self.kind is BoundaryKind.ZERO:
             return w[np.abs(i - j)]
@@ -250,6 +335,13 @@ def unit_eigenvectors(kind: BoundaryKind, n: int) -> list[np.ndarray]:
         ramp = np.arange(n, dtype=float)
         return [ramp, ramp[::-1].copy()]
     raise ValueError("zero boundary conditions have no unit eigenvalue")
+
+
+def _block_size(l: int) -> int:
+    """Row length B of the blocked product for filter half length l: wider
+    blocks make fewer, larger matrix products but pad more zero taps."""
+    taps = 2 * l + 1
+    return 16 if taps <= 24 else 32 if taps <= 160 else 64
 
 
 def _fast_len(target: int) -> int:

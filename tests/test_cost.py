@@ -2,7 +2,8 @@
 
 The kinds with a diagonalizing transform sift in the eigenbasis, so a
 decomposition or phase sweep on them applies no operator; only the zero
-kind iterates W, by FFT for long filters with one tap spectrum per sift.
+kind iterates W, one product per step, with the taps' blocks or spectrum
+built once per sift.
 """
 
 import os
@@ -16,6 +17,7 @@ import pytest
 import iterfilt
 from iterfilt import (
     BoundaryKind,
+    Filter,
     StoppingConfig,
     StructuredOperator,
     convolve_self,
@@ -77,6 +79,23 @@ def test_zero_kind_fft_sift_builds_tap_spectrum_once(apply_calls, monkeypatch):
     assert lengths.count(2 * filt.length + 1) == 1  # the taps, once per sift
     assert lengths.count(s.size) == k               # the iterate, once per step
     assert len(lengths) == k + 1
+
+
+def test_zero_kind_blocked_sift_builds_tap_blocks_once(apply_calls, monkeypatch):
+    s = chirp(2048)
+    filt = convolve_self(sample_filter(raised_cosine_shape(), 14))
+    assert StructuredOperator(filt, BoundaryKind.ZERO, s.size).kernel == "gemm"
+    reads = []
+    full = Filter.full
+
+    def counted(self):
+        reads.append(self.length)
+        return full(self)
+
+    monkeypatch.setattr(Filter, "full", counted)
+    _, k, _ = inner_loop(s, filt, BoundaryKind.ZERO, StoppingConfig())
+    assert len(apply_calls) == k > 1  # one product per step
+    assert reads == [filt.length]     # the taps, read once to build the blocks
 
 
 def test_phase_sweep_applies_no_operator(apply_calls):

@@ -116,6 +116,19 @@ class TestInnerLoop:
         assert abs(d - d_ref) <= 1e-12
         assert (k == cfg.max_inner) == (start == "residual")
 
+    @pytest.mark.parametrize("half", [3, 14, 30, 48])
+    def test_zero_kind_blocked_sift_matches_direct_iteration(self, half):
+        # doubled filters of 13 to 193 taps, in all three block sizes
+        s = chirp(2048)
+        filt = plain_or_doubled(half, True)
+        assert StructuredOperator(filt, BoundaryKind.ZERO, s.size).kernel == "gemm"
+        cfg = StoppingConfig()
+        imf, k, d = inner_loop(s, filt, BoundaryKind.ZERO, cfg)
+        ref, k_ref, d_ref = reference_sift(s, filt, BoundaryKind.ZERO, cfg)
+        assert k == k_ref > 1
+        assert np.abs(imf - ref).max() <= 1e-12 * np.abs(s).max()
+        assert abs(d - d_ref) <= 1e-12
+
 
 class TestDif:
     def test_constant_signal_single_residual(self):
@@ -148,6 +161,28 @@ class TestDif:
         scaled = dif(scale * s, kind=kind, cfg=cfg)
         assert [g.inner_steps for g in scaled.diagnostics] == steps
         assert len(steps) > 2
+
+    @pytest.mark.parametrize("kind", list(BoundaryKind))
+    @pytest.mark.parametrize("mode", ["dif", "eif"])
+    def test_power_of_two_scale_is_exact(self, kind, mode):
+        # the loops run on the input scaled into [0.5, 1), so norms neither
+        # overflow (1e160, 2^600) nor underflow (2^-600)
+        cfg = StoppingConfig(max_inner=200, max_imfs=6)
+
+        def decompose(v):
+            if mode == "dif":
+                return dif(v, kind=kind, cfg=cfg)
+            return eif(v, kind=kind, p=16, cfg=cfg)
+
+        s = chirp(300)
+        base = decompose(s)
+        steps = [g.inner_steps for g in base.diagnostics]
+        assert len(steps) == 6
+        for c in (2.0**-600, 2.0**600):
+            scaled = decompose(c * s)
+            assert [g.inner_steps for g in scaled.diagnostics] == steps
+            assert all(np.array_equal(f, c * g) for f, g in zip(scaled.imfs, base.imfs))
+        assert [g.inner_steps for g in decompose(1e160 * s).diagnostics] == steps
 
     @pytest.mark.parametrize("kind", TRANSFORM_KINDS)
     def test_no_progress_ends_with_the_trend(self, kind):

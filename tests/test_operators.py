@@ -17,6 +17,7 @@ from oracles import (
     dense_eigenbasis,
     dense_power_apply,
     dft_matrix,
+    direct_apply,
     dst1_matrix,
 )
 
@@ -123,16 +124,34 @@ def flat_operator(l, kind, n):
 
 def fft_crossover(n):
     """Smallest filter length whose product :meth:`apply` takes by FFT at
-    dimension n, or None when every admissible length convolves directly."""
+    dimension n, or None when no admissible length does."""
     return next((l for l in range(1, (n - 1) // 2 + 1)
-                 if flat_operator(l, BoundaryKind.ZERO, n).fft_length is not None), None)
+                 if flat_operator(l, BoundaryKind.ZERO, n).kernel == "fft"), None)
+
+
+def expected_kernel(n, l):
+    """numpy's convolution up to 11 taps or below 640 samples, the FFT from
+    the crossover on and the blocked product in between."""
+    if 2 * l + 1 <= 11 or n < 640:
+        return "convolve"
+    c = fft_crossover(n)
+    return "fft" if c is not None and l >= c else "gemm"
+
+
+# blocked-product lengths well inside the range of that kernel
+MID_LENGTHS = {2048: (117, 118, 119), 4096: (111, 112, 113)}
 
 
 def apply_lengths(n):
-    """l = 1, the crossover and one length either side of it, and the widest."""
+    """l = 1, mid-range lengths, the FFT crossover and one length either
+    side of it, and the widest; up to n = 2048 also the last convolution
+    length 5 and the first blocked one 6 (dense products at n = 4096 cost
+    half a second each)."""
     c = fft_crossover(n)
     around = (c - 1, c, c + 1) if c else ()
-    return sorted({1, *around, (n - 1) // 2})
+    widest = (n - 1) // 2
+    edge = (5, 6) if n <= 2048 else ()
+    return sorted(l for l in {1, *edge, *MID_LENGTHS.get(n, ()), *around, widest} if l <= widest)
 
 
 APPLY_CASES = [(n, l) for n in (5, 64, 301, 2048, 4096) for l in apply_lengths(n)]
@@ -146,7 +165,8 @@ def is_5_smooth(m):
 
 
 class TestConvolutionPaths:
-    """apply convolves directly or by FFT; both must equal the dense product."""
+    """apply convolves directly, as a blocked product or by FFT; every
+    kernel must equal the dense product."""
 
     @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
     @pytest.mark.parametrize("n,l", APPLY_CASES)
@@ -155,24 +175,43 @@ class TestConvolutionPaths:
         op = StructuredOperator(random_filter(rng, l), kind, n)
         x = rng.standard_normal(n)
         assert np.abs(op.apply(x) - op.to_dense() @ x).max() <= 1e-13
-        c = fft_crossover(n)
-        assert (op.fft_length is not None) == (c is not None and l >= c)
+        assert op.kernel == expected_kernel(n, l)
+        assert (op.fft_length is not None) == (op.kernel == "fft")
+
+    @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
+    @pytest.mark.parametrize("l", [4, 6])
+    def test_long_signal_matches_direct_product(self, kind, l):
+        # the filters of a zero-rule decomposition of 200,000 noisy samples;
+        # l = 6 runs the blocked product over many chunks
+        n = 200_000
+        rng = np.random.default_rng([n, l])
+        op = StructuredOperator(random_filter(rng, l), kind, n)
+        x = rng.standard_normal(n)
+        assert op.kernel == expected_kernel(n, l)
+        assert np.abs(op.apply(x) - direct_apply(op.filter, kind, x)).max() <= 1e-13
 
     def test_both_paths_covered(self):
-        # the dense comparison above takes both paths at these sizes
+        # the dense comparison above takes all three kernels at these sizes
         for n in (2048, 4096):
-            assert 1 < fft_crossover(n) < (n - 1) // 2
+            assert {expected_kernel(n, l) for l in apply_lengths(n)} == {"convolve", "gemm", "fft"}
+
+    def test_crossovers_match_the_documented_table(self):
+        table = {n: fft_crossover(n) for n in (384, 512, 2048, 4096, 200_000)}
+        assert table == {384: None, 512: None, 2048: 170, 4096: 189, 200_000: 397}
 
     def test_fft_length_is_smallest_5_smooth(self):
-        for n in (339, 600, 2048, 3001, 4096, 20011):
+        for n in (640, 1000, 2048, 3001, 4096, 20011):
             for l in (fft_crossover(n), (n - 1) // 2):
                 size = flat_operator(l, BoundaryKind.REFLECTIVE, n).fft_length
                 assert size >= n + 2 * l and is_5_smooth(size)
                 assert not any(is_5_smooth(m) for m in range(n + 2 * l, size))
 
     def test_small_sizes_convolve_directly(self):
-        for n in range(3, 339):
-            assert flat_operator((n - 1) // 2, BoundaryKind.ZERO, n).fft_length is None
+        for n in range(3, 640):
+            widest = (n - 1) // 2
+            for l in {min(6, widest), widest}:
+                op = flat_operator(l, BoundaryKind.ZERO, n)
+                assert op.kernel == "convolve" and op.fft_length is None
 
 
 class TestEigenvalues:
