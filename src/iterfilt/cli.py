@@ -34,12 +34,10 @@ IO_ERROR = 3
 DOMAIN_ERROR = 4
 
 _KINDS = [k.value for k in BoundaryKind]
-# entries (rows x columns) of the decomposition CSV formatted at once
+# entries (rows x columns) of a CSV formatted at once
 _CSV_BLOCK = 1 << 14
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
+# every float is printed with 17 significant digits
+_FLOAT = "%.17g"
 
 
 def _add_filter_flags(p: argparse.ArgumentParser):
@@ -142,10 +140,6 @@ def _write_meta(output: str, config: dict, extra: dict | None = None):
     )
 
 
-def _write_csv(output: str, header: str, rows: list[str]):
-    Path(output).write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
-
-
 def _cmd_decompose(args) -> int:
     if args.pad is not None and args.mode != "eif":
         print("error: --pad is only valid with --mode eif", file=sys.stderr)
@@ -185,16 +179,24 @@ def _default_pad(signal, shape, cfg: StoppingConfig) -> int:
 
 
 def _write_decomposition(output: str, result: Decomposition):
-    """Components as CSV columns, formatted and written in blocks of about
-    _CSV_BLOCK entries so no whole-file string or list is built."""
+    """Components as CSV columns imf_1..imf_M."""
     m = len(result)
-    matrix = np.column_stack(result.imfs)
-    row_fmt = ",".join(["%.17g"] * m) + "\n"  # the same digits as _fmt
-    rows = max(1, _CSV_BLOCK // m)
+    header = ",".join(f"imf_{j + 1}" for j in range(m))
+    _write_columns(output, header, result.imfs, [_FLOAT] * m)
+
+
+def _write_columns(output: str, header: str, columns: list, formats: list[str]):
+    """Equal-length columns as CSV, each entry printed with its column's
+    %-format, formatted and written in blocks of about _CSV_BLOCK entries
+    so no whole-file string or list is built. Numeric columns stack into
+    floats (so "%d" columns hold integers exactly up to 2^53); a column of
+    strings makes the block an object array."""
+    row_fmt = ",".join(formats) + "\n"
+    rows = max(1, _CSV_BLOCK // len(columns))
     with open(output, "w", encoding="utf-8") as fh:
-        fh.write(",".join(f"imf_{j + 1}" for j in range(m)) + "\n")
-        for i in range(0, len(matrix), rows):
-            block = matrix[i: i + rows]
+        fh.write(header + "\n")
+        for i in range(0, len(columns[0]), rows):
+            block = np.column_stack([col[i: i + rows] for col in columns])
             fh.write((row_fmt * len(block)) % tuple(block.ravel().tolist()))
 
 
@@ -210,8 +212,9 @@ def _cmd_spectrum(args) -> int:
         spectrum = op.dense_spectrum()
     else:
         spectrum = op.eigenvalues()
-    rows = [f"{i + 1},{_fmt(v)}" for i, v in enumerate(spectrum.eigenvalues)]
-    _write_csv(args.output, "index,value", rows)
+    values = spectrum.eigenvalues
+    _write_columns(args.output, "index,value", [np.arange(1, values.size + 1), values],
+                   ["%d", _FLOAT])
     config = {
         "command": "spectrum", "output": args.output, "bc": args.bc, "n": args.n,
         "length": args.length, "shape": args.shape, "double_filter": args.double_filter,
@@ -233,12 +236,9 @@ def _cmd_errorbound(args) -> int:
         steps = max(inner_loop(signal, filt, BoundaryKind(args.bc), cfg)[1], 1)
     pad = args.pad if args.pad is not None else 2 * filt.length
     estimate = boundary_error_estimate(signal.values, filt, pad, steps)
-    err_last = estimate.per_step[-1]
-    rows = [
-        f"{i},{_fmt(e)},{_fmt(u)}"
-        for i, (e, u) in enumerate(zip(err_last, estimate.upper_bound))
-    ]
-    _write_csv(args.output, "x_index,err_k,ub_k", rows)
+    bound = estimate.upper_bound
+    _write_columns(args.output, "x_index,err_k,ub_k",
+                   [np.arange(bound.size), estimate.per_step[-1], bound], ["%d", _FLOAT, _FLOAT])
     config = {
         "command": "errorbound", "input": args.input, "output": args.output,
         "bc": args.bc, "pad": pad, "steps": steps, "chi": estimate.chi,
@@ -256,19 +256,11 @@ def _cmd_phasesweep(args) -> int:
     )
     kinds = (BoundaryKind.PERIODIC, BoundaryKind.REFLECTIVE, BoundaryKind.ANTIREFLECTIVE)
     points = phase_sweep(generator, args.dt, args.span, kinds, cfg, get_shape(args.shape))
-    rows = [
-        ",".join([
-            _fmt(pt.endpoint),
-            _fmt(pt.ub_rel),
-            _fmt(pt.err_rel["periodic"]),
-            _fmt(pt.err_rel["reflective"]),
-            _fmt(pt.err_rel["antireflective"]),
-            pt.best_kind,
-        ])
-        for pt in points
-    ]
+    columns = [np.array([pt.endpoint for pt in points]), np.array([pt.ub_rel for pt in points])]
+    columns += [np.array([pt.err_rel[kind.value] for pt in points]) for kind in kinds]
+    columns.append(np.array([pt.best_kind for pt in points], dtype=object))
     header = "endpoint,ub_rel,err_rel_periodic,err_rel_reflective,err_rel_antireflective,best_kind"
-    _write_csv(args.output, header, rows)
+    _write_columns(args.output, header, columns, [_FLOAT] * 5 + ["%s"])
     config = {
         "command": "phasesweep", "output": args.output, "dt": args.dt, "span": args.span,
         "period": args.period, "amplitude": args.amplitude, "trend": args.trend,

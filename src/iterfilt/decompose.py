@@ -36,6 +36,8 @@ __all__ = [
 _ZERO_ITERATE = 1e-14
 # entries of the (steps, coefficients) block scanned at once by the spectral sift
 _SCAN_BLOCK = 1 << 16
+# eigenvalues this far outside [0, 1] are round-off of a spectrum inside it
+_SPECTRUM_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -135,7 +137,9 @@ def inner_loop(s, filt: Filter, kind: BoundaryKind,
     (the step change is rounding noise there). Returns (iterate, steps,
     last step change), the change being None when no step was taken. The
     zero kind applies W once per step; the others take the same steps in
-    the eigenbasis (:func:`_sift_spectral`). Both run on s scaled by the
+    the eigenbasis (:func:`_sift_spectral`), in one transform round trip
+    plus O(n log K) for a doubled filter and O(n) per step for a plain one,
+    K being max_inner. Both run on s scaled by the
     power of two that brings max|s| into [0.5, 1), so ``inner_loop(c*s)``
     is ``c`` times ``inner_loop(s)`` for any power of two c that keeps the
     samples normal.
@@ -175,17 +179,20 @@ def _unit_exponent(values: np.ndarray) -> int:
 
 def _sift_spectral(op: StructuredOperator, values: np.ndarray,
                    cfg: StoppingConfig) -> tuple[np.ndarray, int, float | None]:
-    """:func:`inner_loop` in the eigenbasis: one transform round trip plus O(n)
-    per step, since a step scales each coefficient c by 1 - lambda and
-    changes the iterate by ||lambda c||.
+    """:func:`inner_loop` in the eigenbasis: one transform round trip plus
+    the search for the stopping step, since a step scales each coefficient
+    c by z = 1 - lambda and changes the iterate by ||lambda c||.
 
     Step 1 runs in signal space: the anti-reflective transform is not
     orthogonal, but its ramp coefficients (eigenvalue one) vanish in that
     step, after which coefficient norms equal signal norms for every kind.
-    Later steps are scanned in blocks whose row j holds the squared
-    coefficients before step k + j + 1. The steps agree with the loop's for
-    any delta above the iterate's round-off (about 1e-15), below which the
-    loop's step change is rounding noise.
+    Row j of the later steps holds the squared coefficients before step
+    k + j + 1. On a spectrum in [0, 1] (every doubled filter) the stopping
+    rule holds from some row on, which :func:`_search_stop` finds in
+    O(log K) rows of O(n); other spectra are scanned row by row by
+    :func:`_scan_stop`. The steps agree with the loop's for any delta above
+    the iterate's round-off (about 1e-15), below which the loop's step
+    change is rounding noise.
     """
     norm_cur = float(np.linalg.norm(values))
     tiny = _ZERO_ITERATE * norm_cur
@@ -196,10 +203,27 @@ def _sift_spectral(op: StructuredOperator, values: np.ndarray,
     c = z * c
     cur = op.from_eigenbasis(c)
     k, d = 1, float(np.linalg.norm(cur - values)) / norm_cur
-    energy, decay = np.abs(c) ** 2, z**2
-    rows = max(1, _SCAN_BLOCK // c.size)
+    in_unit = lam.min() >= -_SPECTRUM_SLACK and lam.max() <= 1.0 + _SPECTRUM_SLACK
+    k, d = (_search_stop if in_unit else _scan_stop)(np.abs(c) ** 2, z, lam, k, d, tiny, cfg)
+    if k > 1:
+        cur = op.from_eigenbasis(z ** (k - 1) * c)
+    return cur, k, d
+
+
+def _scan_stop(energy: np.ndarray, z: np.ndarray, lam: np.ndarray, k: int, d: float,
+               tiny: float, cfg: StoppingConfig) -> tuple[int, float]:
+    """The loop's (steps, last step change) after step k left the squared
+    coefficients ``energy`` and the change d, scanning the rows in blocks.
+
+    Row j holds energy z^(2j), the squared coefficients before step
+    k + j + 1; the loop stops at the first row whose norm is at most tiny
+    (after k + j steps) or whose step change is below delta (after
+    k + j + 1 steps), and at max_inner steps.
+    """
+    decay = z**2
+    rows = max(1, _SCAN_BLOCK // energy.size)
     while not d < cfg.delta and k < cfg.max_inner:
-        block = np.empty((min(rows, cfg.max_inner - k), c.size))
+        block = np.empty((min(rows, cfg.max_inner - k), energy.size))
         block[0] = energy
         for i in range(1, len(block)):
             np.multiply(block[i - 1], decay, out=block[i])
@@ -210,15 +234,57 @@ def _sift_spectral(op: StructuredOperator, values: np.ndarray,
         if stop.size:
             j = int(stop[0])
             if norms[j] <= tiny:
-                k, d = k + j, (float(changes[j - 1]) if j else d)
-            else:
-                k, d = k + j + 1, float(changes[j])
-            break
+                return k + j, (float(changes[j - 1]) if j else d)
+            return k + j + 1, float(changes[j])
         k, d = k + len(block), float(changes[-1])
         energy = block[-1] * decay
-    if k > 1:
-        cur = op.from_eigenbasis(z ** (k - 1) * c)
-    return cur, k, d
+    return k, d
+
+
+def _search_stop(energy: np.ndarray, z: np.ndarray, lam: np.ndarray, k: int, d: float,
+                 tiny: float, cfg: StoppingConfig) -> tuple[int, float]:
+    """:func:`_scan_stop` for a spectrum in [0, 1], by galloping over rows
+    0, 1, 3, 7, ... and then bisection.
+
+    With every z in [0, 1], the norm of row j and its step change are both
+    nonincreasing in j: going to row j + 1 multiplies each weight by z^2,
+    which rises with z while lambda^2 = (1 - z)^2 falls, so by Chebyshev's
+    sum inequality the weighted mean of lambda^2 cannot rise. The stopping
+    rule, once met, therefore holds for every later row, and its first row
+    takes O(log K) evaluations of O(n) for K = max_inner - k rows, each
+    row evaluated once. A z just above one is the round-off of an
+    eigenvalue that is zero, so the decay z^2 is clamped to one here.
+    """
+    count = cfg.max_inner - k
+    if d < cfg.delta or count < 1:
+        return k, d
+    decay, lam2 = np.minimum(z * z, 1.0), lam * lam
+    rows: dict[int, tuple[float, float]] = {}
+
+    def row(j: int) -> tuple[float, float]:
+        """The norm and step change of row j."""
+        if j not in rows:
+            e = energy * np.power(decay, j)
+            norm = math.sqrt(e.sum())
+            rows[j] = (norm, math.sqrt(e @ lam2) / norm if norm else math.nan)
+        return rows[j]
+
+    def stops(j: int) -> bool:
+        norm, change = row(j)
+        return norm <= tiny or change < cfg.delta
+
+    lo, hi = -1, 0  # row lo does not stop (-1: before the first row)
+    while not stops(hi):
+        if hi == count - 1:
+            return k + count, row(hi)[1]
+        lo, hi = hi, min(2 * hi + 1, count - 1)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if stops(mid) else (mid, hi)
+    norm, change = row(hi)
+    if norm <= tiny:
+        return k + hi, (row(hi - 1)[1] if hi else d)
+    return k + hi + 1, change
 
 
 def build_filter(values, shape: FilterShape, cfg: StoppingConfig) -> Filter:

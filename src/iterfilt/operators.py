@@ -32,10 +32,12 @@ __all__ = [
 
 DENSE_GUARD = 4096
 _MULT_TOL = 1e-10
-# filters of at most this many taps, and operators of fewer samples, take
-# numpy's convolution (see StructuredOperator.kernel)
+# filters of at most this many taps take numpy's convolution, operators of
+# fewer samples take no FFT, and no blocked product below _BLOCKED_MIN_SIZE
+# (see StructuredOperator.kernel)
 _CONVOLVE_TAPS = 11
-_BLOCKED_MIN_SIZE = 640
+_FFT_MIN_SIZE = 640
+_BLOCKED_MIN_SIZE = 1024
 # samples per chunk of the blocked product, so its scratch stays in cache
 _GEMM_CHUNK = 1 << 14
 # cost of an FFT convolution of length N, in blocked-product multiply-adds,
@@ -116,21 +118,24 @@ class StructuredOperator:
     def kernel(self) -> str:
         """How :meth:`apply` convolves: "convolve", "gemm" or "fft".
 
-        numpy's convolution is fastest up to 11 taps (l <= 5), and below
-        n = 640, where the blocked product's fixed cost of about 2Q + 3
-        numpy calls outweighs its speed. Other filters take the blocked
-        Toeplitz product, about n (B + 2l) multiply-adds (B from
-        :func:`_block_size`), until the FFT convolution costs less, taken
-        as 2.75 N log2(N)^2 of them for N = n + 2l. Both sides grow with l,
-        so the choice switches once. The first l that takes the FFT, by the
-        rule and [as measured] on a 2-vCPU x86-64 host (numpy 2.4, OpenBLAS
-        on one thread):
+        numpy's convolution is fastest up to 11 taps (l <= 5), and for
+        every l below n = 640. Other filters take the FFT convolution once
+        it costs less than the blocked Toeplitz product: about n (B + 2l)
+        multiply-adds for the product (B from :func:`_block_size`) against
+        2.75 N log2(N)^2 of them for the FFT, N = n + 2l. Both sides grow
+        with l, so the choice switches once. Below that switch the blocked
+        product is taken from n = 1,024 on and numpy's convolution below,
+        where the product's fixed cost of about 2Q + 3 numpy calls outweighs
+        its speed. The first l that takes the FFT, by the rule and [as
+        measured] on a 2-vCPU x86-64 host (numpy 2.4, OpenBLAS on one
+        thread):
 
         ========  ======  ===========
         n         rule    measured
         ========  ======  ===========
         384       none    [none]
         512       none    [none]
+        768       172     [150-175]
         2,048     170     [160-180]
         4,096     189     [190-210]
         200,000   397     [380-420]
@@ -138,15 +143,21 @@ class StructuredOperator:
 
         At n = 384 and 512 numpy's convolution beat both other kernels for
         l of about 20 and up (the FFT tied it at l = 255, n = 512); at
-        n = 768 the blocked product won up to l = 60.
+        n = 768 it beat the FFT up to l of about 150, and the blocked
+        product took 0.83-1.25 times its time for l = 6-150 (faster at
+        l = 6 and 20, slower at l = 10 and 40). From n = 1,024 on the
+        blocked product tied or won for every l below the FFT's
+        (interleaved medians of 15 timings).
         """
         l = self.filter.length
         taps = 2 * l + 1
-        if taps <= _CONVOLVE_TAPS or self.n < _BLOCKED_MIN_SIZE:
+        if taps <= _CONVOLVE_TAPS or self.n < _FFT_MIN_SIZE:
             return "convolve"
         size = self.n + 2 * l
         work = self.n * (_block_size(l) + 2 * l)
-        return "fft" if work > _FFT_COST * size * math.log2(size) ** 2 else "gemm"
+        if work > _FFT_COST * size * math.log2(size) ** 2:
+            return "fft"
+        return "gemm" if self.n >= _BLOCKED_MIN_SIZE else "convolve"
 
     @cached_property
     def fft_length(self) -> int | None:

@@ -1,11 +1,13 @@
 """Cost guards that need no timing: operator-application counts and imports.
 
 The kinds with a diagonalizing transform sift in the eigenbasis, so a
-decomposition or phase sweep on them applies no operator; only the zero
-kind iterates W, one product per step, with the taps' blocks or spectrum
-built once per sift.
+decomposition or phase sweep on them applies no operator, and a doubled
+filter's sift finds its stopping step in O(log K) rows of its energies;
+only the zero kind iterates W, one product per step, with the taps' blocks
+or spectrum built once per sift.
 """
 
+import math
 import os
 import subprocess
 import sys
@@ -15,11 +17,13 @@ import numpy as np
 import pytest
 
 import iterfilt
+import iterfilt.decompose as decompose_module
 from iterfilt import (
     BoundaryKind,
     Filter,
     StoppingConfig,
     StructuredOperator,
+    build_filter,
     convolve_self,
     dif,
     eif,
@@ -96,6 +100,49 @@ def test_zero_kind_blocked_sift_builds_tap_blocks_once(apply_calls, monkeypatch)
     _, k, _ = inner_loop(s, filt, BoundaryKind.ZERO, StoppingConfig())
     assert len(apply_calls) == k > 1  # one product per step
     assert reads == [filt.length]     # the taps, read once to build the blocks
+
+
+@pytest.fixture
+def stop_rows(monkeypatch):
+    """Powers of the decay the spectral sift's search takes (one per row of
+    energies it evaluates), and the number of row-by-row scans."""
+    rows, scans = [], []
+    power, scan = np.power, decompose_module._scan_stop
+
+    def counted_power(x, j, *args, **kwargs):
+        rows.append(j)
+        return power(x, j, *args, **kwargs)
+
+    def counted_scan(*args):
+        scans.append(1)
+        return scan(*args)
+
+    monkeypatch.setattr(np, "power", counted_power)
+    monkeypatch.setattr(decompose_module, "_scan_stop", counted_scan)
+    return rows, scans
+
+
+@pytest.mark.parametrize("kind", TRANSFORM_KINDS, ids=lambda k: k.value)
+def test_doubled_filter_sift_searches_the_stopping_step(stop_rows, kind):
+    # delta below every step change: the sift runs to the cap of 1000 steps
+    rows, scans = stop_rows
+    s, cfg = chirp(2048), StoppingConfig(delta=1e-12)
+    _, k, _ = inner_loop(s, build_filter(s, raised_cosine_shape(), cfg), kind, cfg)
+    assert k == cfg.max_inner
+    assert len(rows) <= 2 * math.ceil(math.log2(cfg.max_inner)) + 2
+    assert len(set(rows)) == len(rows)  # each row evaluated once
+    assert scans == []
+
+
+@pytest.mark.parametrize("kind", TRANSFORM_KINDS, ids=lambda k: k.value)
+def test_plain_filter_sift_scans(stop_rows, kind):
+    # the plain filter's spectrum reaches below zero, where the step change
+    # need not fall monotonically, so every step is scanned
+    rows, scans = stop_rows
+    s, cfg = chirp(2048), StoppingConfig(delta=1e-12, double_filter=False)
+    _, k, _ = inner_loop(s, build_filter(s, raised_cosine_shape(), cfg), kind, cfg)
+    assert k == cfg.max_inner
+    assert rows == [] and scans == [1]
 
 
 def test_phase_sweep_applies_no_operator(apply_calls):

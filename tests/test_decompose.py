@@ -20,6 +20,7 @@ from iterfilt import (
     sample_filter,
     stopping_bound_k0,
 )
+from iterfilt.decompose import _scan_stop, _search_stop
 from conftest import random_doubled_filter, sine_trend
 from oracles import direct_apply, reference_sift
 
@@ -474,3 +475,98 @@ class TestSpectralSift:
             assert stop_reason(ref, k_ref, cfg) == expected
         if stop in ("one_step", "zero_guard", "kernel"):
             assert k == 1
+
+
+def energy_rows(energy, z, m):
+    """Norm N and step change D of rows 0..m-1: the iterate with squared
+    coefficients energy z^(2j), and the change ||lambda c|| / ||c|| of the
+    step it takes next."""
+    lam2 = (1.0 - z) ** 2
+    rows = np.empty((m, energy.size))
+    rows[0] = energy
+    for j in range(1, m):
+        rows[j] = rows[j - 1] * z**2
+    norms = np.sqrt(rows.sum(axis=1))
+    return norms, np.sqrt(rows @ lam2) / norms
+
+
+def random_spectrum(rng, n):
+    """Eigenvalues in [0, 1], both ends included, and squared coefficients
+    spread over ten decades."""
+    lam = rng.uniform(0.0, 1.0, n)
+    lam[:3] = 0.0, 1.0, 1e-3
+    return lam, 10.0 ** rng.uniform(-10.0, 0.0, n)
+
+
+def exact_spectrum():
+    """Powers of two whose rows are summed exactly (up to about 10 rows),
+    so the search and the scan compute the same bits."""
+    return np.array([0.0, 0.5, 0.75]), np.array([2.0**-10, 1.0, 1.0])
+
+
+def stop_case(name):
+    """(eigenvalues, squared coefficients, step 1's change, tiny, cfg, the
+    expected steps or None) of one row of the search table."""
+    rng = np.random.default_rng(list(map(ord, name)))
+    lam, energy = random_spectrum(rng, 257)
+    tiny = 1e-14 * np.sqrt(energy.sum())
+    if name.startswith("random"):
+        delta = float(10.0 ** rng.uniform(-6.0, -1.0))
+        return lam, energy, 1.0, tiny, StoppingConfig(delta=delta), None
+    if name.startswith("max_inner"):
+        cfg = StoppingConfig(delta=1e-4, max_inner=int(name.split("_")[-1]))
+        return lam, energy, 1.0, tiny, cfg, None
+    if name == "cap":  # no eigenvalue below 1e-3: the change stays above delta
+        return np.maximum(lam, 1e-3), energy, 1.0, tiny, StoppingConfig(delta=1e-4), 1000
+    if name == "round_off_z":  # z = 1 + 2^-52 for a few coefficients
+        lam[3:9] = -(2.0**-52)
+        return lam, energy, 1.0, tiny, StoppingConfig(delta=1e-5), None
+    lam, energy = exact_spectrum()
+    if name == "delta_exact":
+        # delta equals row 3's change, which the rule needs to undercut:
+        # rows 0-3 step on, row 4 stops, after 1 + 4 + 1 steps
+        _, changes = energy_rows(energy, 1.0 - lam, 5)
+        assert changes[4] < changes[3]
+        return lam, energy, 1.0, 0.0, StoppingConfig(delta=float(changes[3])), 6
+    if name == "zero_row_0":  # row 0 is already at the zero-iterate level
+        return lam, energy, 0.25, float(np.sqrt(energy.sum())), StoppingConfig(), 1
+    # zero_row_5: one coefficient halves each step with change 1/2 > delta,
+    # so the norm reaches tiny = 2^-5 at row 5, after 1 + 5 steps
+    return np.array([0.5, 1.0]), np.array([1.0, 0.0]), 0.75, 2.0**-5, StoppingConfig(), 6
+
+
+STOP_CASES = ["random_1", "random_2", "random_3", "random_4", "cap", "delta_exact",
+              "zero_row_0", "zero_row_5", "round_off_z", "max_inner_1", "max_inner_2",
+              "max_inner_1000"]
+
+
+class TestStopSearch:
+    """The search for the stopping step on a spectrum in [0, 1] against the
+    row-by-row scan."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_norm_and_step_change_are_nonincreasing(self, seed):
+        lam, energy = random_spectrum(np.random.default_rng(seed), 64 + 97 * seed)
+        norms, changes = energy_rows(energy, 1.0 - lam, 400)
+        assert np.all(np.diff(norms) <= 0.0)
+        assert np.all(changes[1:] <= changes[:-1] * (1.0 + 1e-12))
+        assert changes[-1] < 0.5 * changes[0]  # the test is not vacuous
+
+    @pytest.mark.parametrize("name", STOP_CASES)
+    def test_search_matches_scan(self, name):
+        lam, energy, d, tiny, cfg, expected = stop_case(name)
+        z = 1.0 - lam
+        k_scan, d_scan = _scan_stop(energy, z, lam, 1, d, tiny, cfg)
+        k, d_found = _search_stop(energy, z, lam, 1, d, tiny, cfg)
+        assert k == k_scan
+        assert abs(d_found - d_scan) <= 1e-12
+        if expected is not None:
+            assert k == expected
+        if name == "zero_row_0":
+            assert d_found == d  # no later step, so step 1's change stands
+        if name == "zero_row_5":
+            assert d_found == 0.5
+        if name.startswith("max_inner"):
+            assert k <= cfg.max_inner
+        if name == "max_inner_1":
+            assert (k, d_found) == (1, d)

@@ -131,11 +131,14 @@ def fft_crossover(n):
 
 def expected_kernel(n, l):
     """numpy's convolution up to 11 taps or below 640 samples, the FFT from
-    the crossover on and the blocked product in between."""
+    the crossover on and below it the blocked product from 1,024 samples,
+    numpy's convolution under that."""
     if 2 * l + 1 <= 11 or n < 640:
         return "convolve"
     c = fft_crossover(n)
-    return "fft" if c is not None and l >= c else "gemm"
+    if c is not None and l >= c:
+        return "fft"
+    return "gemm" if n >= 1024 else "convolve"
 
 
 # blocked-product lengths well inside the range of that kernel
@@ -196,22 +199,27 @@ class TestConvolutionPaths:
             assert {expected_kernel(n, l) for l in apply_lengths(n)} == {"convolve", "gemm", "fft"}
 
     def test_crossovers_match_the_documented_table(self):
-        table = {n: fft_crossover(n) for n in (384, 512, 2048, 4096, 200_000)}
-        assert table == {384: None, 512: None, 2048: 170, 4096: 189, 200_000: 397}
+        table = {n: fft_crossover(n) for n in (384, 512, 768, 2048, 4096, 200_000)}
+        assert table == {384: None, 512: None, 768: 172, 2048: 170, 4096: 189, 200_000: 397}
 
     def test_fft_length_is_smallest_5_smooth(self):
-        for n in (640, 1000, 2048, 3001, 4096, 20011):
+        for n in (640, 768, 1000, 1023, 1024, 2048, 3001, 4096, 20011):
             for l in (fft_crossover(n), (n - 1) // 2):
                 size = flat_operator(l, BoundaryKind.REFLECTIVE, n).fft_length
                 assert size >= n + 2 * l and is_5_smooth(size)
                 assert not any(is_5_smooth(m) for m in range(n + 2 * l, size))
 
     def test_small_sizes_convolve_directly(self):
-        for n in range(3, 640):
+        # no blocked product below 1,024 samples and no FFT below 640: l = 6
+        # and 100 lie below every FFT crossover there, the widest above it
+        for n in range(3, 1024):
             widest = (n - 1) // 2
-            for l in {min(6, widest), widest}:
+            for l in {min(6, widest), min(100, widest)}:
                 op = flat_operator(l, BoundaryKind.ZERO, n)
                 assert op.kernel == "convolve" and op.fft_length is None
+            op = flat_operator(widest, BoundaryKind.ZERO, n)
+            assert op.kernel == ("convolve" if n < 640 else "fft")
+        assert flat_operator(6, BoundaryKind.ZERO, 1024).kernel == "gemm"
 
 
 class TestEigenvalues:
