@@ -61,7 +61,6 @@ from .error_analysis import (
     boundary_error_estimate,
     dominant_period,
     error_propagation,
-    error_upper_bound,
     make_sine_trend_generator,
     phase_sweep,
     relative_error,
@@ -80,7 +79,7 @@ __all__ = [
     "ConvergenceConstants", "Decomposition", "ImfDiagnostics", "StoppingConfig",
     "build_filter", "delta_metric", "dif", "eif", "inner_loop", "stopping_bound_k0",
     "ErrorEstimate", "SweepPoint", "actual_error", "boundary_error_estimate",
-    "dominant_period", "error_propagation", "error_upper_bound",
+    "dominant_period", "error_propagation",
     "make_sine_trend_generator", "phase_sweep", "relative_error",
     "__version__",
 ]

@@ -238,7 +238,7 @@ def _cmd_errorbound(args) -> int:
     estimate = boundary_error_estimate(signal.values, filt, pad, steps)
     bound = estimate.upper_bound
     _write_columns(args.output, "x_index,err_k,ub_k",
-                   [np.arange(bound.size), estimate.per_step[-1], bound], ["%d", _FLOAT, _FLOAT])
+                   [np.arange(bound.size), estimate.last, bound], ["%d", _FLOAT, _FLOAT])
     config = {
         "command": "errorbound", "input": args.input, "output": args.output,
         "bc": args.bc, "pad": pad, "steps": steps, "chi": estimate.chi,

@@ -5,7 +5,8 @@ O(n^2) and O(n l) definitions the FFT-based code replaces; the direct
 product is the extend-then-convolve definition of W x that the operator's
 FFT convolution replaces for long filters; the reference sift is the
 per-step loop of direct products that every sift must reproduce step for
-step.
+step; the dense propagation is the step-by-step iteration of the periodic
+operator that both kernels of the boundary-error propagation replace.
 """
 
 import numpy as np
@@ -104,3 +105,17 @@ def reference_sift(values, filt, kind, cfg):
         if d < cfg.delta:
             break
     return cur, k, d
+
+
+def dense_propagation(op, u, steps):
+    """(last, max) of the boundary-error propagation by definition: iterate
+    x <- x - W x with the dense periodic operator, starting from the extended
+    vector u, and restrict each step to the core."""
+    dense = op.to_dense()
+    x = np.asarray(u.values, dtype=float)
+    core = slice(u.pad, u.pad + u.n)
+    bound = np.zeros(u.n)
+    for _ in range(steps):
+        x = x - dense @ x
+        bound = np.maximum(bound, np.abs(x[core]))
+    return x[core], bound

@@ -186,6 +186,13 @@ class TestErrorboundCommand:
         assert run(["errorbound", "--bc", bc, str(short), str(tmp_path / "o.csv")]) == 4
         assert "no admissible doubled filter length for n=4" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("steps", ["0", "-3"])
+    def test_steps_below_one_rejected(self, tmp_path, signal_file, steps, capsys):
+        out = tmp_path / "eb.csv"
+        assert run(["errorbound", "--steps", steps, str(signal_file), str(out)]) == 4
+        assert "steps must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_flat_signal_domain_error(self, tmp_path):
         flat = tmp_path / "flat.csv"
         flat.write_text("1.0\n1.0\n1.0\n1.0\n")

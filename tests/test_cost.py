@@ -1,16 +1,19 @@
-"""Cost guards that need no timing: operator-application counts and imports.
+"""Cost guards that need no timing: operator-application counts, imports and
+allocations.
 
 The kinds with a diagonalizing transform sift in the eigenbasis, so a
 decomposition or phase sweep on them applies no operator, and a doubled
 filter's sift finds its stopping step in O(log K) rows of its energies;
 only the zero kind iterates W, one product per step, with the taps' blocks
-or spectrum built once per sift.
+or spectrum built once per sift. The boundary-error propagation keeps
+O(n) memory whatever its step count.
 """
 
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -24,9 +27,11 @@ from iterfilt import (
     StoppingConfig,
     StructuredOperator,
     build_filter,
+    constant_error_extension,
     convolve_self,
     dif,
     eif,
+    error_propagation,
     inner_loop,
     make_sine_trend_generator,
     phase_sweep,
@@ -149,6 +154,23 @@ def test_phase_sweep_applies_no_operator(apply_calls):
     points = phase_sweep(make_sine_trend_generator(), 0.05, 0.2)
     assert len(points) == 4
     assert apply_calls == []
+
+
+def test_error_propagation_memory_is_linear():
+    # the steps are folded into the last error and the bound as they are
+    # computed: 200 steps at n = 50,000 would be 80 MB as one array
+    n, steps = 50_000, 200
+    filt = convolve_self(sample_filter(raised_cosine_shape(), 20))
+    u = constant_error_extension(chirp(n), 2 * filt.length)
+    op = StructuredOperator(filt, BoundaryKind.PERIODIC, n + 4 * filt.length)
+    tracemalloc.start()
+    try:
+        last, bound = error_propagation(op, u, steps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert last.shape == bound.shape == (n,)
+    assert peak < 8_000_000
 
 
 def test_cli_import_leaves_scipy_unloaded():

@@ -1,25 +1,35 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from iterfilt import (
     BoundaryKind,
+    ExtendedSignal,
     StoppingConfig,
     StructuredOperator,
     actual_error,
     boundary_error_estimate,
     constant_error_extension,
+    convolve_self,
     dominant_period,
     error_propagation,
-    error_upper_bound,
     inner_loop,
     make_sine_trend_generator,
     phase_sweep,
     relative_error,
 )
-from conftest import random_doubled_filter, sine_trend
+from conftest import random_doubled_filter, random_filter, sine_trend
+from oracles import dense_propagation
 from test_decompose import null_tuned_filter
 
 TRANSFORM_KINDS = [BoundaryKind.PERIODIC, BoundaryKind.REFLECTIVE, BoundaryKind.ANTIREFLECTIVE]
+
+
+def propagation_case(rng, n, p, filt=None):
+    """(operator, extended error vector) for a random signal of n samples."""
+    filt = filt or random_doubled_filter(rng, n)
+    u = constant_error_extension(rng.standard_normal(n) + 0.5, p)
+    return StructuredOperator(filt, BoundaryKind.PERIODIC, n + 2 * p), u
 
 
 class TestErrorPropagation:
@@ -27,8 +37,8 @@ class TestErrorPropagation:
         filt = random_doubled_filter(rng, 20)
         u = constant_error_extension(np.zeros(20), 6)
         op = StructuredOperator(filt, BoundaryKind.PERIODIC, 32)
-        steps = error_propagation(op, u, 4)
-        assert np.abs(steps).max() == 0.0
+        last, bound = error_propagation(op, u, 4)
+        assert np.abs(last).max() == 0.0 and bound.max() == 0.0
 
     def test_core_of_input_is_zero(self, rng):
         u = constant_error_extension(rng.standard_normal(15), 4)
@@ -41,7 +51,7 @@ class TestErrorPropagation:
         l = filt.length
         u = constant_error_extension(rng.standard_normal(n) + 0.5, p)
         op = StructuredOperator(filt, BoundaryKind.PERIODIC, n + 2 * p)
-        err1 = error_propagation(op, u, 1)[0]
+        err1, _ = error_propagation(op, u, 1)
         inside = err1[l: n - l]
         assert np.abs(inside).max() == 0.0
         assert np.abs(err1[:l]).min() > 0.0
@@ -53,18 +63,20 @@ class TestErrorPropagation:
         l = filt.length
         u = constant_error_extension(rng.standard_normal(n) + 1.0, p)
         op = StructuredOperator(filt, BoundaryKind.PERIODIC, n + 2 * p)
-        per_step = error_propagation(op, u, k)
-        for j in range(k):
-            depth = (j + 1) * l
+        for j in range(1, k + 1):
+            depth = j * l
             if depth < n - depth:
-                assert np.abs(per_step[j][depth: n - depth]).max() == 0.0
+                last, bound = error_propagation(op, u, j)
+                assert np.abs(last[depth: n - depth]).max() == 0.0
+                assert bound[depth: n - depth].max() == 0.0
 
     def test_pad_zero_identically_zero(self, rng):
         n = 30
         filt = random_doubled_filter(rng, n)
         u = constant_error_extension(rng.standard_normal(n), 0)
         op = StructuredOperator(filt, BoundaryKind.PERIODIC, n)
-        assert np.abs(error_propagation(op, u, 5)).max() == 0.0
+        last, bound = error_propagation(op, u, 5)
+        assert np.abs(last).max() == 0.0 and bound.max() == 0.0
 
     def test_requires_periodic_operator(self, rng):
         filt = random_doubled_filter(rng, 20)
@@ -80,31 +92,124 @@ class TestErrorPropagation:
         with pytest.raises(ValueError, match="match"):
             error_propagation(op, u, 2)
 
+    # extended sizes on both sides of the dense-basis crossover at N = 896,
+    # primes among them (pocketfft's Bluestein lengths)
+    @pytest.mark.parametrize("n,p,steps", [
+        (41, 10, 70), (293, 19, 150), (300, 25, 64), (833, 31, 129),
+        (880, 7, 3), (886, 5, 150), (895, 6, 100), (1001, 40, 140),
+    ])
+    def test_matches_dense_oracle(self, rng, n, p, steps):
+        # both kernels against iterating the dense operator step by step
+        filt = random_doubled_filter(rng, min(n, 120))
+        op, u = propagation_case(rng, n, p, filt)
+        chi = float(np.abs(u.values).max())
+        last, bound = error_propagation(op, u, steps)
+        oracle_last, oracle_bound = dense_propagation(op, u, steps)
+        assert np.abs(last - oracle_last).max() <= 1e-13 * chi
+        assert np.abs(bound - oracle_bound).max() <= 1e-13 * chi
+
+    def test_asymmetric_input_matches_dense_oracle(self, rng):
+        # the dense basis mirrors only a reversal-symmetric u
+        n, p = 50, 12
+        filt = random_doubled_filter(rng, n)
+        u = ExtendedSignal(left=rng.standard_normal(p), core=np.zeros(n),
+                           right=rng.standard_normal(p))
+        op = StructuredOperator(filt, BoundaryKind.PERIODIC, n + 2 * p)
+        chi = float(np.abs(u.values).max())
+        for got, want in zip(error_propagation(op, u, 40), dense_propagation(op, u, 40)):
+            assert np.abs(got - want).max() <= 1e-13 * chi
+
+    # (extended size N, kernel) from the table in error_propagation's docstring
+    @pytest.mark.parametrize("size,kernel", [
+        (9, "dense"), (293, "dense"), (512, "dense"), (895, "dense"),
+        (896, "irfft"), (907, "irfft"), (1024, "irfft"), (4099, "irfft"),
+    ])
+    def test_kernel_choice(self, rng, monkeypatch, size, kernel):
+        batches = []
+        irfft = np.fft.irfft
+
+        def counted(a, *args, **kwargs):
+            batches.append(len(a))
+            return irfft(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "irfft", counted)
+        p = 2
+        op, u = propagation_case(rng, size - 2 * p, p, random_doubled_filter(rng, 9))
+        error_propagation(op, u, 100)
+        if kernel == "dense":
+            assert batches == []
+        else:  # blocks of 2^16 coefficients' worth of steps
+            rows = max(1, (1 << 16) // size)
+            assert batches == [min(rows, 100 - j0) for j0 in range(0, 100, rows)]
+
 
 class TestErrorUpperBound:
+    """The pointwise bound that error_propagation folds over its steps."""
+
     def test_single_step(self, rng):
-        e = rng.standard_normal((1, 12))
-        assert np.array_equal(error_upper_bound(e), np.abs(e[0]))
+        op, u = propagation_case(rng, 12, 4)
+        last, bound = error_propagation(op, u, 1)
+        assert np.array_equal(bound, np.abs(last))
 
     def test_monotone_in_steps(self, rng):
-        e = rng.standard_normal((6, 12))
-        for k in range(1, 6):
-            ub_k = error_upper_bound(e[:k])
-            ub_next = error_upper_bound(e[: k + 1])
-            assert np.all(ub_next >= ub_k)
+        # each step's error is computed the same way whatever the step
+        # count, so the running maximum grows exactly
+        for n, p in ((12, 4), (200, 60), (900, 20)):
+            op, u = propagation_case(rng, n, p)
+            ub_k = error_propagation(op, u, 1)[1]
+            for k in (2, 3, 63, 64, 65, 130):
+                last, ub_next = error_propagation(op, u, k)
+                assert np.all(ub_next >= ub_k)
+                assert np.all(ub_next >= np.abs(last))
+                ub_k = ub_next
 
-    def test_componentwise_max(self):
-        ub = error_upper_bound([[1.0, -2.0], [-3.0, 1.0]])
-        assert np.array_equal(ub, [3.0, 2.0])
+    def test_componentwise_max(self, rng):
+        # the bound is the componentwise max of the single steps' errors:
+        # exactly those of shorter calls, and the dense oracle's to round-off
+        op, u = propagation_case(rng, 30, 8)
+        chi = float(np.abs(u.values).max())
+        _, bound = error_propagation(op, u, 6)
+        lasts = [error_propagation(op, u, k)[0] for k in range(1, 7)]
+        assert np.array_equal(bound, np.abs(lasts).max(axis=0))
+        oracle = [dense_propagation(op, u, k)[0] for k in range(1, 7)]
+        assert np.abs(bound - np.abs(oracle).max(axis=0)).max() <= 1e-13 * chi
 
     def test_permutation_invariant(self, rng):
-        e = rng.standard_normal((5, 9))
-        shuffled = e[rng.permutation(5)]
-        assert np.array_equal(error_upper_bound(e), error_upper_bound(shuffled))
+        # the bound sees the signal only through chi = max |s|
+        s = rng.standard_normal(40)
+        filt = random_doubled_filter(rng, 40)
+        est = boundary_error_estimate(s, filt, 9, 7)
+        shuffled = boundary_error_estimate(s[rng.permutation(40)], filt, 9, 7)
+        assert np.array_equal(est.upper_bound, shuffled.upper_bound)
+        assert np.array_equal(est.last, shuffled.last)
 
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            error_upper_bound(np.empty((0, 4)))
+    def test_empty_rejected(self, rng):
+        op, u = propagation_case(rng, 12, 4)
+        for steps in (0, -3):
+            with pytest.raises(ValueError, match="steps must be at least 1"):
+                error_propagation(op, u, steps)
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(n=st.integers(3, 64), base=st.integers(1, 15), pad=st.floats(0.0, 1.0),
+       steps=st.integers(1, 30), seed=st.integers(0, 2**32 - 1))
+def test_propagation_properties(n, base, pad, steps, seed):
+    rng = np.random.default_rng(seed)
+    filt = convolve_self(random_filter(rng, min(base, max(1, (n - 1) // 4))))
+    l = filt.length
+    p = int(pad * 3 * l)
+    assume(2 * l + 1 <= n + 2 * p)
+    op, u = propagation_case(rng, n, p, filt)
+    last, bound = error_propagation(op, u, steps)
+    assert np.array_equal(bound, bound[::-1])
+    if steps > 1:
+        assert np.all(bound >= error_propagation(op, u, steps - 1)[1])
+    depth = steps * l
+    assert not last[depth: n - depth].any() and not bound[depth: n - depth].any()
+    chi = float(np.abs(u.values).max())
+    oracle_last, oracle_bound = dense_propagation(op, u, steps)
+    assert np.abs(last - oracle_last).max() <= 1e-13 * chi
+    assert np.abs(bound - oracle_bound).max() <= 1e-13 * chi
 
 
 class TestActualError:
@@ -158,11 +263,14 @@ class TestBoundaryErrorEstimate:
         s = rng.standard_normal(30) + 2.0
         filt = random_doubled_filter(rng, 30)
         est = boundary_error_estimate(s, filt, 6, 4)
-        assert est.per_step.shape == (4, 30)
+        assert est.last.shape == (30,)
         assert est.upper_bound.shape == (30,)
         assert est.chi == pytest.approx(np.abs(s).max())
         assert est.pad == 6 and est.steps == 4
-        assert np.array_equal(est.upper_bound, np.abs(est.per_step).max(axis=0))
+        u = constant_error_extension(s, 6)
+        last, bound = error_propagation(StructuredOperator(filt, BoundaryKind.PERIODIC, 42), u, 4)
+        assert np.array_equal(est.last, last) and np.array_equal(est.upper_bound, bound)
+        assert np.all(est.upper_bound >= np.abs(est.last))
 
 
 class TestDominantPeriod:
