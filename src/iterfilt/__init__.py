@@ -39,7 +39,6 @@ from .operators import (
     Spectrum,
     StructuredOperator,
     diagonalized_power_apply,
-    transform_apply,
     unit_eigenvectors,
 )
 from .decompose import (
@@ -74,8 +73,7 @@ __all__ = [
     "get_shape", "raised_cosine_shape", "sample_filter", "triangle_shape",
     "uniform_shape",
     "BoundaryKind", "ExtendedSignal", "constant_error_extension", "extend",
-    "Spectrum", "StructuredOperator", "diagonalized_power_apply",
-    "transform_apply", "unit_eigenvectors",
+    "Spectrum", "StructuredOperator", "diagonalized_power_apply", "unit_eigenvectors",
     "ConvergenceConstants", "Decomposition", "ImfDiagnostics", "StoppingConfig",
     "build_filter", "delta_metric", "dif", "eif", "inner_loop", "stopping_bound_k0",
     "ErrorEstimate", "SweepPoint", "actual_error", "boundary_error_estimate",

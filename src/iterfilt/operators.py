@@ -2,13 +2,14 @@
 
 A symmetric filter plus a boundary rule induces an n x n operator: Toeplitz
 for zero, circulant for periodic, Toeplitz-plus-Hankel for reflective and
-the anti-reflective algebra for anti-reflective extension. The operator is
-applied matrix-free (extend, then convolve directly, as a blocked Toeplitz
-product or by FFT, whichever costs least); dense materialization built from
-the matrix structure serves as an independent oracle. Closed-form
-eigenvalues, the eigenvectors of eigenvalue one, the diagonalizing
-transforms and a k-step power application through the eigenbasis live
-here.
+the anti-reflective algebra for anti-reflective extension. Each but the
+zero rule's is diagonalized by a fast transform, and is applied in that
+eigenbasis; the zero rule's Toeplitz operator is applied by convolving
+directly, as a blocked Toeplitz product or by FFT, whichever costs least.
+Dense materialization built from the matrix structure serves as an
+independent oracle. Closed-form eigenvalues, the eigenvectors of eigenvalue
+one, the diagonalizing transforms and a k-step power application through
+the eigenbasis live here.
 """
 
 from __future__ import annotations
@@ -19,14 +20,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .boundary import BoundaryKind, extend
+from .boundary import BoundaryKind
 from .filters import Filter
 
 __all__ = [
     "StructuredOperator",
     "Spectrum",
     "unit_eigenvectors",
-    "transform_apply",
     "diagonalized_power_apply",
 ]
 
@@ -88,35 +88,35 @@ class StructuredOperator:
             )
 
     def apply(self, x) -> np.ndarray:
-        """Matrix-free product W x: extend x by the filter length, convolve.
+        """Matrix-free product W x.
 
-        Equals y_i = sum_{j=i-l}^{i+l} x_ext(j) w_|i-j| with x_ext the
-        boundary extension of x; the zero rule convolves x itself. The
-        kernel (see :attr:`kernel`) is numpy's convolution for short filters
-        and small n, a blocked Toeplitz product on BLAS for medium filters
-        and one rfft/irfft round trip with the cached tap spectrum for long
-        ones.
+        The periodic, reflective and anti-reflective kinds scale the
+        coefficients of x in the diagonalizing basis by the eigenvalues: one
+        transform round trip, as in the sift. The zero rule has no such
+        transform and convolves x with the taps by the kernel in
+        :attr:`kernel`: numpy's convolution for short filters and small n, a
+        blocked Toeplitz product on BLAS for medium filters and one
+        rfft/irfft round trip with the cached tap spectrum for long ones.
         """
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.n,):
-            raise ValueError(f"expected vector of length {self.n}, got shape {x.shape}")
-        l = self.filter.length
-        zero = self.kind is BoundaryKind.ZERO
-        v = x if zero else extend(x, self.kind, l).values
+        if self.kind is not BoundaryKind.ZERO:
+            c, lam = self.to_eigenbasis(x)
+            return self.from_eigenbasis(lam * c)
+        x = _as_vector(x, self.n)
         if self.kernel == "convolve":
             # symmetric taps make convolution equal to correlation
-            return np.convolve(v, self.filter.full(), mode="same" if zero else "valid")
+            return np.convolve(x, self.filter.full(), mode="same")
         if self.kernel == "gemm":
-            return self._blocked_product(v, l if zero else 0)
-        # the taps occupy 0..2l, so W x starts l samples into the product,
-        # or 2l into that of the extended vector
-        start = l if zero else 2 * l
-        y = np.fft.irfft(np.fft.rfft(v, self.fft_length) * self._tap_spectrum, self.fft_length)
-        return y[start: start + self.n]
+            return self._blocked_product(x)
+        # the taps occupy 0..2l, so W x starts l samples into the product
+        l = self.filter.length
+        y = np.fft.irfft(np.fft.rfft(x, self.fft_length) * self._tap_spectrum, self.fft_length)
+        return y[l: l + self.n]
 
     @cached_property
     def kernel(self) -> str:
-        """How :meth:`apply` convolves: "convolve", "gemm" or "fft".
+        """How :meth:`apply` multiplies: "transform" for the kinds with a
+        diagonalizing transform; for the zero rule "convolve", "gemm" or
+        "fft".
 
         numpy's convolution is fastest up to 11 taps (l <= 5), and for
         every l below n = 640. Other filters take the FFT convolution once
@@ -149,6 +149,8 @@ class StructuredOperator:
         blocked product tied or won for every l below the FFT's
         (interleaved medians of 15 timings).
         """
+        if self.kind is not BoundaryKind.ZERO:
+            return "transform"
         l = self.filter.length
         taps = 2 * l + 1
         if taps <= _CONVOLVE_TAPS or self.n < _FFT_MIN_SIZE:
@@ -164,10 +166,8 @@ class StructuredOperator:
         """Transform length of :meth:`apply`'s FFT convolution, None when
         another kernel is used.
 
-        N is the smallest 5-smooth length >= n + 2l: the whole linear
-        convolution of x with the 2l+1 taps, and enough for the n valid
-        outputs of the extended vector (the circular wrap reaches only
-        discarded outputs).
+        N is the smallest 5-smooth length >= n + 2l, the whole linear
+        convolution of x with the 2l+1 taps, so no output wraps around.
         """
         return _fast_len(self.n + 2 * self.filter.length) if self.kernel == "fft" else None
 
@@ -187,9 +187,8 @@ class StructuredOperator:
         inside = (m >= 0) & (m < taps.size)
         return np.where(inside, taps[np.where(inside, m, 0)], 0.0).reshape(count, block, block)
 
-    def _blocked_product(self, v: np.ndarray, offset: int) -> np.ndarray:
-        """y_i = sum_m t_m u_{i+m} for i < n, u being v shifted right by
-        ``offset`` samples with zeros outside it.
+    def _blocked_product(self, v: np.ndarray) -> np.ndarray:
+        """y_i = sum_m t_m v_{i+m-l} for i < n, with zeros outside v.
 
         The outputs, in rows of B, are the sum over q of the input's rows
         shifted by q, times the q-th tap block, taken in chunks of about
@@ -206,7 +205,7 @@ class StructuredOperator:
         part = np.empty((chunk, block))
         for a in range(0, rows, chunk):
             r = min(chunk, rows - a)
-            lo = a * block - offset  # the index in v of the window's first sample
+            lo = a * block - self.filter.length  # the index in v of the window's first sample
             size = (r + count - 1) * block
             if 0 <= lo and lo + size <= v.size:
                 win = v[lo: lo + size]
@@ -226,7 +225,8 @@ class StructuredOperator:
         """Materialize W from its matrix structure (oracle path).
 
         Built directly from the Toeplitz / circulant / Toeplitz-plus-Hankel /
-        anti-reflective block templates, independently of :meth:`apply`.
+        anti-reflective block templates, independently of :meth:`apply` and
+        of the transforms.
         """
         n, l = self.n, self.filter.length
         if n > DENSE_GUARD:
@@ -290,12 +290,12 @@ class StructuredOperator:
         """Coefficients of s in the diagonalizing basis, with the eigenvalue
         belonging to each coefficient.
 
-        The basis is that of :func:`transform_apply`: the unitary DFT
-        (periodic), the orthonormal cosine transform (reflective) and the
-        anti-reflective transform. Raises ValueError for the zero kind.
+        The basis is the unitary DFT (periodic), the orthonormal DCT-II
+        (reflective) or the anti-reflective transform: two ramps around a
+        DST-I of the interior. Raises ValueError for the zero kind.
         """
         lam = self._transform_eigenvalues()
-        s = np.asarray(s, dtype=float)
+        s = _as_vector(s, self.n)
         if self.kind is BoundaryKind.PERIODIC:
             return np.fft.fft(s) / np.sqrt(self.n), lam
         if self.kind is BoundaryKind.REFLECTIVE:
@@ -304,6 +304,7 @@ class StructuredOperator:
 
     def from_eigenbasis(self, c) -> np.ndarray:
         """Signal with eigenbasis coefficients c, the inverse of :meth:`to_eigenbasis`."""
+        c = _as_vector(c, self.n, dtype=None)
         if self.kind is BoundaryKind.PERIODIC:
             return (np.fft.ifft(c) * np.sqrt(self.n)).real
         if self.kind is BoundaryKind.REFLECTIVE:
@@ -346,6 +347,14 @@ def unit_eigenvectors(kind: BoundaryKind, n: int) -> list[np.ndarray]:
         ramp = np.arange(n, dtype=float)
         return [ramp, ramp[::-1].copy()]
     raise ValueError("zero boundary conditions have no unit eigenvalue")
+
+
+def _as_vector(x, n: int, dtype=float) -> np.ndarray:
+    """x as an array of shape (n,), of ``dtype`` (None keeps x's own)."""
+    x = np.asarray(x, dtype=dtype)
+    if x.shape != (n,):
+        raise ValueError(f"expected vector of length {n}, got shape {x.shape}")
+    return x
 
 
 def _block_size(l: int) -> int:
@@ -427,39 +436,6 @@ def _art_inverse_apply(y: np.ndarray) -> np.ndarray:
     return c
 
 
-def transform_apply(which: str, x) -> np.ndarray:
-    """Apply one of the diagonalizing transforms to a vector.
-
-    Every transform runs through ``numpy.fft`` in O(n log n).
-
-    Parameters
-    ----------
-    which : {'dft', 'dct3', 'dst1', 'art', 'art_inverse'}
-        Transform to apply. 'dft' is the unitary transform
-        exp(2 pi i jk / n) / sqrt(n) diagonalizing circulants (complex
-        output); 'dct3' the orthogonal cosine transform of the reflective
-        algebra, sqrt((2 - delta_i0)/n) cos(i (2j+1) pi / (2n)), which is
-        the orthonormal DCT-II; 'dst1' the self-inverse sine transform (acts
-        on vectors of length n-2); 'art' / 'art_inverse' the non-orthogonal
-        anti-reflective transform and its inverse.
-    """
-    x = np.asarray(x)
-    if x.ndim != 1 or x.size < 1:
-        raise ValueError("transform input must be a nonempty vector")
-    if which == "dft":
-        return np.fft.ifft(x) * np.sqrt(x.size)
-    xf = np.asarray(x, dtype=float)
-    if which == "dct3":
-        return _dct2(xf)
-    if which == "dst1":
-        return _dst1(xf)
-    if which in ("art", "art_inverse"):
-        if xf.size < 3:
-            raise ValueError("anti-reflective transform needs length >= 3")
-        return _art_apply(xf) if which == "art" else _art_inverse_apply(xf)
-    raise ValueError(f"unknown transform {which!r}")
-
-
 def diagonalized_power_apply(op: StructuredOperator, s, k: int) -> np.ndarray:
     """Compute (I - W)^k s through the operator's eigenbasis.
 
@@ -478,10 +454,7 @@ def diagonalized_power_apply(op: StructuredOperator, s, k: int) -> np.ndarray:
         raise ValueError(f"no diagonalizing transform for kind {op.kind.value!r}")
     if k < 0:
         raise ValueError("power must be nonnegative")
-    s = np.asarray(s, dtype=float)
-    if s.shape != (op.n,):
-        raise ValueError(f"expected vector of length {op.n}, got shape {s.shape}")
     if k == 0:
-        return s.copy()
+        return _as_vector(s, op.n).copy()
     c, lam = op.to_eigenbasis(s)
     return op.from_eigenbasis((1.0 - lam) ** k * c)

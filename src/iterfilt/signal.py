@@ -48,10 +48,6 @@ class Signal:
     def n(self) -> int:
         return self.values.size
 
-    @property
-    def grid(self) -> np.ndarray:
-        return np.linspace(0.0, 1.0, self.n)
-
 
 def as_values(s) -> np.ndarray:
     """Accept a Signal or any 1-D array-like and return a float ndarray."""

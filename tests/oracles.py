@@ -3,7 +3,7 @@
 The dense transform matrices and the cosine-sum eigenvalue table are the
 O(n^2) and O(n l) definitions the FFT-based code replaces; the direct
 product is the extend-then-convolve definition of W x that the operator's
-FFT convolution replaces for long filters; the reference sift is the
+eigenbasis product replaces; the reference sift is the
 per-step loop of direct products that every sift must reproduce step for
 step; the dense propagation is the step-by-step iteration of the periodic
 operator that both kernels of the boundary-error propagation replace.

@@ -323,7 +323,7 @@ class TestStoppingBound:
         cur = s.copy()
         prev = None
         for k in range(1, k0 + 2):
-            prev, cur = cur, cur - op.apply(cur)
+            prev, cur = cur, cur - direct_apply(filt, BoundaryKind.PERIODIC, cur)
         assert np.linalg.norm(cur - prev) < delta
 
     def test_spectral_guarantee_all_kinds(self, rng):

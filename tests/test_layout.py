@@ -1,11 +1,17 @@
-"""Module layout: no iterfilt module imports another one's private names."""
+"""Module layout: no iterfilt module imports another one's private names,
+every exported name exists, and so does every hook of the benchmark's
+tracer."""
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "iterfilt"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "iterfilt"
+MODULES = sorted(p.stem for p in SRC.glob("*.py") if p.stem != "__init__")
 
 
 def private_imports(path):
@@ -27,3 +33,23 @@ def private_imports(path):
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_private_cross_module_imports(path):
     assert private_imports(path) == []
+
+
+@pytest.mark.parametrize("module", ["iterfilt"] + [f"iterfilt.{m}" for m in MODULES])
+def test_exports_resolve(module):
+    mod = importlib.import_module(module)
+    assert [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)] == []
+
+
+def test_tracer_hooks_resolve():
+    # perfbench/tracing.py wraps these names with getattr; a missing one
+    # breaks a traced benchmark run
+    spec = importlib.util.spec_from_file_location("_tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert tracing.FUNCTIONS and tracing.METHODS
+    missing = [(mod, attr) for mod, attr, *_ in tracing.FUNCTIONS
+               if not hasattr(importlib.import_module(mod), attr)]
+    missing += [(mod, f"{cls}.{attr}") for mod, cls, attr, *_ in tracing.METHODS
+                if attr not in vars(getattr(importlib.import_module(mod), cls, object))]
+    assert missing == []

@@ -7,7 +7,6 @@ from iterfilt import (
     Filter,
     StructuredOperator,
     diagonalized_power_apply,
-    transform_apply,
     unit_eigenvectors,
 )
 from conftest import random_doubled_filter, random_filter
@@ -23,25 +22,49 @@ from oracles import (
 
 ALL_KINDS = list(BoundaryKind)
 TRANSFORM_KINDS = [BoundaryKind.PERIODIC, BoundaryKind.REFLECTIVE, BoundaryKind.ANTIREFLECTIVE]
-# even and odd sizes, including the smallest ones
-SIZES = (1, 2, 3, 4, 5, 16, 21, 64, 301)
+# even and odd operator sizes, including the smallest ones
+SIZES = (3, 4, 5, 16, 21, 64, 301)
 
 W5 = Filter(np.array([3 / 9, 2 / 9, 1 / 9]))  # (1/9,2/9,3/9,2/9,1/9) full
+W3 = Filter(np.array([0.5, 0.25]))  # admissible at every n >= 3
 
 
 def iterate_direct(op, s, k):
+    """k steps of x <- x - W x by the direct product, independent of the
+    eigenbasis."""
     cur = np.asarray(s, dtype=float).copy()
     for _ in range(k):
-        cur = cur - op.apply(cur)
+        cur = cur - direct_apply(op.filter, op.kind, cur)
     return cur
+
+
+def forward(kind, x):
+    """Coefficients of x in the eigenbasis of a ``kind`` operator: the DFT
+    for periodic, the orthonormal DCT-II for reflective. The transforms do
+    not depend on the filter."""
+    x = np.asarray(x, dtype=float)
+    return StructuredOperator(W3, kind, x.size).to_eigenbasis(x)[0]
+
+
+def inverse(kind, c):
+    """The signal with eigenbasis coefficients c of a ``kind`` operator."""
+    return StructuredOperator(W3, kind, len(c)).from_eigenbasis(c)
+
+
+def dst1(x):
+    """DST-I of x: the interior of the anti-reflective forward transform of
+    x with a zero sample added at each end."""
+    return forward(BoundaryKind.ANTIREFLECTIVE, np.pad(x, 1))[1:-1]
 
 
 class TestApply:
     def test_constant_fixed_point_periodic_reflective(self, rng):
+        # the direct product keeps a constant exactly; apply's transform
+        # round trip keeps it to rounding
         for kind in (BoundaryKind.PERIODIC, BoundaryKind.REFLECTIVE):
             op = StructuredOperator(random_filter(rng, 3), kind, 12)
-            out = op.apply(np.ones(12))
-            assert np.abs(out - 1.0).max() == 0.0
+            assert np.abs(direct_apply(op.filter, kind, np.ones(12)) - 1.0).max() == 0.0
+            assert np.abs(op.apply(np.ones(12)) - 1.0).max() <= 1e-15
 
     def test_ramp_fixed_point_antireflective(self, rng):
         op = StructuredOperator(random_filter(rng, 4), BoundaryKind.ANTIREFLECTIVE, 14)
@@ -60,6 +83,14 @@ class TestApply:
         op = StructuredOperator(random_filter(rng, 2), BoundaryKind.PERIODIC, 10)
         with pytest.raises(ValueError):
             op.apply(np.ones(11))
+
+    @pytest.mark.parametrize("kind", TRANSFORM_KINDS, ids=lambda k: k.value)
+    def test_eigenbasis_rejects_wrong_length(self, kind):
+        op = StructuredOperator(W5, kind, 8)
+        for method in (op.apply, op.to_eigenbasis, op.from_eigenbasis):
+            for bad in (np.ones(9), np.ones(11), np.ones(7), np.ones((8, 1))):
+                with pytest.raises(ValueError, match="length 8"):
+                    method(bad)
 
     def test_inadmissible_filter_length(self, rng):
         with pytest.raises(ValueError, match="filter length"):
@@ -129,10 +160,13 @@ def fft_crossover(n):
                  if flat_operator(l, BoundaryKind.ZERO, n).kernel == "fft"), None)
 
 
-def expected_kernel(n, l):
-    """numpy's convolution up to 11 taps or below 640 samples, the FFT from
-    the crossover on and below it the blocked product from 1,024 samples,
+def expected_kernel(kind, n, l):
+    """The transform for every kind but zero. The zero rule: numpy's
+    convolution up to 11 taps or below 640 samples, the FFT from the
+    crossover on and below it the blocked product from 1,024 samples,
     numpy's convolution under that."""
+    if kind is not BoundaryKind.ZERO:
+        return "transform"
     if 2 * l + 1 <= 11 or n < 640:
         return "convolve"
     c = fft_crossover(n)
@@ -168,17 +202,26 @@ def is_5_smooth(m):
 
 
 class TestConvolutionPaths:
-    """apply convolves directly, as a blocked product or by FFT; every
-    kernel must equal the dense product."""
+    """The zero rule's apply convolves directly, as a blocked product or by
+    FFT, the other kinds multiply in their eigenbasis; every path must
+    equal the dense product."""
 
     @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
     @pytest.mark.parametrize("n,l", APPLY_CASES)
     def test_apply_matches_dense(self, kind, n, l):
+        # the lengths between l = 1 and the widest choose among the zero
+        # rule's kernels; the transform kinds take one path whatever l, and
+        # there they are checked against the direct O(n l) product instead
+        # of the O(n^2) dense one
         rng = np.random.default_rng([n, l])
         op = StructuredOperator(random_filter(rng, l), kind, n)
         x = rng.standard_normal(n)
-        assert np.abs(op.apply(x) - op.to_dense() @ x).max() <= 1e-13
-        assert op.kernel == expected_kernel(n, l)
+        if kind is BoundaryKind.ZERO or l in (1, (n - 1) // 2):
+            expected = op.to_dense() @ x
+        else:
+            expected = direct_apply(op.filter, kind, x)
+        assert np.abs(op.apply(x) - expected).max() <= 1e-13
+        assert op.kernel == expected_kernel(kind, n, l)
         assert (op.fft_length is not None) == (op.kernel == "fft")
 
     @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
@@ -190,13 +233,17 @@ class TestConvolutionPaths:
         rng = np.random.default_rng([n, l])
         op = StructuredOperator(random_filter(rng, l), kind, n)
         x = rng.standard_normal(n)
-        assert op.kernel == expected_kernel(n, l)
+        assert op.kernel == expected_kernel(kind, n, l)
         assert np.abs(op.apply(x) - direct_apply(op.filter, kind, x)).max() <= 1e-13
 
     def test_both_paths_covered(self):
-        # the dense comparison above takes all three kernels at these sizes
+        # the comparison above takes all three of the zero rule's
+        # kernels at these sizes, and the transform for every other kind
         for n in (2048, 4096):
-            assert {expected_kernel(n, l) for l in apply_lengths(n)} == {"convolve", "gemm", "fft"}
+            for kind in ALL_KINDS:
+                kernels = {flat_operator(l, kind, n).kernel for l in apply_lengths(n)}
+                zero = kind is BoundaryKind.ZERO
+                assert kernels == ({"convolve", "gemm", "fft"} if zero else {"transform"})
 
     def test_crossovers_match_the_documented_table(self):
         table = {n: fft_crossover(n) for n in (384, 512, 768, 2048, 4096, 200_000)}
@@ -205,7 +252,7 @@ class TestConvolutionPaths:
     def test_fft_length_is_smallest_5_smooth(self):
         for n in (640, 768, 1000, 1023, 1024, 2048, 3001, 4096, 20011):
             for l in (fft_crossover(n), (n - 1) // 2):
-                size = flat_operator(l, BoundaryKind.REFLECTIVE, n).fft_length
+                size = flat_operator(l, BoundaryKind.ZERO, n).fft_length
                 assert size >= n + 2 * l and is_5_smooth(size)
                 assert not any(is_5_smooth(m) for m in range(n + 2 * l, size))
 
@@ -307,28 +354,32 @@ class TestUnitEigenvectors:
             for kind in TRANSFORM_KINDS:
                 op = StructuredOperator(filt, kind, n)
                 for u in unit_eigenvectors(kind, n):
-                    assert np.abs(op.apply(u) - u).max() <= 1e-12
+                    assert np.abs(direct_apply(filt, kind, u) - u).max() <= 1e-12
 
 
 class TestTransforms:
+    """The diagonalizing transforms, reached through the operators'
+    eigenbasis: DFT (periodic), DCT-II (reflective), DST-I (the
+    anti-reflective interior) and the anti-reflective transform."""
+
     def test_dst1_of_first_basis_vector(self):
-        out = transform_apply("dst1", [1.0, 0.0, 0.0])
+        out = dst1([1.0, 0.0, 0.0])
         expected = np.sqrt(2 / 4) * np.sin(np.arange(1, 4) * np.pi / 4)
         assert np.abs(out - expected).max() <= 1e-15
 
     def test_dct3_norm_preservation(self, rng):
         for _ in range(5):
             x = rng.standard_normal(17)
-            out = transform_apply("dct3", x)
+            out = forward(BoundaryKind.REFLECTIVE, x)
             assert abs(np.linalg.norm(out) - np.linalg.norm(x)) <= 1e-12
 
     def test_dst1_norm_preservation(self, rng):
         x = rng.standard_normal(14)
-        assert abs(np.linalg.norm(transform_apply("dst1", x)) - np.linalg.norm(x)) <= 1e-12
+        assert abs(np.linalg.norm(dst1(x)) - np.linalg.norm(x)) <= 1e-12
 
     def test_dft_unitary(self, rng):
         x = rng.standard_normal(16)
-        out = transform_apply("dft", x)
+        out = forward(BoundaryKind.PERIODIC, x)
         assert abs(np.linalg.norm(out) - np.linalg.norm(x)) <= 1e-12
 
     def test_dct3_against_scipy(self, rng):
@@ -336,51 +387,50 @@ class TestTransforms:
         for n in SIZES:
             x = rng.standard_normal(n)
             ref = scipy.fft.dct(x, type=2, norm="ortho")
-            assert np.abs(transform_apply("dct3", x) - ref).max() <= 1e-12
+            assert np.abs(forward(BoundaryKind.REFLECTIVE, x) - ref).max() <= 1e-12
 
     def test_dst1_against_scipy(self, rng):
-        for n in SIZES + (19,):
-            x = rng.standard_normal(n)
+        for m in (1, 2) + SIZES + (19,):
+            x = rng.standard_normal(m)
             ref = scipy.fft.dst(x, type=1, norm="ortho")
-            assert np.abs(transform_apply("dst1", x) - ref).max() <= 1e-12
+            assert np.abs(dst1(x) - ref).max() <= 1e-12
 
     def test_fft_transforms_match_dense(self, rng):
         for n in SIZES:
             x = rng.standard_normal(n)
-            assert np.abs(transform_apply("dct3", x) - dct3_matrix(n) @ x).max() <= 1e-12
-            assert np.abs(transform_apply("dst1", x) - dst1_matrix(n) @ x).max() <= 1e-12
+            assert np.abs(forward(BoundaryKind.REFLECTIVE, x) - dct3_matrix(n) @ x).max() <= 1e-12
+            assert np.abs(dst1(x) - dst1_matrix(n) @ x).max() <= 1e-12
+            q = dft_matrix(n)
+            assert np.abs(forward(BoundaryKind.PERIODIC, x) - np.conj(q) @ x).max() <= 1e-12
             z = x + 1j * rng.standard_normal(n)
-            assert np.abs(transform_apply("dft", z) - dft_matrix(n) @ z).max() <= 1e-12
+            assert np.abs(inverse(BoundaryKind.PERIODIC, z) - (q @ z).real).max() <= 1e-12
 
     def test_dst1_self_inverse(self, rng):
         x = rng.standard_normal(12)
-        assert np.abs(transform_apply("dst1", transform_apply("dst1", x)) - x).max() <= 1e-11
+        assert np.abs(dst1(dst1(x)) - x).max() <= 1e-11
 
     def test_dft_fast_path_matches_direct(self, rng):
         x = rng.standard_normal(33)
-        direct = dft_matrix(33) @ x
-        fast = transform_apply("dft", x)
+        direct = np.conj(dft_matrix(33)) @ x
+        fast = forward(BoundaryKind.PERIODIC, x)
         assert np.abs(direct - fast).max() <= 1e-11
 
     def test_art_first_column_normalized(self):
         n = 9
         e0 = np.zeros(n)
         e0[0] = 1.0
-        col = transform_apply("art", e0)
+        col = inverse(BoundaryKind.ANTIREFLECTIVE, e0)
         assert abs(np.linalg.norm(col) - 1.0) <= 1e-12
 
     def test_art_not_orthogonal(self, rng):
         x = rng.standard_normal(10)
-        out = transform_apply("art", x)
+        out = inverse(BoundaryKind.ANTIREFLECTIVE, x)
         assert abs(np.linalg.norm(out) - np.linalg.norm(x)) > 1e-6
 
     def test_art_inverse_round_trip(self, rng):
         x = rng.standard_normal(15)
-        assert np.abs(transform_apply("art_inverse", transform_apply("art", x)) - x).max() <= 1e-11
-
-    def test_unknown_transform(self):
-        with pytest.raises(ValueError, match="unknown"):
-            transform_apply("hadamard", np.ones(4))
+        kind = BoundaryKind.ANTIREFLECTIVE
+        assert np.abs(forward(kind, inverse(kind, x)) - x).max() <= 1e-11
 
 
 class TestDiagonalization:
@@ -403,7 +453,7 @@ class TestDiagonalization:
 
         op = StructuredOperator(filt, BoundaryKind.ANTIREFLECTIVE, n)
         lam = op._transform_eigenvalues()
-        cols = [transform_apply("art", col) for col in np.eye(n)]
+        cols = [op.from_eigenbasis(col) for col in np.eye(n)]
         Q = np.column_stack(cols)
         rebuilt = Q @ np.diag(lam) @ np.linalg.inv(Q)
         assert np.abs(rebuilt - op.to_dense()).max() <= 1e-10
@@ -447,7 +497,7 @@ class TestDiagonalizedPowerApply:
         for kind in TRANSFORM_KINDS:
             op = StructuredOperator(random_filter(rng, 3), kind, 12)
             s = rng.standard_normal(12)
-            expected = s - op.apply(s)
+            expected = s - direct_apply(op.filter, kind, s)
             assert np.abs(diagonalized_power_apply(op, s, 1) - expected).max() <= 1e-12
 
     def test_k100_matches_direct_iteration(self, rng):
@@ -463,6 +513,12 @@ class TestDiagonalizedPowerApply:
         slow = dense_power_apply(op, s, 50)
         fast = diagonalized_power_apply(op, s, 50)
         assert np.abs(slow - fast).max() <= 1e-11
+
+    def test_wrong_length_rejected(self, rng):
+        op = StructuredOperator(random_filter(rng, 3), BoundaryKind.REFLECTIVE, 12)
+        for k in (0, 3):
+            with pytest.raises(ValueError, match="length 12"):
+                diagonalized_power_apply(op, np.ones(13), k)
 
     def test_zero_kind_unsupported(self, rng):
         op = StructuredOperator(random_filter(rng, 2), BoundaryKind.ZERO, 10)

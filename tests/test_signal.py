@@ -61,10 +61,6 @@ class TestSignal:
         with pytest.raises(ValueError):
             s.values[0] = 9.0
 
-    def test_grid_endpoints(self):
-        s = Signal(np.array([1.0, 2.0, 3.0, 4.0, 5.0]))
-        assert s.grid[0] == 0.0 and s.grid[-1] == 1.0
-
 
 class TestNormalize:
     def test_three_four_five(self):
