@@ -21,63 +21,19 @@ Quick start
 True
 """
 
-from .signal import ParseError, Signal, count_extrema, load_signal, normalize
-from .filters import (
-    SHAPE_NAMES,
-    Filter,
-    FilterShape,
-    convolve_self,
-    filter_length,
-    get_shape,
-    raised_cosine_shape,
-    sample_filter,
-    triangle_shape,
-    uniform_shape,
-)
-from .boundary import BoundaryKind, ExtendedSignal, constant_error_extension, extend
-from .operators import (
-    Spectrum,
-    StructuredOperator,
-    diagonalized_power_apply,
-    unit_eigenvectors,
-)
-from .decompose import (
-    ConvergenceConstants,
-    Decomposition,
-    ImfDiagnostics,
-    StoppingConfig,
-    build_filter,
-    delta_metric,
-    dif,
-    eif,
-    inner_loop,
-    stopping_bound_k0,
-)
-from .error_analysis import (
-    ErrorEstimate,
-    SweepPoint,
-    actual_error,
-    boundary_error_estimate,
-    dominant_period,
-    error_propagation,
-    make_sine_trend_generator,
-    phase_sweep,
-    relative_error,
-)
+from . import boundary, decompose, error_analysis, filters, operators, signal
+from .signal import *  # noqa: F401,F403
+from .filters import *  # noqa: F401,F403
+from .boundary import *  # noqa: F401,F403
+from .operators import *  # noqa: F401,F403
+from .decompose import *  # noqa: F401,F403
+from .error_analysis import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
+# each submodule's own export list, so no name is listed twice
 __all__ = [
-    "ParseError", "Signal", "count_extrema", "load_signal", "normalize",
-    "SHAPE_NAMES", "Filter", "FilterShape", "convolve_self", "filter_length",
-    "get_shape", "raised_cosine_shape", "sample_filter", "triangle_shape",
-    "uniform_shape",
-    "BoundaryKind", "ExtendedSignal", "constant_error_extension", "extend",
-    "Spectrum", "StructuredOperator", "diagonalized_power_apply", "unit_eigenvectors",
-    "ConvergenceConstants", "Decomposition", "ImfDiagnostics", "StoppingConfig",
-    "build_filter", "delta_metric", "dif", "eif", "inner_loop", "stopping_bound_k0",
-    "ErrorEstimate", "SweepPoint", "actual_error", "boundary_error_estimate",
-    "dominant_period", "error_propagation",
-    "make_sine_trend_generator", "phase_sweep", "relative_error",
-    "__version__",
-]
+    name
+    for module in (signal, filters, boundary, operators, decompose, error_analysis)
+    for name in module.__all__
+] + ["__version__"]

@@ -45,7 +45,8 @@ def _add_filter_flags(p: argparse.ArgumentParser):
                    help="filter shape (default: raised-cosine)")
     p.add_argument("--xi", type=float, default=1.6, help="filter length factor (default: 1.6)")
     p.add_argument("--double-filter", choices=("on", "off"), default="on",
-                   help="use the self-convolved filter (default: on)")
+                   help="use the self-convolved filter (default: on); with off, "
+                        "errorbound's ub_k grows like max|1 - lambda|^k and bounds nothing")
 
 
 def _add_stopping_flags(p: argparse.ArgumentParser):
@@ -123,19 +124,12 @@ def _stopping_config(args) -> StoppingConfig:
     )
 
 
-def _stopping_fields(args) -> dict:
-    """The stopping and filter settings every sifting command echoes."""
-    return {
-        "delta": args.delta, "max_inner": args.max_inner, "max_imfs": args.max_imfs,
-        "xi": args.xi, "double_filter": args.double_filter, "shape": args.shape,
-    }
-
-
-def _write_meta(output: str, config: dict, extra: dict | None = None):
-    meta = {"config": config}
-    if extra:
-        meta.update(extra)
-    Path(f"{output}.meta.json").write_text(
+def _write_meta(args, resolved: dict | None = None, extra: dict | None = None):
+    """Write the JSON sidecar of ``args.output``: every parsed flag under
+    ``config``, with the values the command filled in itself (``resolved``)
+    in place of their defaults, and ``extra`` beside it."""
+    meta = {"config": {**vars(args), **(resolved or {})}, **(extra or {})}
+    Path(f"{args.output}.meta.json").write_text(
         json.dumps(meta, sort_keys=True, indent=2) + "\n", encoding="utf-8"
     )
 
@@ -159,13 +153,8 @@ def _cmd_decompose(args) -> int:
         result = eif(signal, shape, kind, pad, cfg)
 
     _write_decomposition(args.output, result)
-    config = {
-        "command": "decompose", "input": args.input, "output": args.output,
-        "bc": args.bc, "mode": args.mode, "pad": pad, "normalize": args.normalize,
-        **_stopping_fields(args),
-    }
     diagnostics = [{"imf": m + 1, **asdict(d)} for m, d in enumerate(result.diagnostics)]
-    _write_meta(args.output, config, {"imfs": diagnostics})
+    _write_meta(args, {"pad": pad}, {"imfs": diagnostics})
     return 0
 
 
@@ -209,18 +198,11 @@ def _cmd_spectrum(args) -> int:
     if op.kind is BoundaryKind.ZERO:
         print("note: zero boundary conditions have no closed-form spectrum; "
               "falling back to a dense eigensolve", file=sys.stderr)
-        spectrum = op.dense_spectrum()
-    else:
-        spectrum = op.eigenvalues()
+    spectrum = op.eigenvalues()
     values = spectrum.eigenvalues
     _write_columns(args.output, "index,value", [np.arange(1, values.size + 1), values],
                    ["%d", _FLOAT])
-    config = {
-        "command": "spectrum", "output": args.output, "bc": args.bc, "n": args.n,
-        "length": args.length, "shape": args.shape, "double_filter": args.double_filter,
-        "xi": args.xi,
-    }
-    _write_meta(args.output, config, {
+    _write_meta(args, extra={
         "unit_multiplicity": spectrum.unit_multiplicity,
         "zero_multiplicity": spectrum.zero_multiplicity,
     })
@@ -239,12 +221,7 @@ def _cmd_errorbound(args) -> int:
     bound = estimate.upper_bound
     _write_columns(args.output, "x_index,err_k,ub_k",
                    [np.arange(bound.size), estimate.last, bound], ["%d", _FLOAT, _FLOAT])
-    config = {
-        "command": "errorbound", "input": args.input, "output": args.output,
-        "bc": args.bc, "pad": pad, "steps": steps, "chi": estimate.chi,
-        **_stopping_fields(args),
-    }
-    _write_meta(args.output, config)
+    _write_meta(args, {"pad": pad, "steps": steps, "chi": estimate.chi})
     return 0
 
 
@@ -261,12 +238,7 @@ def _cmd_phasesweep(args) -> int:
     columns.append(np.array([pt.best_kind for pt in points], dtype=object))
     header = "endpoint,ub_rel,err_rel_periodic,err_rel_reflective,err_rel_antireflective,best_kind"
     _write_columns(args.output, header, columns, [_FLOAT] * 5 + ["%s"])
-    config = {
-        "command": "phasesweep", "output": args.output, "dt": args.dt, "span": args.span,
-        "period": args.period, "amplitude": args.amplitude, "trend": args.trend,
-        "base": args.base, "phase": args.phase, **_stopping_fields(args),
-    }
-    _write_meta(args.output, config)
+    _write_meta(args)
     return 0
 
 

@@ -91,6 +91,11 @@ def error_propagation(op_ext: StructuredOperator, u: ExtendedSignal,
 
     Returns (last, upper_bound): the step-``steps`` core error and the
     pointwise maximum of |err_j| over j = 1..steps, both of length n.
+
+    Only a self-convolved filter keeps every |z_k| <= 1. A plain filter's
+    eigenvalues reach below zero, so the error grows like
+    max|1 - lambda|^steps and the maximum bounds nothing: 2.3e10 after
+    1,000 steps on a 200-sample sine plus trend with chi = 2.5.
     """
     if steps < 1:
         raise ValueError("steps must be at least 1")
@@ -240,8 +245,6 @@ def make_sine_trend_generator(amplitude: float = 1.0, period: float = 1.0,
         exact = amplitude * np.sin(2.0 * np.pi * (t - centre) / period + phase)
         return exact + trend, exact
 
-    generator.period = period
-    generator.start = start
     return generator
 
 

@@ -3,13 +3,13 @@
 A symmetric filter plus a boundary rule induces an n x n operator: Toeplitz
 for zero, circulant for periodic, Toeplitz-plus-Hankel for reflective and
 the anti-reflective algebra for anti-reflective extension. Each but the
-zero rule's is diagonalized by a fast transform, and is applied in that
-eigenbasis; the zero rule's Toeplitz operator is applied by convolving
-directly, as a blocked Toeplitz product or by FFT, whichever costs least.
-Dense materialization built from the matrix structure serves as an
-independent oracle. Closed-form eigenvalues, the eigenvectors of eigenvalue
-one, the diagonalizing transforms and a k-step power application through
-the eigenbasis live here.
+zero rule's is diagonalized by a fast transform, has closed-form
+eigenvalues and is applied in that eigenbasis; the zero rule's Toeplitz
+operator is applied by convolving directly, as a blocked Toeplitz product
+or by FFT, whichever costs least, and its spectrum takes a dense
+eigensolve. The spectra, the eigenvectors of eigenvalue one, the
+diagonalizing transforms and a k-step power application through the
+eigenbasis live here; the dense matrices are test oracles only.
 """
 
 from __future__ import annotations
@@ -221,70 +221,28 @@ class StructuredOperator:
                 out += np.matmul(view[q: q + r], blocks[q], out=part[:r])
         return y.reshape(-1)[: self.n]
 
-    def to_dense(self) -> np.ndarray:
-        """Materialize W from its matrix structure (oracle path).
-
-        Built directly from the Toeplitz / circulant / Toeplitz-plus-Hankel /
-        anti-reflective block templates, independently of :meth:`apply` and
-        of the transforms.
-        """
-        n, l = self.n, self.filter.length
-        if n > DENSE_GUARD:
-            raise ValueError(f"dense materialization limited to n <= {DENSE_GUARD}")
-        w = np.zeros(2 * n + 2)
-        w[: l + 1] = self.filter.half_weights
-        i, j = np.ogrid[:n, :n]
-
-        if self.kind is BoundaryKind.ZERO:
-            return w[np.abs(i - j)]
-
-        if self.kind is BoundaryKind.PERIODIC:
-            symbol = np.zeros(n)
-            symbol[: l + 1] = self.filter.half_weights
-            symbol[n - l:] += self.filter.half_weights[:0:-1]
-            return symbol[(i - j) % n]
-
-        if self.kind is BoundaryKind.REFLECTIVE:
-            # Hankel corrections w_{i+j+1} (top-left) and w_{2n-1-i-j} (bottom-right)
-            return w[np.abs(i - j)] + w[i + j + 1] + w[2 * n - 1 - i - j]
-
-        # anti-reflective: zero first/last rows except unit diagonal corners,
-        # ramp first/last columns, interior Toeplitz minus Hankel block
-        half = self.filter.half_weights
-        z = 2.0 * np.concatenate([np.cumsum(half[::-1])[::-1], [0.0, 0.0]])
-        W = np.zeros((n, n))
-        W[0, 0] = z[1] + half[0]
-        W[n - 1, n - 1] = z[1] + half[0]
-        rows = np.arange(1, l + 1)
-        W[rows, 0] = half[1:] + z[2: l + 2]
-        W[n - 1 - rows, n - 1] = W[rows, 0]
-        ii = i[: n - 2, : n - 2]
-        jj = j[: n - 2, : n - 2]
-        W[1: n - 1, 1: n - 1] = w[np.abs(ii - jj)] - w[ii + jj + 2] - w[2 * n - 4 - ii - jj]
-        return W
-
     def eigenvalues(self) -> Spectrum:
-        """Closed-form spectrum for periodic, reflective or anti-reflective.
+        """The operator's spectrum, in descending order.
+
+        Closed forms for the kinds with a diagonalizing transform:
 
         * periodic:        w_0 + 2 sum_j w_j cos(2 j i pi / n),   i = 0..n-1
         * reflective:      w_0 + 2 sum_j w_j cos(j i pi / n),     i = 0..n-1
         * anti-reflective: {1, 1} and w_0 + 2 sum_j w_j cos(j i pi / (n-1)),
           i = 1..n-2
 
-        Raises ValueError for the zero kind, which has no closed form; use
-        :meth:`dense_spectrum` there instead.
+        The zero rule's symmetric Toeplitz matrix w_|i-j| has no closed-form
+        spectrum; it is materialized and solved densely, O(n^3) time and
+        O(n^2) memory, so n is limited to 4096 there.
         """
-        return Spectrum.from_values(self._transform_eigenvalues())
-
-    def dense_spectrum(self) -> Spectrum:
-        """Numerical spectrum of the dense materialization (oracle path)."""
-        dense = self.to_dense()
-        if self.kind is BoundaryKind.ANTIREFLECTIVE:
-            vals = np.linalg.eigvals(dense)
-            if np.abs(vals.imag).max() > 1e-8:
-                raise ValueError("anti-reflective spectrum unexpectedly non-real")
-            return Spectrum.from_values(vals.real)
-        return Spectrum.from_values(np.linalg.eigvalsh(dense))
+        if self.kind is not BoundaryKind.ZERO:
+            return Spectrum.from_values(self._transform_eigenvalues())
+        if self.n > DENSE_GUARD:
+            raise ValueError(f"dense materialization limited to n <= {DENSE_GUARD}")
+        w = np.zeros(self.n)
+        w[: self.filter.length + 1] = self.filter.half_weights
+        i = np.arange(self.n)
+        return Spectrum.from_values(np.linalg.eigvalsh(w[np.abs(i[:, None] - i)]))
 
     def to_eigenbasis(self, s) -> tuple[np.ndarray, np.ndarray]:
         """Coefficients of s in the diagonalizing basis, with the eigenvalue

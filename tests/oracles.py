@@ -1,6 +1,9 @@
 """Independent reference implementations the fast paths are checked against.
 
-The dense transform matrices and the cosine-sum eigenvalue table are the
+The dense operator matrices, built from the Toeplitz / circulant /
+Toeplitz-plus-Hankel / anti-reflective templates, and their numerical
+spectra are what the matrix-free products and the closed-form eigenvalues
+must reproduce; the dense transform matrices and the cosine-sum eigenvalue table are the
 O(n^2) and O(n l) definitions the FFT-based code replaces; the direct
 product is the extend-then-convolve definition of W x that the operator's
 eigenbasis product replaces; the reference sift is the
@@ -11,10 +14,66 @@ operator that both kernels of the boundary-error propagation replace.
 
 import numpy as np
 
-from iterfilt import BoundaryKind, extend
+from iterfilt import BoundaryKind, Spectrum, extend
+from iterfilt.operators import DENSE_GUARD
 
 # below this fraction of the input's norm an iterate counts as zero
 ZERO_ITERATE = 1e-14
+
+
+def dense_matrix(op):
+    """Materialize W from its matrix structure.
+
+    Built directly from the Toeplitz / circulant / Toeplitz-plus-Hankel /
+    anti-reflective block templates, independently of ``op.apply`` and of
+    the transforms.
+    """
+    n, l = op.n, op.filter.length
+    if n > DENSE_GUARD:
+        raise ValueError(f"dense materialization limited to n <= {DENSE_GUARD}")
+    w = np.zeros(2 * n + 2)
+    w[: l + 1] = op.filter.half_weights
+    i, j = np.ogrid[:n, :n]
+
+    if op.kind is BoundaryKind.ZERO:
+        return w[np.abs(i - j)]
+
+    if op.kind is BoundaryKind.PERIODIC:
+        symbol = np.zeros(n)
+        symbol[: l + 1] = op.filter.half_weights
+        symbol[n - l:] += op.filter.half_weights[:0:-1]
+        return symbol[(i - j) % n]
+
+    if op.kind is BoundaryKind.REFLECTIVE:
+        # Hankel corrections w_{i+j+1} (top-left) and w_{2n-1-i-j} (bottom-right)
+        return w[np.abs(i - j)] + w[i + j + 1] + w[2 * n - 1 - i - j]
+
+    # anti-reflective: zero first/last rows except unit diagonal corners,
+    # ramp first/last columns, interior Toeplitz minus Hankel block
+    half = op.filter.half_weights
+    z = 2.0 * np.concatenate([np.cumsum(half[::-1])[::-1], [0.0, 0.0]])
+    W = np.zeros((n, n))
+    W[0, 0] = z[1] + half[0]
+    W[n - 1, n - 1] = z[1] + half[0]
+    rows = np.arange(1, l + 1)
+    W[rows, 0] = half[1:] + z[2: l + 2]
+    W[n - 1 - rows, n - 1] = W[rows, 0]
+    ii = i[: n - 2, : n - 2]
+    jj = j[: n - 2, : n - 2]
+    W[1: n - 1, 1: n - 1] = w[np.abs(ii - jj)] - w[ii + jj + 2] - w[2 * n - 4 - ii - jj]
+    return W
+
+
+def dense_spectrum(op):
+    """Numerical spectrum of :func:`dense_matrix`; the anti-reflective
+    matrix is not symmetric and takes the general eigensolve."""
+    dense = dense_matrix(op)
+    if op.kind is BoundaryKind.ANTIREFLECTIVE:
+        vals = np.linalg.eigvals(dense)
+        if np.abs(vals.imag).max() > 1e-8:
+            raise ValueError("anti-reflective spectrum unexpectedly non-real")
+        return Spectrum.from_values(vals.real)
+    return Spectrum.from_values(np.linalg.eigvalsh(dense))
 
 
 def dft_matrix(n):
@@ -111,7 +170,7 @@ def dense_propagation(op, u, steps):
     """(last, max) of the boundary-error propagation by definition: iterate
     x <- x - W x with the dense periodic operator, starting from the extended
     vector u, and restrict each step to the core."""
-    dense = op.to_dense()
+    dense = dense_matrix(op)
     x = np.asarray(u.values, dtype=float)
     core = slice(u.pad, u.pad + u.n)
     bound = np.zeros(u.n)

@@ -146,6 +146,14 @@ class TestSpectrumCommand:
         assert run(["spectrum", "--bc", "periodic", "--n", "8", "--length", "4",
                     str(tmp_path / "s.csv")]) == 4
 
+    def test_zero_kind_size_guard(self, tmp_path, capsys, monkeypatch):
+        solves = []
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda *a, **k: solves.append(a))
+        out = tmp_path / "s.csv"
+        assert run(["spectrum", "--bc", "zero", "--n", "4097", "--length", "2", str(out)]) == 4
+        assert "limited to n <= 4096" in capsys.readouterr().err
+        assert solves == [] and not out.exists()
+
 
 class TestErrorboundCommand:
     def test_explicit_steps(self, tmp_path, signal_file):
@@ -217,6 +225,34 @@ class TestPhasesweepCommand:
         assert run([*args, str(out1)]) == 0
         assert run([*args, str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+
+STOPPING_KEYS = {"delta", "max_inner", "max_imfs", "xi", "double_filter", "shape"}
+
+
+class TestSidecarConfig:
+    """Each command echoes exactly its parsed flags, with the values it
+    fills in itself (pad, steps) resolved, plus errorbound's chi."""
+
+    @pytest.mark.parametrize("argv,keys", [
+        (["decompose", "--max-inner", "20", "IN"],
+         {"command", "input", "output", "bc", "mode", "pad", "normalize"} | STOPPING_KEYS),
+        (["spectrum", "--bc", "zero", "--n", "16", "--length", "2"],
+         {"command", "output", "bc", "n", "length", "shape", "double_filter", "xi"}),
+        (["errorbound", "--max-inner", "20", "IN"],
+         {"command", "input", "output", "bc", "pad", "steps", "chi"} | STOPPING_KEYS),
+        (["phasesweep", "--span", "0.1", "--max-inner", "5"],
+         {"command", "output", "dt", "span", "period", "amplitude", "trend", "base",
+          "phase"} | STOPPING_KEYS),
+    ], ids=["decompose", "spectrum", "errorbound", "phasesweep"])
+    def test_config_keys(self, tmp_path, signal_file, argv, keys):
+        out = tmp_path / "out.csv"
+        argv = [str(signal_file) if a == "IN" else a for a in argv]
+        assert run([*argv, str(out)]) == 0
+        config = json.loads((tmp_path / "out.csv.meta.json").read_text())["config"]
+        assert set(config) == keys
+        assert config["command"] == argv[0] and config["output"] == str(out)
+        assert all(config[k] is not None for k in ("pad", "steps") if k in config)
 
 
 class TestTopLevel:

@@ -1,6 +1,6 @@
 """Module layout: no iterfilt module imports another one's private names,
-every exported name exists, and so does every hook of the benchmark's
-tracer."""
+every exported name exists and is exported by one module only, and every
+hook of the benchmark's tracer exists."""
 
 import ast
 import importlib
@@ -39,6 +39,18 @@ def test_no_private_cross_module_imports(path):
 def test_exports_resolve(module):
     mod = importlib.import_module(module)
     assert [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)] == []
+
+
+def test_exports_are_unique():
+    # the package star-imports its submodules, so a name exported by two of
+    # them would silently resolve to the later one
+    owners = {}
+    for m in MODULES:
+        for name in getattr(importlib.import_module(f"iterfilt.{m}"), "__all__", ()):
+            owners.setdefault(name, []).append(m)
+    assert {name: mods for name, mods in owners.items() if len(mods) > 1} == {}
+    names = importlib.import_module("iterfilt").__all__
+    assert len(names) == len(set(names))
 
 
 def test_tracer_hooks_resolve():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.fft
+import scipy.linalg
 
 from iterfilt import (
     BoundaryKind,
@@ -14,7 +15,9 @@ from oracles import (
     closed_form_eigenvalues,
     dct3_matrix,
     dense_eigenbasis,
+    dense_matrix,
     dense_power_apply,
+    dense_spectrum,
     dft_matrix,
     direct_apply,
     dst1_matrix,
@@ -76,7 +79,7 @@ class TestApply:
         op = StructuredOperator(W5, BoundaryKind.ZERO, 8)
         out = op.apply(np.ones(8))
         assert out[0] == pytest.approx(3 / 9 + 2 / 9 + 1 / 9, abs=1e-15)
-        dense = op.to_dense()
+        dense = dense_matrix(op)
         assert np.abs(out - dense.sum(axis=1)).max() <= 1e-14
 
     def test_dimension_mismatch(self, rng):
@@ -105,12 +108,12 @@ class TestDenseOracle:
                     l = int(rng.integers(1, (n - 1) // 2 + 1))
                     op = StructuredOperator(random_filter(rng, l), kind, n)
                     x = rng.standard_normal(n)
-                    assert np.abs(op.apply(x) - op.to_dense() @ x).max() <= 1e-13
+                    assert np.abs(op.apply(x) - dense_matrix(op) @ x).max() <= 1e-13
 
     def test_columns_are_basis_images(self, rng):
         for kind in ALL_KINDS:
             op = StructuredOperator(random_filter(rng, 3), kind, 9)
-            dense = op.to_dense()
+            dense = dense_matrix(op)
             for j in range(9):
                 e = np.zeros(9)
                 e[j] = 1.0
@@ -118,11 +121,11 @@ class TestDenseOracle:
 
     def test_periodic_circulant_first_row(self):
         op = StructuredOperator(Filter(np.array([0.5, 0.25])), BoundaryKind.PERIODIC, 4)
-        assert np.allclose(op.to_dense()[0], [0.5, 0.25, 0.0, 0.25], atol=1e-15)
+        assert np.allclose(dense_matrix(op)[0], [0.5, 0.25, 0.0, 0.25], atol=1e-15)
 
     def test_antireflective_corner_rows(self, rng):
         op = StructuredOperator(random_filter(rng, 3), BoundaryKind.ANTIREFLECTIVE, 11)
-        dense = op.to_dense()
+        dense = dense_matrix(op)
         assert dense[0, 0] == pytest.approx(1.0, abs=1e-14)
         assert np.abs(dense[0, 1:]).max() == 0.0
         assert dense[-1, -1] == pytest.approx(1.0, abs=1e-14)
@@ -130,23 +133,24 @@ class TestDenseOracle:
 
     def test_symmetry_of_symmetric_kinds(self, rng):
         for kind in (BoundaryKind.ZERO, BoundaryKind.PERIODIC, BoundaryKind.REFLECTIVE):
-            dense = StructuredOperator(random_filter(rng, 4), kind, 13).to_dense()
+            dense = dense_matrix(StructuredOperator(random_filter(rng, 4), kind, 13))
             assert np.abs(dense - dense.T).max() == 0.0
-        ar = StructuredOperator(random_filter(rng, 4), BoundaryKind.ANTIREFLECTIVE, 13).to_dense()
+        ar = dense_matrix(
+            StructuredOperator(random_filter(rng, 4), BoundaryKind.ANTIREFLECTIVE, 13))
         assert np.abs(ar - ar.T).max() > 1e-3  # not symmetric in general
 
     def test_row_sums(self, rng):
         for kind in TRANSFORM_KINDS:
-            dense = StructuredOperator(random_filter(rng, 4), kind, 13).to_dense()
+            dense = dense_matrix(StructuredOperator(random_filter(rng, 4), kind, 13))
             assert np.abs(dense.sum(axis=1) - 1.0).max() <= 1e-13
-        dense = StructuredOperator(random_filter(rng, 4), BoundaryKind.ZERO, 13).to_dense()
+        dense = dense_matrix(StructuredOperator(random_filter(rng, 4), BoundaryKind.ZERO, 13))
         sums = dense.sum(axis=1)
         assert sums[0] < 1.0 and sums[-1] < 1.0
 
     def test_size_guard(self, rng):
         op = StructuredOperator(random_filter(rng, 2), BoundaryKind.PERIODIC, 5000)
         with pytest.raises(ValueError, match="dense"):
-            op.to_dense()
+            dense_matrix(op)
 
 
 def flat_operator(l, kind, n):
@@ -217,7 +221,7 @@ class TestConvolutionPaths:
         op = StructuredOperator(random_filter(rng, l), kind, n)
         x = rng.standard_normal(n)
         if kind is BoundaryKind.ZERO or l in (1, (n - 1) // 2):
-            expected = op.to_dense() @ x
+            expected = dense_matrix(op) @ x
         else:
             expected = direct_apply(op.filter, kind, x)
         assert np.abs(op.apply(x) - expected).max() <= 1e-13
@@ -280,7 +284,7 @@ class TestEigenvalues:
         op = StructuredOperator(W5, BoundaryKind.PERIODIC, 8)
         vals = op.eigenvalues().eigenvalues
         assert np.abs(vals - 1 / 9).min() <= 1e-14
-        dense_vals = op.dense_spectrum().eigenvalues
+        dense_vals = dense_spectrum(op).eigenvalues
         assert np.abs(vals - dense_vals).max() <= 1e-10
 
     def test_antireflective_unit_multiplicity_two(self, rng):
@@ -294,7 +298,7 @@ class TestEigenvalues:
                 l = int(rng.integers(1, (n - 1) // 2 + 1))
                 op = StructuredOperator(random_filter(rng, l), kind, n)
                 closed = op.eigenvalues().eigenvalues
-                dense = op.dense_spectrum().eigenvalues
+                dense = dense_spectrum(op).eigenvalues
                 assert np.abs(closed - dense).max() <= 1e-10
 
     def test_fft_symbol_matches_cosine_table(self, rng):
@@ -305,11 +309,18 @@ class TestEigenvalues:
                 table = closed_form_eigenvalues(op)
                 assert np.abs(op._transform_eigenvalues() - table).max() <= 1e-13
 
-    def test_zero_kind_has_no_closed_form(self, rng):
-        op = StructuredOperator(random_filter(rng, 2), BoundaryKind.ZERO, 10)
-        with pytest.raises(ValueError, match="closed-form"):
-            op.eigenvalues()
-        assert op.dense_spectrum().eigenvalues.size == 10  # numerical fallback
+    def test_zero_kind_matches_scipy_toeplitz(self, rng):
+        # the zero rule's spectrum is a dense eigensolve of w_|i-j|; scipy
+        # builds that matrix independently of the operator and of the oracles
+        for n in (3, 10, 33, 64):
+            l = int(rng.integers(1, (n - 1) // 2 + 1))
+            op = StructuredOperator(random_filter(rng, l), BoundaryKind.ZERO, n)
+            w = np.zeros(n)
+            w[: l + 1] = op.filter.half_weights
+            expected = np.linalg.eigvalsh(scipy.linalg.toeplitz(w))[::-1]
+            spec = op.eigenvalues()
+            assert spec.eigenvalues.size == n
+            assert np.abs(spec.eigenvalues - expected).max() <= 1e-12
 
     def test_lemma_spectrum_in_minus_one_one(self, rng):
         for _ in range(10):
@@ -317,7 +328,7 @@ class TestEigenvalues:
             l = int(rng.integers(1, (n - 1) // 2 + 1))
             filt = random_filter(rng, l)
             for kind in TRANSFORM_KINDS:
-                vals = StructuredOperator(filt, kind, n).dense_spectrum().eigenvalues
+                vals = dense_spectrum(StructuredOperator(filt, kind, n)).eigenvalues
                 assert vals.max() <= 1.0 + 1e-10
                 assert vals.min() >= -1.0 - 1e-10
 
@@ -443,26 +454,26 @@ class TestDiagonalization:
         Q = dft_matrix(n)
         lam = op._transform_eigenvalues()
         rebuilt = (Q @ np.diag(lam) @ np.conj(Q)).real
-        assert np.abs(rebuilt - op.to_dense()).max() <= 1e-10
+        assert np.abs(rebuilt - dense_matrix(op)).max() <= 1e-10
 
         op = StructuredOperator(filt, BoundaryKind.REFLECTIVE, n)
         Q = dct3_matrix(n)
         lam = op._transform_eigenvalues()
         rebuilt = Q.T @ np.diag(lam) @ Q
-        assert np.abs(rebuilt - op.to_dense()).max() <= 1e-10
+        assert np.abs(rebuilt - dense_matrix(op)).max() <= 1e-10
 
         op = StructuredOperator(filt, BoundaryKind.ANTIREFLECTIVE, n)
         lam = op._transform_eigenvalues()
         cols = [op.from_eigenbasis(col) for col in np.eye(n)]
         Q = np.column_stack(cols)
         rebuilt = Q @ np.diag(lam) @ np.linalg.inv(Q)
-        assert np.abs(rebuilt - op.to_dense()).max() <= 1e-10
+        assert np.abs(rebuilt - dense_matrix(op)).max() <= 1e-10
 
     def test_dst1_diagonalizes_interior_block(self, rng):
         # the sine transform diagonalizes the interior of the anti-reflective form
         n = 12
         op = StructuredOperator(random_filter(rng, 3), BoundaryKind.ANTIREFLECTIVE, n)
-        inner = op.to_dense()[1:-1, 1:-1]
+        inner = dense_matrix(op)[1:-1, 1:-1]
         S = dst1_matrix(n - 2)
         diag = S @ inner @ S
         off = diag - np.diag(np.diag(diag))
