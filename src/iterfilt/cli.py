@@ -14,6 +14,7 @@ domain error (for example a zero signal or an inadmissible pad).
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 from dataclasses import asdict
@@ -25,9 +26,9 @@ from . import __version__
 from .boundary import BoundaryKind
 from .decompose import Decomposition, StoppingConfig, build_filter, dif, eif, inner_loop
 from .error_analysis import boundary_error_estimate, make_sine_trend_generator, phase_sweep
-from .filters import SHAPE_NAMES, convolve_self, get_shape, max_filter_length, sample_filter
-from .operators import StructuredOperator
-from .signal import ParseError, count_extrema, load_signal, normalize
+from .filters import SHAPE_NAMES, convolve_self, get_shape, raised_cosine_shape, sample_filter
+from .operators import TRANSFORM_KINDS, StructuredOperator
+from .signal import ParseError, load_signal, normalize
 
 USAGE_ERROR = 2
 IO_ERROR = 3
@@ -38,24 +39,30 @@ _KINDS = [k.value for k in BoundaryKind]
 _CSV_BLOCK = 1 << 14
 # every float is printed with 17 significant digits
 _FLOAT = "%.17g"
+# flag defaults are the library's own
+_STOPPING = StoppingConfig()
+_SINE_TREND = {name: param.default for name, param
+               in inspect.signature(make_sine_trend_generator).parameters.items()}
 
 
 def _add_filter_flags(p: argparse.ArgumentParser):
-    p.add_argument("--shape", default="raised-cosine", choices=SHAPE_NAMES,
-                   help="filter shape (default: raised-cosine)")
-    p.add_argument("--xi", type=float, default=1.6, help="filter length factor (default: 1.6)")
-    p.add_argument("--double-filter", choices=("on", "off"), default="on",
-                   help="use the self-convolved filter (default: on); with off, "
+    p.add_argument("--shape", default=raised_cosine_shape().name, choices=SHAPE_NAMES,
+                   help="filter shape (default: %(default)s)")
+    p.add_argument("--xi", type=float, default=_STOPPING.xi,
+                   help="filter length factor (default: %(default)s)")
+    p.add_argument("--double-filter", choices=("on", "off"),
+                   default="on" if _STOPPING.double_filter else "off",
+                   help="use the self-convolved filter (default: %(default)s); with off, "
                         "errorbound's ub_k grows like max|1 - lambda|^k and bounds nothing")
 
 
 def _add_stopping_flags(p: argparse.ArgumentParser):
-    p.add_argument("--delta", type=float, default=1e-3,
-                   help="relative step-change threshold (default: 1e-3)")
-    p.add_argument("--max-inner", type=int, default=1000,
-                   help="inner iteration cap (default: 1000)")
-    p.add_argument("--max-imfs", type=int, default=16,
-                   help="cap on emitted components, trend included (default: 16)")
+    p.add_argument("--delta", type=float, default=_STOPPING.delta,
+                   help="relative step-change threshold (default: %(default)s)")
+    p.add_argument("--max-inner", type=int, default=_STOPPING.max_inner,
+                   help="inner iteration cap (default: %(default)s)")
+    p.add_argument("--max-imfs", type=int, default=_STOPPING.max_imfs,
+                   help="cap on emitted components, trend included (default: %(default)s)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -103,11 +110,13 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("output", help="output CSV")
     ps.add_argument("--dt", type=float, default=0.05, help="support growth step (default: 0.05)")
     ps.add_argument("--span", type=float, default=4.0, help="total support growth (default: 4.0)")
-    ps.add_argument("--period", type=float, default=1.0, help="test sine period (default: 1.0)")
-    ps.add_argument("--amplitude", type=float, default=1.0, help="test sine amplitude (default: 1.0)")
-    ps.add_argument("--trend", type=float, default=1.5, help="constant trend level (default: 1.5)")
-    ps.add_argument("--base", type=float, default=-8.0, help="left end of the base support (default: -8)")
-    ps.add_argument("--phase", type=float, default=0.4, help="sine phase at the support centre")
+    for flag, param, text in (("period", "period", "test sine period"),
+                              ("amplitude", "amplitude", "test sine amplitude"),
+                              ("trend", "trend", "constant trend level"),
+                              ("base", "start", "left end of the base support"),
+                              ("phase", "phase", "sine phase at the support centre")):
+        ps.add_argument(f"--{flag}", type=float, default=_SINE_TREND[param],
+                        help=f"{text} (default: %(default)s)")
     _add_stopping_flags(ps)
     _add_filter_flags(ps)
 
@@ -115,13 +124,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _stopping_config(args) -> StoppingConfig:
-    return StoppingConfig(
-        delta=args.delta,
-        max_inner=args.max_inner,
-        max_imfs=args.max_imfs,
-        xi=args.xi,
-        double_filter=args.double_filter == "on",
-    )
+    return StoppingConfig(delta=args.delta, max_inner=args.max_inner, max_imfs=args.max_imfs,
+                          xi=args.xi, double_filter=args.double_filter == "on")
 
 
 def _write_meta(args, resolved: dict | None = None, extra: dict | None = None):
@@ -145,26 +149,13 @@ def _cmd_decompose(args) -> int:
     shape = get_shape(args.shape)
     kind = BoundaryKind(args.bc)
 
-    if args.mode == "dif":
-        pad = 0
-        result = dif(signal, shape, kind, cfg)
-    else:
-        pad = args.pad if args.pad is not None else _default_pad(signal, shape, cfg)
-        result = eif(signal, shape, kind, pad, cfg)
+    result = (dif(signal, shape, kind, cfg) if args.mode == "dif"
+              else eif(signal, shape, kind, args.pad, cfg))
 
     _write_decomposition(args.output, result)
     diagnostics = [{"imf": m + 1, **asdict(d)} for m, d in enumerate(result.diagnostics)]
-    _write_meta(args, {"pad": pad}, {"imfs": diagnostics})
+    _write_meta(args, {"pad": result.pad}, {"imfs": diagnostics})
     return 0
-
-
-def _default_pad(signal, shape, cfg: StoppingConfig) -> int:
-    """Twice the first component's filter length; 0 when the decomposition
-    has no first component (no admissible filter length, or fewer than two
-    extrema), so eif returns the signal as its trend like dif does."""
-    if max_filter_length(signal.n, doubled=cfg.double_filter) < 1 or count_extrema(signal) < 2:
-        return 0
-    return 2 * build_filter(signal, shape, cfg).length
 
 
 def _write_decomposition(output: str, result: Decomposition):
@@ -227,17 +218,15 @@ def _cmd_errorbound(args) -> int:
 
 def _cmd_phasesweep(args) -> int:
     cfg = _stopping_config(args)
-    generator = make_sine_trend_generator(
-        amplitude=args.amplitude, period=args.period, trend=args.trend,
-        start=args.base, phase=args.phase,
-    )
-    kinds = (BoundaryKind.PERIODIC, BoundaryKind.REFLECTIVE, BoundaryKind.ANTIREFLECTIVE)
-    points = phase_sweep(generator, args.dt, args.span, kinds, cfg, get_shape(args.shape))
+    generator = make_sine_trend_generator(amplitude=args.amplitude, period=args.period,
+                                          trend=args.trend, start=args.base, phase=args.phase)
+    points = phase_sweep(generator, args.dt, args.span, TRANSFORM_KINDS, cfg, get_shape(args.shape))
     columns = [np.array([pt.endpoint for pt in points]), np.array([pt.ub_rel for pt in points])]
-    columns += [np.array([pt.err_rel[kind.value] for pt in points]) for kind in kinds]
+    columns += [np.array([pt.err_rel[kind.value] for pt in points]) for kind in TRANSFORM_KINDS]
     columns.append(np.array([pt.best_kind for pt in points], dtype=object))
-    header = "endpoint,ub_rel,err_rel_periodic,err_rel_reflective,err_rel_antireflective,best_kind"
-    _write_columns(args.output, header, columns, [_FLOAT] * 5 + ["%s"])
+    header = ",".join(["endpoint,ub_rel", *(f"err_rel_{k.value}" for k in TRANSFORM_KINDS),
+                       "best_kind"])
+    _write_columns(args.output, header, columns, [_FLOAT] * (len(columns) - 1) + ["%s"])
     _write_meta(args)
     return 0
 

@@ -15,7 +15,7 @@ import numpy as np
 from .boundary import BoundaryKind, extend
 from .filters import (Filter, FilterShape, convolve_self, filter_length, max_filter_length,
                       raised_cosine_shape, sample_filter)
-from .operators import StructuredOperator
+from .operators import StructuredOperator, unit_eigenvectors
 from .signal import as_values, count_extrema
 
 __all__ = [
@@ -58,12 +58,11 @@ class StoppingConfig:
     double_filter: bool = True
 
     def __post_init__(self):
-        if self.delta <= 0.0:
-            raise ValueError("delta must be positive")
+        for name in ("delta", "xi"):
+            if not (math.isfinite(getattr(self, name)) and getattr(self, name) > 0.0):
+                raise ValueError(f"{name} must be finite and positive")
         if self.max_inner < 1 or self.max_imfs < 1:
             raise ValueError("iteration caps must be at least 1")
-        if self.xi <= 0.0:
-            raise ValueError("xi must be positive")
 
 
 @dataclass(frozen=True)
@@ -77,10 +76,12 @@ class ImfDiagnostics:
 
 @dataclass(frozen=True)
 class Decomposition:
-    """Ordered components f_1..f_M; the last entry is the residual trend."""
+    """Ordered components f_1..f_M; the last entry is the residual trend.
+    ``pad`` is the extension width per side (0 for :func:`dif`)."""
 
     imfs: list[np.ndarray]
     diagnostics: list[ImfDiagnostics] = field(default_factory=list)
+    pad: int = 0
 
     def __len__(self) -> int:
         return len(self.imfs)
@@ -106,14 +107,9 @@ class ConvergenceConstants:
 
     @classmethod
     def for_operator(cls, op: StructuredOperator) -> "ConvergenceConstants":
-        kind = BoundaryKind(op.kind)
-        if kind is BoundaryKind.ANTIREFLECTIVE:
-            alpha, beta = 3.0, 2
-        elif kind in (BoundaryKind.PERIODIC, BoundaryKind.REFLECTIVE):
-            alpha, beta = 1.0, 1
-        else:
-            raise ValueError("convergence constants are defined for periodic, "
-                             "reflective and anti-reflective kinds only")
+        """Raises ValueError for the zero kind, which has no unit eigenvalue."""
+        beta = len(unit_eigenvectors(op.kind, op.n))
+        alpha = 3.0 if op.kind is BoundaryKind.ANTIREFLECTIVE else 1.0
         return cls(alpha=alpha, beta=beta, zeta=op.eigenvalues().zero_multiplicity)
 
 
@@ -243,8 +239,8 @@ def _scan_stop(energy: np.ndarray, z: np.ndarray, lam: np.ndarray, k: int, d: fl
 
 def _search_stop(energy: np.ndarray, z: np.ndarray, lam: np.ndarray, k: int, d: float,
                  tiny: float, cfg: StoppingConfig) -> tuple[int, float]:
-    """:func:`_scan_stop` for a spectrum in [0, 1], by galloping over rows
-    0, 1, 3, 7, ... and then bisection.
+    """:func:`_scan_stop` for a spectrum in [0, 1], by :func:`_first_true`
+    over the rows.
 
     With every z in [0, 1], the norm of row j and its step change are both
     nonincreasing in j: going to row j + 1 multiplies each weight by z^2,
@@ -273,18 +269,28 @@ def _search_stop(energy: np.ndarray, z: np.ndarray, lam: np.ndarray, k: int, d: 
         norm, change = row(j)
         return norm <= tiny or change < cfg.delta
 
-    lo, hi = -1, 0  # row lo does not stop (-1: before the first row)
-    while not stops(hi):
-        if hi == count - 1:
-            return k + count, row(hi)[1]
-        lo, hi = hi, min(2 * hi + 1, count - 1)
+    # with no stopping row the cap ends the loop, after the last row's step
+    j = min(_first_true(stops, count), count - 1)
+    norm, change = row(j)
+    if norm <= tiny:
+        return k + j, (row(j - 1)[1] if j else d)
+    return k + j + 1, change
+
+
+def _first_true(holds, end: int) -> int:
+    """The least j in [0, end) with ``holds(j)``, or end if there is none,
+    for a ``holds`` that stays true once it is true: galloping over
+    j = 0, 1, 3, 7, ... and then bisection, O(log end) calls with no j
+    evaluated twice."""
+    lo, hi = -1, 0  # holds(lo) is false (-1: before the first j)
+    while not holds(hi):
+        if hi == end - 1:
+            return end
+        lo, hi = hi, min(2 * hi + 1, end - 1)
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        lo, hi = (lo, mid) if stops(mid) else (mid, hi)
-    norm, change = row(hi)
-    if norm <= tiny:
-        return k + hi, (row(hi - 1)[1] if hi else d)
-    return k + hi + 1, change
+        lo, hi = (lo, mid) if holds(mid) else (mid, hi)
+    return hi
 
 
 def build_filter(values, shape: FilterShape, cfg: StoppingConfig) -> Filter:
@@ -296,18 +302,21 @@ def build_filter(values, shape: FilterShape, cfg: StoppingConfig) -> Filter:
     return convolve_self(filt) if cfg.double_filter else filt
 
 
-def _outer_loop(values: np.ndarray, shape: FilterShape | None, kind: BoundaryKind,
-                cfg: StoppingConfig | None):
-    cfg = cfg or StoppingConfig()
-    shape = shape or raised_cosine_shape()
+def _next_filter(values: np.ndarray, shape: FilterShape, cfg: StoppingConfig) -> Filter | None:
+    """The filter of the outer step on ``values``, or None where the outer
+    loop ends: no admissible filter length, or fewer than two extrema."""
+    if max_filter_length(values.size, doubled=cfg.double_filter) < 1 or count_extrema(values) < 2:
+        return None
+    return build_filter(values, shape, cfg)
+
+
+def _outer_loop(values: np.ndarray, shape: FilterShape, kind: BoundaryKind,
+                cfg: StoppingConfig):
     imfs: list[np.ndarray] = []
     diags: list[ImfDiagnostics] = []
     e = _unit_exponent(values)
     residual = np.ldexp(values, -e)
-    # without an admissible filter length the residual is the trend
-    admissible = max_filter_length(values.size, doubled=cfg.double_filter) >= 1
-    while admissible and len(imfs) < cfg.max_imfs - 1 and count_extrema(residual) >= 2:
-        filt = build_filter(residual, shape, cfg)
+    while len(imfs) < cfg.max_imfs - 1 and (filt := _next_filter(residual, shape, cfg)) is not None:
         imf, k, d = inner_loop(residual, filt, kind, cfg)
         if np.linalg.norm(imf) <= _ZERO_ITERATE * np.linalg.norm(residual):
             break  # the extraction removed nothing: the residual is the trend
@@ -346,25 +355,34 @@ def dif(s, shape: FilterShape | None = None,
         Extension rule imposed inside the inner loop.
     cfg : StoppingConfig, optional
     """
-    imfs, diags = _outer_loop(as_values(s), shape, BoundaryKind(kind), cfg)
+    imfs, diags = _outer_loop(as_values(s), shape or raised_cosine_shape(), BoundaryKind(kind),
+                              cfg or StoppingConfig())
     return Decomposition(imfs=imfs, diagnostics=diags)
 
 
 def eif(s, shape: FilterShape | None = None,
-        kind: BoundaryKind = BoundaryKind.PERIODIC, p: int = 0,
+        kind: BoundaryKind = BoundaryKind.PERIODIC, p: int | None = None,
         cfg: StoppingConfig | None = None) -> Decomposition:
     """Decompose with a single up-front extension instead of re-imposition.
 
     The signal is extended once by p samples per side under ``kind``; every
     inner and outer iteration then runs a periodic (circulant) operator of
     size n + 2p on the extended vector, and the components are restricted
-    back to the central n samples on output. With p = 0 and periodic
-    conditions this reproduces :func:`dif` exactly.
+    back to the central n samples on output. By default p is twice the
+    length of the filter that :func:`dif` would take first, and 0 when
+    there is none (then the signal is its own trend). The result's ``pad``
+    records p. With p = 0 and periodic conditions this reproduces
+    :func:`dif` exactly.
     """
-    extended = extend(s, kind, p)
+    values = as_values(s)
+    shape, cfg = shape or raised_cosine_shape(), cfg or StoppingConfig()
+    if p is None:
+        first = _next_filter(values, shape, cfg)
+        p = 0 if first is None else 2 * first.length
+    extended = extend(values, kind, p)
     imfs_ext, diags = _outer_loop(extended.values, shape, BoundaryKind.PERIODIC, cfg)
     imfs = [f[p: p + extended.n].copy() for f in imfs_ext]
-    return Decomposition(imfs=imfs, diagnostics=diags)
+    return Decomposition(imfs=imfs, diagnostics=diags, pad=p)
 
 
 def stopping_bound_k0(delta: float, op: StructuredOperator, s) -> int:
@@ -376,7 +394,8 @@ def stopping_bound_k0(delta: float, op: StructuredOperator, s) -> int:
 
     where c is the max-norm of the signal's eigenbasis coefficients. The
     left side is evaluated in logarithms and the minimum located by
-    bisection, so very small thresholds are handled without overflow.
+    galloping and bisection (:func:`_first_true`), so very small thresholds
+    are handled without overflow.
     Requires a doubled (self-convolved) filter for the guarantee to be
     meaningful, since the bound rests on a spectrum inside [0, 1].
     """
@@ -395,18 +414,7 @@ def stopping_bound_k0(delta: float, op: StructuredOperator, s) -> int:
     def log_lhs(k: int) -> float:
         return k * math.log(k) - (k + 1) * math.log(k + 1)
 
-    if log_lhs(1) < log_rhs:
-        return 1
-    hi = 2
-    while log_lhs(hi) >= log_rhs:
-        hi *= 2
-        if hi > 2**62:
-            raise ValueError("stopping bound out of range")
-    lo = hi // 2
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if log_lhs(mid) < log_rhs:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    k0 = 1 + _first_true(lambda j: log_lhs(j + 1) < log_rhs, 1 << 62)
+    if k0 > 1 << 62:
+        raise ValueError("stopping bound out of range")
+    return k0

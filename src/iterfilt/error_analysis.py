@@ -9,6 +9,7 @@ a pointwise upper bound to compare against measured errors.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -17,7 +18,7 @@ import numpy as np
 from .boundary import BoundaryKind, ExtendedSignal, constant_error_extension
 from .decompose import StoppingConfig, build_filter, inner_loop
 from .filters import Filter, FilterShape, raised_cosine_shape
-from .operators import StructuredOperator
+from .operators import TRANSFORM_KINDS, StructuredOperator
 from .signal import as_values
 
 __all__ = [
@@ -59,22 +60,23 @@ def error_propagation(op_ext: StructuredOperator, u: ExtendedSignal,
     constant-outside/zero-inside vector on the extended domain and W
     periodic of size N = n + 2p. All steps come from one DFT of u, whose
     coefficient k scales by z_k^j at step j, z = 1 - lambda; u is real, so
-    the coefficients up to the Nyquist index suffice. Steps are computed in
-    blocks, and each block is folded into the result as soon as it is
-    computed, so memory stays O(block + n). W is banded, so the step-j
-    error is exactly zero deeper than j*l samples into the core, and the
+    the coefficients up to the Nyquist index suffice. One loop runs over
+    blocks of steps, whose powers are z^j0 times one table z^1..z^rows
+    (each within a few ulps whatever j), and folds each block into the
+    result, so memory stays O(block + n). W is banded, so the step-j error
+    is exactly zero deeper than j*l samples into the core, and the
     round-off is cleared there.
 
-    The kernel is fixed by N. Below N = 896 a block of 64 steps is one
-    matrix product of the powers z_k^j with the real core basis of
-    :func:`_core_basis`. W is reversal-symmetric, so when u is too (the
-    constant extension is) only the first half of the core is computed and
-    the rest mirrored. From N = 896 on a
-    block is one batched irfft, which is fast only at lengths without large
-    prime factors. Time of the dense basis over the batched irfft for 300
-    steps, at every 9th N (geometric mean and range of the per-size
-    ratios, interleaved medians of 5, on a 2-vCPU x86-64 host, numpy 2.4,
-    OpenBLAS on one thread):
+    Only the map from a block's powers to its core errors depends on N.
+    Below N = 896 a block of 64 steps is one matrix product with the real
+    core basis of :func:`_core_basis`; W is reversal-symmetric, so when u
+    is too (the constant extension is) only the first half of the core is
+    computed and the rest mirrored. From N = 896 on a block of 2^16
+    coefficients is one batched irfft of the powers times the coefficients,
+    fast only at lengths without large prime factors. Time of the dense
+    basis over the batched irfft for 300 steps, at every 9th N (geometric
+    mean and range of the per-size ratios, interleaved medians of 5, on a
+    2-vCPU x86-64 host, numpy 2.4, OpenBLAS on one thread):
 
     ============  =====  =========  ============
     N             mean   range      dense faster
@@ -111,11 +113,17 @@ def error_propagation(op_ext: StructuredOperator, u: ExtendedSignal,
     c, z = c[:half] * np.sqrt(size), 1.0 - lam[:half]
     if size < _DENSE_MAX_SIZE:
         width = (n + 1) // 2 if np.array_equal(full, full[::-1]) else n
-        blocks = _dense_blocks(c, z, size, p, width, steps)
+        rows, basis = _DENSE_ROWS, _core_basis(c, size, p, width)
     else:
-        width, blocks = n, _irfft_blocks(c, z, p, n, steps)
+        width, rows, basis = n, max(1, _BLOCK // size), None
+    table = z ** np.arange(1, rows + 1)[:, None]
     bound = np.zeros(width)
-    for j0, err in blocks:
+    for j0 in range(0, steps, rows):
+        powers = table * z ** j0 if j0 else table
+        if basis is not None:  # all rows, so no step's error depends on ``steps``
+            err = (powers @ basis)[: steps - j0]
+        else:
+            err = np.fft.irfft(powers[: steps - j0] * c, size)[:, p: p + n]
         if 2 * l * (j0 + 1) < n:
             col = np.arange(err.shape[1])
             depth = l * np.arange(j0 + 1, j0 + len(err) + 1)[:, None]
@@ -125,32 +133,6 @@ def error_propagation(op_ext: StructuredOperator, u: ExtendedSignal,
     if width < n:
         last, bound = (np.concatenate([v, v[: n // 2][::-1]]) for v in (last, bound))
     return last, bound
-
-
-def _irfft_blocks(c, z, p, n, steps):
-    """(j0, core errors of steps j0+1..) in blocks of one batched irfft."""
-    size = n + 2 * p
-    rows = max(1, _BLOCK // size)
-    for j0 in range(0, steps, rows):
-        coeffs = np.empty((min(rows, steps - j0), c.size), dtype=complex)
-        coeffs[0] = z ** (j0 + 1) * c
-        for i in range(1, len(coeffs)):
-            np.multiply(coeffs[i - 1], z, out=coeffs[i])
-        yield j0, np.fft.irfft(coeffs, size)[:, p: p + n]
-
-
-def _dense_blocks(c, z, size, p, width, steps):
-    """(j0, errors of steps j0+1.. on the first ``width`` core samples) in
-    blocks of one matrix product. A block's powers are z^j0 times the table
-    z^1..z^64, each within a few ulps whatever j. Every block has all its
-    rows, the last one too, so a step's error does not depend on ``steps``."""
-    basis = _core_basis(c, size, p, width)
-    table = z ** np.arange(1, _DENSE_ROWS + 1)[:, None]
-    powers = table.copy()
-    for j0 in range(0, steps, _DENSE_ROWS):
-        if j0:
-            np.multiply(table, z ** j0, out=powers)
-        yield j0, (powers @ basis)[: steps - j0]
 
 
 def _core_basis(c: np.ndarray, size: int, p: int, width: int) -> np.ndarray:
@@ -190,14 +172,11 @@ def actual_error(f1, f1_exact) -> np.ndarray:
 
 def relative_error(f1, f1_exact) -> float:
     """Max-norm relative error ||f1 - f1_exact||_inf / ||f1_exact||_inf."""
-    a = np.asarray(f1, dtype=float)
-    b = np.asarray(f1_exact, dtype=float)
-    if a.shape != b.shape:
-        raise ValueError(f"length mismatch: {a.shape} vs {b.shape}")
-    denom = float(np.abs(b).max())
+    err = actual_error(f1, f1_exact)
+    denom = float(np.abs(np.asarray(f1_exact, dtype=float)).max())
     if denom == 0.0:
         raise ValueError("relative error undefined for a zero reference component")
-    return float(np.abs(a - b).max()) / denom
+    return float(err.max()) / denom
 
 
 def boundary_error_estimate(s, filt: Filter, p: int, steps: int) -> ErrorEstimate:
@@ -236,6 +215,10 @@ def make_sine_trend_generator(amplitude: float = 1.0, period: float = 1.0,
     advance as the support grows and the boundary-error curves keep the full
     signal period instead of collapsing onto its half.
     """
+    for name, value in (("amplitude", amplitude), ("period", period), ("trend", trend),
+                        ("start", start), ("phase", phase)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite")
     if period <= 0.0 or amplitude <= 0.0:
         raise ValueError("amplitude and period must be positive")
 
@@ -260,13 +243,12 @@ def phase_sweep(generator: Callable, dt: float, span: float,
     the slowest of those runs actually took. Each sweep point records the
     relative errors, the relative upper bound and the best-performing kind.
     """
-    if dt <= 0.0 or span <= 0.0:
-        raise ValueError("dt and span must be positive")
+    for name, value in (("dt", dt), ("span", span)):
+        if not (math.isfinite(value) and value > 0.0):
+            raise ValueError(f"{name} must be finite and positive")
     cfg = cfg or StoppingConfig()
     shape = shape or raised_cosine_shape()
-    if kinds is None:
-        kinds = (BoundaryKind.PERIODIC, BoundaryKind.REFLECTIVE, BoundaryKind.ANTIREFLECTIVE)
-    kinds = [BoundaryKind(k) for k in kinds]
+    kinds = [BoundaryKind(k) for k in (TRANSFORM_KINDS if kinds is None else kinds)]
 
     points: list[SweepPoint] = []
     for step in range(1, int(round(span / dt)) + 1):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from iterfilt import BoundaryKind, Decomposition, StoppingConfig, dif, load_signal
-from iterfilt.cli import _write_decomposition, run
+from iterfilt.cli import _stopping_config, _write_decomposition, build_parser, run
 from conftest import sine_trend
 
 
@@ -265,3 +265,27 @@ class TestTopLevel:
 
     def test_unknown_flag(self, tmp_path, signal_file):
         assert run(["decompose", "--frobnicate", str(signal_file), str(tmp_path / "o.csv")]) == 2
+
+
+class TestNumericFlags:
+    # each non-finite numeric flag is a domain error naming its field, and
+    # no CSV is written
+    @pytest.mark.parametrize("argv,field", [
+        (["decompose", "--delta", "nan", "IN"], "delta"),
+        (["decompose", "--xi", "inf", "IN"], "xi"),
+        (["decompose", "--xi", "nan", "IN"], "xi"),
+        (["phasesweep", "--span", "inf"], "span"),
+        (["phasesweep", "--dt", "nan"], "dt"),
+        (["phasesweep", "--period", "nan"], "period"),
+    ], ids=["delta-nan", "xi-inf", "xi-nan", "span-inf", "dt-nan", "period-nan"])
+    def test_non_finite_flag_rejected(self, tmp_path, signal_file, capsys, argv, field):
+        out = tmp_path / "out.csv"
+        argv = [str(signal_file) if a == "IN" else a for a in argv]
+        assert run([*argv, str(out)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {field} must be finite")
+        assert not out.exists()
+
+    def test_stopping_defaults_are_the_library_defaults(self):
+        args = build_parser().parse_args(["decompose", "a", "b"])
+        assert _stopping_config(args) == StoppingConfig()

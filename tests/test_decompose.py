@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -20,9 +22,9 @@ from iterfilt import (
     sample_filter,
     stopping_bound_k0,
 )
-from iterfilt.decompose import _scan_stop, _search_stop
+from iterfilt.decompose import _first_true, _scan_stop, _search_stop
 from conftest import random_doubled_filter, sine_trend
-from oracles import direct_apply, reference_sift
+from oracles import dense_matrix, direct_apply, reference_sift
 
 TRANSFORM_KINDS = [BoundaryKind.PERIODIC, BoundaryKind.REFLECTIVE, BoundaryKind.ANTIREFLECTIVE]
 
@@ -269,6 +271,26 @@ class TestEif:
         with pytest.raises(ValueError):
             eif(np.arange(10.0), kind=BoundaryKind.ANTIREFLECTIVE, p=10)
 
+    @pytest.mark.parametrize("kind", list(BoundaryKind), ids=lambda k: k.value)
+    def test_default_pad_is_twice_the_first_filter(self, kind):
+        s, _ = sine_trend(200, 20)
+        cfg = StoppingConfig(max_inner=40, max_imfs=4)
+        first = dif(s, kind=kind, cfg=cfg).diagnostics[0].filter_length
+        d = eif(s, kind=kind, cfg=cfg)
+        assert d.pad == 2 * first > 0
+        padded = eif(s, kind=kind, p=2 * first, cfg=cfg)
+        assert all(np.array_equal(a, b) for a, b in zip(d.imfs, padded.imfs, strict=True))
+        if kind is BoundaryKind.REFLECTIVE:
+            unpadded = eif(s, kind=kind, p=0, cfg=cfg)
+            assert not all(np.array_equal(a, b) for a, b in zip(d.imfs, unpadded.imfs))
+
+    def test_pad_record(self):
+        s, _ = sine_trend(200, 20)
+        assert dif(s).pad == 0
+        assert eif(s, p=7, cfg=StoppingConfig(max_imfs=2)).pad == 7
+        short = eif(np.array([0.0, 1.0, 0.0, 1.0]), kind=BoundaryKind.REFLECTIVE)
+        assert short.pad == 0 and len(short) == 1  # no first filter: the signal is its trend
+
 
 class TestConvergenceConstants:
     def test_values_per_kind(self, rng):
@@ -312,7 +334,8 @@ class TestStoppingBound:
         assert all(a >= b for a, b in zip(bounds, bounds[1:]))
 
     def test_direct_iteration_guarantee(self, rng):
-        # measure the step change at the predicted iteration by brute force
+        # measure the step change at the predicted iteration by brute force,
+        # iterating I - W with W materialized from its circulant structure
         n = 64
         filt = random_doubled_filter(rng, n)
         op = StructuredOperator(filt, BoundaryKind.PERIODIC, n)
@@ -320,10 +343,11 @@ class TestStoppingBound:
         s /= np.linalg.norm(s)
         delta = 1e-6
         k0 = stopping_bound_k0(delta, op, s)
+        step = np.eye(n) - dense_matrix(op)
         cur = s.copy()
         prev = None
         for k in range(1, k0 + 2):
-            prev, cur = cur, cur - direct_apply(filt, BoundaryKind.PERIODIC, cur)
+            prev, cur = cur, step @ cur
         assert np.linalg.norm(cur - prev) < delta
 
     def test_spectral_guarantee_all_kinds(self, rng):
@@ -538,6 +562,25 @@ def stop_case(name):
 STOP_CASES = ["random_1", "random_2", "random_3", "random_4", "cap", "delta_exact",
               "zero_row_0", "zero_row_5", "round_off_z", "max_inner_1", "max_inner_2",
               "max_inner_1000"]
+
+
+# (end, least j that holds, or None for never)
+FIRST_TRUE_CASES = [(1, None), (1, 0), (1000, None), (1000, 0), (4096, 1), (4096, 2),
+                    (4096, 5), (4096, 1000), (1001, 1000)]
+
+
+@pytest.mark.parametrize("end,first", FIRST_TRUE_CASES)
+def test_first_true(end, first):
+    calls = []
+
+    def holds(j):
+        assert 0 <= j < end
+        calls.append(j)
+        return first is not None and j >= first
+
+    assert _first_true(holds, end) == (end if first is None else first)
+    assert len(set(calls)) == len(calls)  # no index evaluated twice
+    assert len(calls) <= 2 * math.ceil(math.log2(end)) + 2
 
 
 class TestStopSearch:
