@@ -17,7 +17,7 @@ import argparse
 import inspect
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -50,10 +50,6 @@ def _add_filter_flags(p: argparse.ArgumentParser):
                    help="filter shape (default: %(default)s)")
     p.add_argument("--xi", type=float, default=_STOPPING.xi,
                    help="filter length factor (default: %(default)s)")
-    p.add_argument("--double-filter", choices=("on", "off"),
-                   default="on" if _STOPPING.double_filter else "off",
-                   help="use the self-convolved filter (default: %(default)s); with off, "
-                        "errorbound's ub_k grows like max|1 - lambda|^k and bounds nothing")
 
 
 def _add_stopping_flags(p: argparse.ArgumentParser):
@@ -90,7 +86,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--bc", required=True, choices=_KINDS, help="boundary conditions")
     sp.add_argument("--n", type=int, required=True, help="operator dimension")
     sp.add_argument("--length", type=int, required=True, help="filter half length before doubling")
-    _add_filter_flags(sp)
+    sp.add_argument("--shape", default=raised_cosine_shape().name, choices=SHAPE_NAMES,
+                    help="filter shape (default: %(default)s)")
+    sp.add_argument("--double-filter", choices=("on", "off"), default="on",
+                    help="self-convolve the filter, as sifting does (default: %(default)s); "
+                         "off shows the plain filter's eigenvalues below zero")
 
     e = sub.add_parser("errorbound", help="propagate the worst-case boundary error")
     e.add_argument("input", help="input CSV, one sample per line")
@@ -124,8 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _stopping_config(args) -> StoppingConfig:
-    return StoppingConfig(delta=args.delta, max_inner=args.max_inner, max_imfs=args.max_imfs,
-                          xi=args.xi, double_filter=args.double_filter == "on")
+    return StoppingConfig(**{f.name: getattr(args, f.name) for f in fields(StoppingConfig)})
 
 
 def _write_meta(args, resolved: dict | None = None, extra: dict | None = None):

@@ -23,7 +23,6 @@ __all__ = [
     "ImfDiagnostics",
     "Decomposition",
     "ConvergenceConstants",
-    "delta_metric",
     "inner_loop",
     "build_filter",
     "dif",
@@ -34,8 +33,6 @@ __all__ = [
 # below this fraction of the input's norm an iterate counts as zero: its
 # relative step change is rounding noise
 _ZERO_ITERATE = 1e-14
-# entries of the (steps, coefficients) block scanned at once by the spectral sift
-_SCAN_BLOCK = 1 << 16
 # eigenvalues this far outside [0, 1] are round-off of a spectrum inside it
 _SPECTRUM_SLACK = 1e-12
 
@@ -46,16 +43,14 @@ class StoppingConfig:
 
     delta is the relative step-change threshold of the inner loop,
     max_inner caps inner iterations, max_imfs caps the total number of
-    components (trend included), xi scales the filter length and
-    double_filter selects the self-convolved filter needed by the
-    convergence theory.
+    components (trend included) and xi scales the base length of the
+    self-convolved filter that every sift uses.
     """
 
     delta: float = 1e-3
     max_inner: int = 1000
     max_imfs: int = 16
     xi: float = 1.6
-    double_filter: bool = True
 
     def __post_init__(self):
         for name in ("delta", "xi"):
@@ -113,32 +108,22 @@ class ConvergenceConstants:
         return cls(alpha=alpha, beta=beta, zeta=op.eigenvalues().zero_multiplicity)
 
 
-def delta_metric(s_next, s_cur) -> float:
-    """Relative step change ||s_next - s_cur||_2 / ||s_cur||_2."""
-    s_next = np.asarray(s_next, dtype=float)
-    s_cur = np.asarray(s_cur, dtype=float)
-    denom = float(np.linalg.norm(s_cur))
-    if denom == 0.0:
-        raise ValueError("step change undefined for a zero current iterate")
-    return float(np.linalg.norm(s_next - s_cur)) / denom
-
-
 def inner_loop(s, filt: Filter, kind: BoundaryKind,
                cfg: StoppingConfig | None = None) -> tuple[np.ndarray, int, float | None]:
     """Extract one component: iterate s <- s - W s until the step change
-    drops below delta.
+    ||s_next - s_cur||_2 / ||s_cur||_2 drops below delta.
 
     Boundary conditions are re-imposed by every application. Stops early
     when the iterate is numerically zero, at most 1e-14 times the norm of s
     (the step change is rounding noise there). Returns (iterate, steps,
     last step change), the change being None when no step was taken. The
-    zero kind applies W once per step; the others take the same steps in
-    the eigenbasis (:func:`_sift_spectral`), in one transform round trip
-    plus O(n log K) for a doubled filter and O(n) per step for a plain one,
-    K being max_inner. Both run on s scaled by the
-    power of two that brings max|s| into [0.5, 1), so ``inner_loop(c*s)``
-    is ``c`` times ``inner_loop(s)`` for any power of two c that keeps the
-    samples normal.
+    zero kind applies W once per step, for any filter. The others take the
+    same steps in the eigenbasis (:func:`_sift_spectral`), in one transform
+    round trip plus O(n log K), K being max_inner, and raise ValueError for
+    a spectrum outside [0, 1], which no self-convolved filter has. Both run
+    on s scaled by the power of two that brings max|s| into [0.5, 1), so
+    ``inner_loop(c*s)`` is ``c`` times ``inner_loop(s)`` for any power of
+    two c that keeps the samples normal.
     """
     cfg = cfg or StoppingConfig()
     values = as_values(s)
@@ -185,62 +170,37 @@ def _sift_spectral(op: StructuredOperator, values: np.ndarray,
     Row j of the later steps holds the squared coefficients before step
     k + j + 1. On a spectrum in [0, 1] (every doubled filter) the stopping
     rule holds from some row on, which :func:`_search_stop` finds in
-    O(log K) rows of O(n); other spectra are scanned row by row by
-    :func:`_scan_stop`. The steps agree with the loop's for any delta above
-    the iterate's round-off (about 1e-15), below which the loop's step
-    change is rounding noise.
+    O(log K) rows of O(n); a spectrum outside it raises ValueError. The
+    steps agree with the loop's for any delta above the iterate's round-off
+    (about 1e-15), below which the loop's step change is rounding noise.
     """
+    c, lam = op.to_eigenbasis(values)
+    if lam.min() < -_SPECTRUM_SLACK or lam.max() > 1.0 + _SPECTRUM_SLACK:
+        raise ValueError(f"spectrum [{lam.min():.3g}, {lam.max():.3g}] is not in [0, 1]")
     norm_cur = float(np.linalg.norm(values))
     tiny = _ZERO_ITERATE * norm_cur
     if norm_cur == 0.0:
         return values.copy(), 0, None
-    c, lam = op.to_eigenbasis(values)
     z = 1.0 - lam
     c = z * c
     cur = op.from_eigenbasis(c)
     k, d = 1, float(np.linalg.norm(cur - values)) / norm_cur
-    in_unit = lam.min() >= -_SPECTRUM_SLACK and lam.max() <= 1.0 + _SPECTRUM_SLACK
-    k, d = (_search_stop if in_unit else _scan_stop)(np.abs(c) ** 2, z, lam, k, d, tiny, cfg)
+    k, d = _search_stop(np.abs(c) ** 2, z, lam, k, d, tiny, cfg)
     if k > 1:
         cur = op.from_eigenbasis(z ** (k - 1) * c)
     return cur, k, d
 
 
-def _scan_stop(energy: np.ndarray, z: np.ndarray, lam: np.ndarray, k: int, d: float,
-               tiny: float, cfg: StoppingConfig) -> tuple[int, float]:
+def _search_stop(energy: np.ndarray, z: np.ndarray, lam: np.ndarray, k: int, d: float,
+                 tiny: float, cfg: StoppingConfig) -> tuple[int, float]:
     """The loop's (steps, last step change) after step k left the squared
-    coefficients ``energy`` and the change d, scanning the rows in blocks.
+    coefficients ``energy`` and the change d, on a spectrum in [0, 1].
 
     Row j holds energy z^(2j), the squared coefficients before step
     k + j + 1; the loop stops at the first row whose norm is at most tiny
     (after k + j steps) or whose step change is below delta (after
-    k + j + 1 steps), and at max_inner steps.
-    """
-    decay = z**2
-    rows = max(1, _SCAN_BLOCK // energy.size)
-    while not d < cfg.delta and k < cfg.max_inner:
-        block = np.empty((min(rows, cfg.max_inner - k), energy.size))
-        block[0] = energy
-        for i in range(1, len(block)):
-            np.multiply(block[i - 1], decay, out=block[i])
-        norms = np.sqrt(block.sum(axis=1))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            changes = np.sqrt(block @ lam**2) / norms
-        stop = np.flatnonzero((norms <= tiny) | (changes < cfg.delta))
-        if stop.size:
-            j = int(stop[0])
-            if norms[j] <= tiny:
-                return k + j, (float(changes[j - 1]) if j else d)
-            return k + j + 1, float(changes[j])
-        k, d = k + len(block), float(changes[-1])
-        energy = block[-1] * decay
-    return k, d
-
-
-def _search_stop(energy: np.ndarray, z: np.ndarray, lam: np.ndarray, k: int, d: float,
-                 tiny: float, cfg: StoppingConfig) -> tuple[int, float]:
-    """:func:`_scan_stop` for a spectrum in [0, 1], by :func:`_first_true`
-    over the rows.
+    k + j + 1 steps), and at max_inner steps. That row is found by
+    :func:`_first_true`.
 
     With every z in [0, 1], the norm of row j and its step change are both
     nonincreasing in j: going to row j + 1 multiplies each weight by z^2,
@@ -294,18 +254,15 @@ def _first_true(holds, end: int) -> int:
 
 
 def build_filter(values, shape: FilterShape, cfg: StoppingConfig) -> Filter:
-    """The filter an outer step uses on ``values``: its length comes from
-    the extrema count and ``cfg.xi``, and it is self-convolved when
-    ``cfg.double_filter`` is set."""
-    l = filter_length(values, cfg.xi, doubled=cfg.double_filter)
-    filt = sample_filter(shape, l)
-    return convolve_self(filt) if cfg.double_filter else filt
+    """The filter an outer step uses on ``values``: the self-convolved
+    filter of the base length that the extrema count and ``cfg.xi`` give."""
+    return convolve_self(sample_filter(shape, filter_length(values, cfg.xi)))
 
 
 def _next_filter(values: np.ndarray, shape: FilterShape, cfg: StoppingConfig) -> Filter | None:
     """The filter of the outer step on ``values``, or None where the outer
     loop ends: no admissible filter length, or fewer than two extrema."""
-    if max_filter_length(values.size, doubled=cfg.double_filter) < 1 or count_extrema(values) < 2:
+    if max_filter_length(values.size) < 1 or count_extrema(values) < 2:
         return None
     return build_filter(values, shape, cfg)
 
@@ -340,8 +297,8 @@ def dif(s, shape: FilterShape | None = None,
     component is numerically zero (at most 1e-14 times the residual's norm,
     and then dropped); the final residual is appended as the trend, so the
     components always sum back to the input. A signal too short for any
-    admissible filter length (fewer than 5 samples with the doubled filter)
-    is returned as its trend. The loops run on s scaled by a power of two
+    admissible filter length (fewer than 5 samples) is returned as its
+    trend. The loops run on s scaled by a power of two
     (see :func:`inner_loop`), so ``dif(c*s)`` is exactly ``c`` times
     ``dif(s)`` for powers of two c that keep the samples normal.
 

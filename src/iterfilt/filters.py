@@ -163,18 +163,16 @@ def convolve_self(v: Filter) -> Filter:
     return Filter(half / total)
 
 
-def max_filter_length(n: int, *, doubled: bool = False) -> int:
-    """Largest admissible half length for n samples; below 1 none exists."""
-    return (n - 1) // 4 if doubled else (n - 1) // 2
+def max_filter_length(n: int) -> int:
+    """Largest admissible base half length for n samples; below 1 none exists."""
+    return (n - 1) // 4
 
 
-def filter_length(s, xi: float, *, doubled: bool = False) -> int:
-    """Pick a filter half length from the oscillation density of a signal.
+def filter_length(s, xi: float) -> int:
+    """Pick a base filter half length from the oscillation density of a signal.
 
-    Uses l = max(1, floor(xi * n / n_extrema)) clamped to floor((n-1)/2).
-    With ``doubled=True`` the result is the base length fed to
-    :func:`convolve_self`, clamped to floor((n-1)/4) instead so that the
-    doubled filter stays admissible.
+    Uses l = max(1, floor(xi * n / n_extrema)) clamped to floor((n-1)/4),
+    so that the filter :func:`convolve_self` makes of it stays admissible.
 
     Raises ValueError when the signal has fewer than two extrema (the outer
     decomposition loop should already have stopped) or when no admissible
@@ -185,8 +183,8 @@ def filter_length(s, xi: float, *, doubled: bool = False) -> int:
     n_ext = count_extrema(v)
     if n_ext < 2:
         raise ValueError(f"filter length needs at least 2 extrema, found {n_ext}")
-    cap = max_filter_length(n, doubled=doubled)
+    cap = max_filter_length(n)
     if cap < 1:
-        raise ValueError(f"no admissible {'doubled ' if doubled else ''}filter length for n={n}")
+        raise ValueError(f"no admissible doubled filter length for n={n}")
     raw = max(1, math.floor(xi * n / n_ext))
     return min(raw, cap)

@@ -8,7 +8,8 @@ O(n^2) and O(n l) definitions the FFT-based code replaces; the direct
 product is the extend-then-convolve definition of W x that the operator's
 eigenbasis product replaces; the reference sift is the
 per-step loop of direct products that every sift must reproduce step for
-step; the dense propagation is the step-by-step iteration of the periodic
+step; the stop scan is the row-by-row stopping rule that the sift's search
+for the stopping step replaces; the dense propagation is the step-by-step iteration of the periodic
 operator that both kernels of the boundary-error propagation replace.
 """
 
@@ -164,6 +165,24 @@ def reference_sift(values, filt, kind, cfg):
         if d < cfg.delta:
             break
     return cur, k, d
+
+
+def scan_stop(energy, z, lam, k, d, tiny, cfg):
+    """The sift's (steps, last step change) after step k left the squared
+    eigenbasis coefficients ``energy`` and the change d, row by row, for any
+    spectrum. Row j holds energy z^(2j), the squared coefficients before
+    step k + j + 1; the loop stops at the first row whose norm is at most
+    tiny (after k + j steps) or whose step change is below delta (after
+    k + j + 1 steps), and at max_inner steps."""
+    decay, lam2 = z * z, lam * lam
+    while not d < cfg.delta and k < cfg.max_inner:
+        norm = float(np.sqrt(energy.sum()))
+        if norm <= tiny:
+            break
+        d = float(np.sqrt(energy @ lam2)) / norm
+        k += 1
+        energy = energy * decay
+    return k, d
 
 
 def dense_propagation(op, u, steps):

@@ -196,7 +196,7 @@ def test_criterion_07_reconstruction():
         a = dif(s, kind=kind, cfg=cfg)
         worst_recon = max(worst_recon, float(np.abs(a.reconstruction() - s).max()))
 
-        pad = 2 * 2 * filter_length(s, cfg.xi, doubled=True)
+        pad = 2 * 2 * filter_length(s, cfg.xi)
         b = eif(s, kind=kind, p=pad, cfg=cfg)
         worst_recon = max(worst_recon, float(np.abs(b.reconstruction() - s).max()))
 
@@ -214,7 +214,7 @@ def test_criterion_08_error_bound_domination():
     for period, reps, amplitude, trend, phase, xi in ERROR_FIXTURES:
         n = period * reps
         s, exact = sine_trend(n, period, amplitude=amplitude, trend=trend, phase=phase)
-        l_base = filter_length(s, xi, doubled=True)
+        l_base = filter_length(s, xi)
         assert l_base == period - 1  # fixture sanity: sine sits at the tap-spectrum zero
         filt = convolve_self(sample_filter(raised_cosine_shape(), l_base))
         for k in (3, 9):

@@ -1,10 +1,13 @@
+import argparse
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from iterfilt import BoundaryKind, Decomposition, StoppingConfig, dif, load_signal
-from iterfilt.cli import _stopping_config, _write_decomposition, build_parser, run
+from iterfilt.cli import (_add_filter_flags, _add_stopping_flags, _stopping_config,
+                          _write_decomposition, build_parser, run)
 from conftest import sine_trend
 
 
@@ -154,6 +157,28 @@ class TestSpectrumCommand:
         assert "limited to n <= 4096" in capsys.readouterr().err
         assert solves == [] and not out.exists()
 
+    @pytest.mark.parametrize("bc", ["periodic", "reflective", "antireflective"])
+    def test_double_filter_keeps_the_spectrum_in_unit_interval(self, tmp_path, bc):
+        # the paper's reason for doubling: the plain filter's spectrum
+        # reaches below zero, the self-convolved one's lies in [0, 1]
+        lowest = {}
+        for double in ("on", "off"):
+            out = tmp_path / f"{double}.csv"
+            assert run(["spectrum", "--bc", bc, "--n", "64", "--length", "7",
+                        "--double-filter", double, str(out)]) == 0
+            values = np.array([float(r[1]) for r in read_table(out)[1]])
+            assert values.max() <= 1.0 + 1e-12
+            lowest[double] = values.min()
+        assert lowest["on"] >= -1e-12
+        assert lowest["off"] < 0.0
+
+    def test_xi_is_not_a_spectrum_flag(self, tmp_path):
+        # spectrum takes --length itself; --xi was parsed and never read
+        out = tmp_path / "s.csv"
+        assert run(["spectrum", "--bc", "periodic", "--n", "16", "--length", "3",
+                    "--xi", "nan", str(out)]) == 2
+        assert not out.exists()
+
 
 class TestErrorboundCommand:
     def test_explicit_steps(self, tmp_path, signal_file):
@@ -178,11 +203,15 @@ class TestErrorboundCommand:
     @pytest.mark.parametrize("bc", ["zero", "periodic", "reflective", "antireflective"])
     @pytest.mark.parametrize("double", ["on", "off"])
     def test_default_steps_match_first_component(self, tmp_path, signal_file, bc, double):
+        # the sift always doubles the filter: --double-filter is gone, with
+        # either of its old values, and the steps are the doubled filter's
         out = tmp_path / "eb.csv"
-        assert run(["errorbound", "--bc", bc, "--double-filter", double, "--max-inner", "200",
-                    str(signal_file), str(out)]) == 0
+        argv = ["errorbound", "--bc", bc, "--max-inner", "200", str(signal_file), str(out)]
+        assert run([*argv, "--double-filter", double]) == 2
+        assert not out.exists()
+        assert run(argv) == 0
         steps = json.loads((tmp_path / "eb.csv.meta.json").read_text())["config"]["steps"]
-        cfg = StoppingConfig(max_inner=200, double_filter=double == "on")
+        cfg = StoppingConfig(max_inner=200)
         reference = dif(load_signal(signal_file), kind=BoundaryKind(bc), cfg=cfg)
         assert steps == max(reference.diagnostics[0].inner_steps, 1)
 
@@ -227,7 +256,7 @@ class TestPhasesweepCommand:
         assert out1.read_bytes() == out2.read_bytes()
 
 
-STOPPING_KEYS = {"delta", "max_inner", "max_imfs", "xi", "double_filter", "shape"}
+STOPPING_KEYS = {"delta", "max_inner", "max_imfs", "xi", "shape"}
 
 
 class TestSidecarConfig:
@@ -238,7 +267,7 @@ class TestSidecarConfig:
         (["decompose", "--max-inner", "20", "IN"],
          {"command", "input", "output", "bc", "mode", "pad", "normalize"} | STOPPING_KEYS),
         (["spectrum", "--bc", "zero", "--n", "16", "--length", "2"],
-         {"command", "output", "bc", "n", "length", "shape", "double_filter", "xi"}),
+         {"command", "output", "bc", "n", "length", "shape", "double_filter"}),
         (["errorbound", "--max-inner", "20", "IN"],
          {"command", "input", "output", "bc", "pad", "steps", "chi"} | STOPPING_KEYS),
         (["phasesweep", "--span", "0.1", "--max-inner", "5"],
@@ -289,3 +318,35 @@ class TestNumericFlags:
     def test_stopping_defaults_are_the_library_defaults(self):
         args = build_parser().parse_args(["decompose", "a", "b"])
         assert _stopping_config(args) == StoppingConfig()
+
+
+class TestFlags:
+    """Every stopping knob has one flag with the library's default on each
+    sifting command, and no command parses a knob it does not read."""
+
+    FIELDS = {f.name: f.default for f in fields(StoppingConfig)}
+
+    def test_knob_flags_are_the_config_fields(self):
+        p = argparse.ArgumentParser()
+        _add_stopping_flags(p)
+        _add_filter_flags(p)
+        assert vars(p.parse_args([])).keys() == self.FIELDS.keys() | {"shape"}
+
+    @pytest.mark.parametrize("argv", [["decompose", "IN", "OUT"], ["errorbound", "IN", "OUT"],
+                                      ["phasesweep", "OUT"]], ids=lambda a: a[0])
+    def test_sifting_commands_parse_every_field(self, argv):
+        parsed = vars(build_parser().parse_args(argv))
+        assert {name: parsed[name] for name in self.FIELDS} == self.FIELDS
+
+    def test_spectrum_parses_no_field(self):
+        parsed = vars(build_parser().parse_args(
+            ["spectrum", "--bc", "zero", "--n", "8", "--length", "1", "OUT"]))
+        assert parsed.keys() & self.FIELDS.keys() == set()
+
+    @pytest.mark.parametrize("argv", [["decompose", "IN"], ["errorbound", "IN"], ["phasesweep"]],
+                             ids=lambda a: a[0])
+    def test_double_filter_is_a_spectrum_flag(self, tmp_path, signal_file, argv):
+        out = tmp_path / "out.csv"
+        argv = [str(signal_file) if a == "IN" else a for a in argv]
+        assert run([*argv, "--double-filter", "off", str(out)]) == 2
+        assert not out.exists()

@@ -2,8 +2,8 @@
 allocations.
 
 The kinds with a diagonalizing transform sift in the eigenbasis, so a
-decomposition or phase sweep on them applies no operator, and a doubled
-filter's sift finds its stopping step in O(log K) rows of its energies;
+decomposition or phase sweep on them applies no operator, and a sift finds
+its stopping step in O(log K) rows of its energies;
 only the zero kind iterates W, one product per step, with the taps' blocks
 or spectrum built once per sift. The boundary-error propagation keeps
 O(n) memory whatever its step count.
@@ -20,7 +20,6 @@ import numpy as np
 import pytest
 
 import iterfilt
-import iterfilt.decompose as decompose_module
 from iterfilt import (
     BoundaryKind,
     Filter,
@@ -109,45 +108,27 @@ def test_zero_kind_blocked_sift_builds_tap_blocks_once(apply_calls, monkeypatch)
 
 @pytest.fixture
 def stop_rows(monkeypatch):
-    """Powers of the decay the spectral sift's search takes (one per row of
-    energies it evaluates), and the number of row-by-row scans."""
-    rows, scans = [], []
-    power, scan = np.power, decompose_module._scan_stop
+    """Powers of the decay the spectral sift's search takes, one per row of
+    energies it evaluates."""
+    rows = []
+    power = np.power
 
     def counted_power(x, j, *args, **kwargs):
         rows.append(j)
         return power(x, j, *args, **kwargs)
 
-    def counted_scan(*args):
-        scans.append(1)
-        return scan(*args)
-
     monkeypatch.setattr(np, "power", counted_power)
-    monkeypatch.setattr(decompose_module, "_scan_stop", counted_scan)
-    return rows, scans
+    return rows
 
 
 @pytest.mark.parametrize("kind", TRANSFORM_KINDS, ids=lambda k: k.value)
 def test_doubled_filter_sift_searches_the_stopping_step(stop_rows, kind):
     # delta below every step change: the sift runs to the cap of 1000 steps
-    rows, scans = stop_rows
     s, cfg = chirp(2048), StoppingConfig(delta=1e-12)
     _, k, _ = inner_loop(s, build_filter(s, raised_cosine_shape(), cfg), kind, cfg)
     assert k == cfg.max_inner
-    assert len(rows) <= 2 * math.ceil(math.log2(cfg.max_inner)) + 2
-    assert len(set(rows)) == len(rows)  # each row evaluated once
-    assert scans == []
-
-
-@pytest.mark.parametrize("kind", TRANSFORM_KINDS, ids=lambda k: k.value)
-def test_plain_filter_sift_scans(stop_rows, kind):
-    # the plain filter's spectrum reaches below zero, where the step change
-    # need not fall monotonically, so every step is scanned
-    rows, scans = stop_rows
-    s, cfg = chirp(2048), StoppingConfig(delta=1e-12, double_filter=False)
-    _, k, _ = inner_loop(s, build_filter(s, raised_cosine_shape(), cfg), kind, cfg)
-    assert k == cfg.max_inner
-    assert rows == [] and scans == [1]
+    assert len(stop_rows) <= 2 * math.ceil(math.log2(cfg.max_inner)) + 2
+    assert len(set(stop_rows)) == len(stop_rows)  # each row evaluated once
 
 
 def test_phase_sweep_applies_no_operator(apply_calls):

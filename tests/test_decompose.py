@@ -11,7 +11,6 @@ from iterfilt import (
     StructuredOperator,
     convolve_self,
     count_extrema,
-    delta_metric,
     diagonalized_power_apply,
     dif,
     eif,
@@ -22,9 +21,9 @@ from iterfilt import (
     sample_filter,
     stopping_bound_k0,
 )
-from iterfilt.decompose import _first_true, _scan_stop, _search_stop
+from iterfilt.decompose import _first_true, _search_stop
 from conftest import random_doubled_filter, sine_trend
-from oracles import dense_matrix, direct_apply, reference_sift
+from oracles import dense_matrix, direct_apply, reference_sift, scan_stop
 
 TRANSFORM_KINDS = [BoundaryKind.PERIODIC, BoundaryKind.REFLECTIVE, BoundaryKind.ANTIREFLECTIVE]
 
@@ -37,28 +36,6 @@ def null_tuned_filter(period):
     sine passes through I - W untouched away from the boundaries.
     """
     return convolve_self(sample_filter(raised_cosine_shape(), period - 1))
-
-
-class TestDeltaMetric:
-    def test_identical(self, rng):
-        v = rng.standard_normal(10)
-        assert delta_metric(v, v) == 0.0
-
-    def test_double(self, rng):
-        v = rng.standard_normal(10)
-        assert delta_metric(2.0 * v, v) == pytest.approx(1.0, abs=1e-15)
-
-    def test_unit_perturbation(self, rng):
-        v = rng.standard_normal(10)
-        v /= np.linalg.norm(v)
-        eps = 1e-4
-        pert = v.copy()
-        pert[0] += eps
-        assert delta_metric(pert, v) == pytest.approx(eps, rel=1e-12)
-
-    def test_zero_current_iterate(self):
-        with pytest.raises(ValueError):
-            delta_metric(np.ones(4), np.zeros(4))
 
 
 class TestInnerLoop:
@@ -261,7 +238,7 @@ class TestEif:
     def test_core_reconstruction_with_reflective_pad(self):
         s, _ = sine_trend(240, 16)
         from iterfilt import filter_length
-        l1 = 2 * filter_length(s, 1.6, doubled=True)  # doubled operator width
+        l1 = 2 * filter_length(s, 1.6)  # doubled operator width
         d = eif(s, kind=BoundaryKind.REFLECTIVE, p=2 * l1,
                 cfg=StoppingConfig(max_inner=40, max_imfs=5))
         assert all(f.size == 240 for f in d.imfs)
@@ -453,8 +430,14 @@ def stop_reason(imf, k, cfg):
     return "cap" if k == cfg.max_inner else "delta"
 
 
+def in_unit_interval(filt, kind, n):
+    lam = StructuredOperator(filt, kind, n).eigenvalues().eigenvalues
+    return lam.min() >= -1e-12 and lam.max() <= 1.0 + 1e-12
+
+
 class TestSpectralSift:
-    """The eigenbasis sift against one operator application per step."""
+    """The eigenbasis sift against one operator application per step; a
+    filter whose spectrum leaves [0, 1] is rejected."""
 
     @pytest.mark.parametrize("kind,doubled,n,stop", SIFT_CASES)
     def test_matches_reference_sift(self, kind, doubled, n, stop):
@@ -467,7 +450,7 @@ class TestSpectralSift:
             filt = plain_or_doubled(7, doubled)
         elif stop == "chirp":
             s = chirp(n)
-            filt = plain_or_doubled(filter_length(s, cfg.xi, doubled=doubled), doubled)
+            filt = plain_or_doubled(filter_length(s, cfg.xi), doubled)
         else:
             filt = plain_or_doubled(int(rng.integers(1, cap + 1)), doubled)
         if stop == "zero_guard":
@@ -477,28 +460,48 @@ class TestSpectralSift:
         elif stop == "one_step":
             cfg = StoppingConfig(max_inner=1)
 
+        # a plain filter sifts only where its spectrum is a doubled one's:
+        # the one-tap raised cosine, whose symbol (1 + cos)/2 is a square
+        sifts = in_unit_interval(filt, kind, n)
+        assert sifts == (doubled or filt.length == 1)
+        if not sifts:
+            with pytest.raises(ValueError, match=r"is not in \[0, 1\]"):
+                inner_loop(s, filt, kind, cfg)
+            return
         ref, k_ref, d_ref = reference_sift(s, filt, kind, cfg)
         imf, k, d = inner_loop(s, filt, kind, cfg)
         assert k == k_ref
-        # without doubling, eigenvalues below zero make both iterates grow
         assert np.abs(imf - ref).max() <= 1e-12 * max(np.abs(s).max(), np.abs(ref).max())
         assert abs(d - d_ref) <= 1e-12
 
         # the case exercises the stop it is named for: a wide doubled filter
-        # has eigenvalues near zero, so delta is met; without doubling the
-        # chirp's iterate grows and runs to the cap
+        # has eigenvalues near zero, so delta is met
         expected = {
             "cap": "cap",
             "one_step": "cap",
             "zero_guard": "zero iterate",
             "kernel": "delta",
             "delta": "delta" if doubled and n >= 64 else None,
-            "chirp": "delta" if doubled else "cap",
+            "chirp": "delta",
         }[stop]
         if expected:
             assert stop_reason(ref, k_ref, cfg) == expected
         if stop in ("one_step", "zero_guard", "kernel"):
             assert k == 1
+
+    @pytest.mark.parametrize("kind", TRANSFORM_KINDS, ids=lambda k: k.value)
+    def test_plain_filter_rejected(self, kind):
+        # the plain filter's spectrum reaches below zero, where the search's
+        # monotonicity fails; the zero kind's loop still takes the filter
+        s, cfg = chirp(2048), StoppingConfig()
+        filt = plain_or_doubled(filter_length(s, cfg.xi), False)
+        with pytest.raises(ValueError, match=r"is not in \[0, 1\]"):
+            inner_loop(s, filt, kind, cfg)
+        imf, k, d = inner_loop(s, filt, BoundaryKind.ZERO, cfg)
+        ref, k_ref, d_ref = reference_sift(s, filt, BoundaryKind.ZERO, cfg)
+        assert k == k_ref
+        assert np.abs(imf - ref).max() <= 1e-12 * max(np.abs(s).max(), np.abs(ref).max())
+        assert abs(d - d_ref) <= 1e-12
 
 
 def energy_rows(energy, z, m):
@@ -599,7 +602,7 @@ class TestStopSearch:
     def test_search_matches_scan(self, name):
         lam, energy, d, tiny, cfg, expected = stop_case(name)
         z = 1.0 - lam
-        k_scan, d_scan = _scan_stop(energy, z, lam, 1, d, tiny, cfg)
+        k_scan, d_scan = scan_stop(energy, z, lam, 1, d, tiny, cfg)
         k, d_found = _search_stop(energy, z, lam, 1, d, tiny, cfg)
         assert k == k_scan
         assert abs(d_found - d_scan) <= 1e-12

@@ -136,11 +136,11 @@ class TestFilterLength:
         from iterfilt import count_extrema
         assert count_extrema(s) == 10
         assert filter_length(s, 1.6) == 16
-        assert filter_length(s, 1.6) <= 49
+        assert filter_length(s, 1.6) <= 24
 
     def test_upper_clamp(self):
         s = np.array([0.0, 1.0, 2.0, 1.0, 0.0, 1.0, 2.0, 3.0, 4.0])
-        assert filter_length(s, 1.6) == 4  # raw 7 clamps to floor(8/2)
+        assert filter_length(s, 1.6) == 2  # raw 7 clamps to floor(8/4)
 
     def test_lower_clamp(self):
         s = self._signal_with_extrema(100, 10)
@@ -148,7 +148,7 @@ class TestFilterLength:
 
     def test_doubled_clamp(self):
         s = self._signal_with_extrema(100, 4)
-        assert filter_length(s, 3.0, doubled=True) == 24  # floor(99/4)
+        assert filter_length(s, 3.0) == 24  # floor(99/4)
 
     def test_too_few_extrema(self):
         with pytest.raises(ValueError, match="extrema"):
