@@ -13,10 +13,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .boundary import BoundaryKind, extend
-from .filters import (Filter, FilterShape, convolve_self, filter_length, max_filter_length,
-                      raised_cosine_shape, sample_filter)
+from .filters import (Filter, FilterShape, convolve_self, filter_length, raised_cosine_shape,
+                      sample_filter)
 from .operators import StructuredOperator, unit_eigenvectors
-from .signal import as_values, count_extrema
+from .signal import as_values
 
 __all__ = [
     "StoppingConfig",
@@ -35,6 +35,15 @@ __all__ = [
 _ZERO_ITERATE = 1e-14
 # eigenvalues this far outside [0, 1] are round-off of a spectrum inside it
 _SPECTRUM_SLACK = 1e-12
+# the zero kind's Krylov sift (see _sift_krylov): the least filter length
+# that tries it, the steps between its checks, its largest basis, the most
+# steps that the loop takes instead and the agreement of two checks'
+# component coordinates, relative to ||s||
+_KRYLOV_MIN_LENGTH = 16
+_KRYLOV_CHECK = 20
+_KRYLOV_MAX = 400
+_KRYLOV_LOOP_STEPS = 240
+_KRYLOV_TOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -117,13 +126,18 @@ def inner_loop(s, filt: Filter, kind: BoundaryKind,
     when the iterate is numerically zero, at most 1e-14 times the norm of s
     (the step change is rounding noise there). Returns (iterate, steps,
     last step change), the change being None when no step was taken. The
-    zero kind applies W once per step, for any filter. The others take the
-    same steps in the eigenbasis (:func:`_sift_spectral`), in one transform
-    round trip plus O(n log K), K being max_inner, and raise ValueError for
-    a spectrum outside [0, 1], which no self-convolved filter has. Both run
-    on s scaled by the power of two that brings max|s| into [0.5, 1), so
-    ``inner_loop(c*s)`` is ``c`` times ``inner_loop(s)`` for any power of
-    two c that keeps the samples normal.
+    kinds with a diagonalizing transform take the same steps in the
+    eigenbasis (:func:`_sift_spectral`), in one transform round trip plus
+    O(n log K), K being max_inner, and raise ValueError for a spectrum
+    outside [0, 1], which no self-convolved filter has. The zero kind takes
+    any filter and applies W once per step, except that a filter of
+    l >= 16 on the blocked or FFT kernel first tries a two-pass Lanczos
+    basis (:func:`_sift_krylov`): a sift of more than 240 steps then takes
+    about 2m products for a basis of m vectors, typically 80-140, in O(n)
+    memory, with the loop's steps and its component within about 5e-13
+    of max|s|. All run on s scaled by the power of two that brings max|s| into
+    [0.5, 1), so ``inner_loop(c*s)`` is ``c`` times ``inner_loop(s)`` for
+    any power of two c that keeps the samples normal.
     """
     cfg = cfg or StoppingConfig()
     values = as_values(s)
@@ -133,6 +147,9 @@ def inner_loop(s, filt: Filter, kind: BoundaryKind,
         imf, k, d = _sift_spectral(op, np.ldexp(values, -e), cfg)
         return np.ldexp(imf, e, out=imf), k, d
     cur = np.ldexp(values, -e)
+    if (found := _sift_krylov(op, cur, cfg)) is not None:
+        imf, k, d = found
+        return np.ldexp(imf, e, out=imf), k, d
     norm_cur = float(np.linalg.norm(cur))
     tiny = _ZERO_ITERATE * norm_cur
     k = 0
@@ -189,6 +206,117 @@ def _sift_spectral(op: StructuredOperator, values: np.ndarray,
     if k > 1:
         cur = op.from_eigenbasis(z ** (k - 1) * c)
     return cur, k, d
+
+
+def _sift_krylov(op: StructuredOperator, values: np.ndarray,
+                 cfg: StoppingConfig) -> tuple[np.ndarray, int, float | None] | None:
+    """:func:`inner_loop` for the zero kind in a Lanczos basis of W and s,
+    or None where the loop is to run instead.
+
+    Pass 1 runs the three-term recurrence without reorthogonalization and
+    keeps alpha, beta and two vectors. Every 20 steps the m x m
+    tridiagonal T = U diag(theta) U^T gives the sift in the Ritz basis, as
+    :func:`_sift_spectral` does in the eigenbasis: coefficients
+    c = ||s|| z U[0, :] after step 1, z = 1 - theta, step 1's change
+    ||W s|| / ||s|| = ||T e_1|| exact, and :func:`_search_stop` for the
+    stopping step k (Gallopoulos and Saad 1992 for such Krylov
+    approximations of f(W) s); a doubled filter's Toeplitz spectrum, and so
+    every Ritz value, lies in [0, 1]. Pass 1 ends when two successive
+    checks agree on k and the component's coordinates U z^(k-1) c on the
+    20 newest vectors are within 1e-14 ||s|| (older coordinates drift by
+    about 1e-13 ||s|| once the basis loses orthogonality). Pass 2
+    regenerates the same basis and sums its vectors times the coordinates:
+    O(n) memory, no m x n basis. The coordinates and the last change come
+    from k steps y <- y - T y on ||s|| e_1, elementwise, so their bits do
+    not depend on the thread count of the eigensolve's BLAS; nor do the
+    basis's, whose dot products :func:`_dot` sums.
+
+    Like :attr:`StructuredOperator.kernel`, a fixed rule picks the loop
+    where a product costs little next to a Lanczos step's O(n) vector work:
+    the convolve kernel and l < 16. The loop also runs where a Ritz value
+    leaves [0, 1] (a filter that is not doubled), at m = 400, at a
+    breakdown and where k <= m or k <= 240, max_inner included: a basis
+    took 80-140 vectors on chirps of n = 2,048 and 10^5, so two passes
+    cost about what 240 loop steps do.
+    """
+    if (op.kernel == "convolve" or op.filter.length < _KRYLOV_MIN_LENGTH
+            or cfg.max_inner <= _KRYLOV_LOOP_STEPS):
+        return None
+    norm_s = math.sqrt(_dot(values, values))
+    if norm_s == 0.0:
+        return None
+    tiny = _ZERO_ITERATE * norm_s
+    alpha: list[float] = []
+    beta: list[float] = []
+    last_k = 0
+    for v in _lanczos(op, values / norm_s, alpha, beta):
+        m = len(alpha)
+        if m == 0 or m % _KRYLOV_CHECK:
+            continue
+        off = beta[:-1]
+        theta, u = np.linalg.eigh(np.diag(alpha) + np.diag(off, 1) + np.diag(off, -1))
+        if theta[0] < -_SPECTRUM_SLACK or theta[-1] > 1.0 + _SPECTRUM_SLACK:
+            return None
+        z = 1.0 - theta
+        c = norm_s * z * u[0]
+        k, _ = _search_stop(c * c, z, theta, 1, math.hypot(alpha[0], beta[0]), tiny, cfg)
+        if k <= max(m, _KRYLOV_LOOP_STEPS):
+            return None
+        added = np.abs(u[-_KRYLOV_CHECK:] @ (z ** (k - 1) * c)).max()
+        if k == last_k and added <= _KRYLOV_TOL * norm_s:
+            break
+        if m >= _KRYLOV_MAX:
+            return None
+        last_k = k
+    else:
+        return None
+    y, d = _tridiagonal_steps(np.array(alpha), np.array(beta[:-1]), norm_s, k)
+    imf, scaled = np.zeros_like(values), np.empty_like(values)
+    # y first: zip then stops before asking the basis for a vector beyond v_m
+    for coord, v in zip(y, _lanczos(op, values / norm_s, [], [])):
+        imf += np.multiply(v, coord, out=scaled)
+    return imf, k, d
+
+
+def _lanczos(op: StructuredOperator, v: np.ndarray, alpha: list[float], beta: list[float]):
+    """Yield the Lanczos vectors v_1 = v, v_2, ... of W by the three-term
+    recurrence, appending alpha_j and beta_j to the lists as v_(j+1) is
+    made; v_(j+1) takes the j-th product. Two vectors are kept. Ends at a
+    breakdown, a beta at most 1e-14, before yielding its vector."""
+    prev, scaled, b = np.zeros_like(v), np.empty_like(v), 0.0
+    while True:
+        yield v
+        w = op.apply(v)
+        a = _dot(v, w)
+        w -= np.multiply(v, a, out=scaled)
+        w -= np.multiply(prev, b, out=scaled)
+        b = math.sqrt(_dot(w, w))
+        alpha.append(a)
+        beta.append(b)
+        if b <= _ZERO_ITERATE:
+            return
+        prev, v = v, np.divide(w, b, out=w)
+
+
+def _dot(x: np.ndarray, y: np.ndarray) -> float:
+    """x . y summed by numpy, not BLAS: OpenBLAS splits long dot products
+    among its threads, which would round the Lanczos basis, and so the
+    component, by the thread count."""
+    return float(np.einsum("i,i", x, y))
+
+
+def _tridiagonal_steps(diag: np.ndarray, off: np.ndarray, norm: float,
+                       k: int) -> tuple[np.ndarray, float]:
+    """y = (I - T)^k (norm e_1) for the tridiagonal T and the change
+    ||T y'|| / ||y'|| of its last step from y', by k elementwise steps."""
+    y = np.zeros(diag.size)
+    y[0] = norm
+    for _ in range(k):
+        step = diag * y
+        step[:-1] += off * y[1:]
+        step[1:] += off * y[:-1]
+        prev, y = y, y - step
+    return y, math.sqrt(_dot(step, step) / _dot(prev, prev))
 
 
 def _search_stop(energy: np.ndarray, z: np.ndarray, lam: np.ndarray, k: int, d: float,
@@ -261,10 +389,13 @@ def build_filter(values, shape: FilterShape, cfg: StoppingConfig) -> Filter:
 
 def _next_filter(values: np.ndarray, shape: FilterShape, cfg: StoppingConfig) -> Filter | None:
     """The filter of the outer step on ``values``, or None where the outer
-    loop ends: no admissible filter length, or fewer than two extrema."""
-    if max_filter_length(values.size) < 1 or count_extrema(values) < 2:
+    loop ends: :func:`filter_length` finds fewer than two extrema or no
+    admissible filter length, counting the extrema once."""
+    try:
+        length = filter_length(values, cfg.xi)
+    except ValueError:
         return None
-    return build_filter(values, shape, cfg)
+    return convolve_self(sample_filter(shape, length))
 
 
 def _outer_loop(values: np.ndarray, shape: FilterShape, kind: BoundaryKind,

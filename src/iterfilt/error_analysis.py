@@ -37,7 +37,7 @@ __all__ = [
 _BLOCK = 1 << 16
 # extended sizes below this take the dense core basis, in blocks of this
 # many steps (see error_propagation)
-_DENSE_MAX_SIZE = 896
+_DENSE_MAX_SIZE = 640
 _DENSE_ROWS = 64
 
 
@@ -68,28 +68,37 @@ def error_propagation(op_ext: StructuredOperator, u: ExtendedSignal,
     round-off is cleared there.
 
     Only the map from a block's powers to its core errors depends on N.
-    Below N = 896 a block of 64 steps is one matrix product with the real
+    Below N = 640 a block of 64 steps is one matrix product with the real
     core basis of :func:`_core_basis`; W is reversal-symmetric, so when u
     is too (the constant extension is) only the first half of the core is
-    computed and the rest mirrored. From N = 896 on a block of 2^16
+    computed and the rest mirrored. From N = 640 on a block of 2^16
     coefficients is one batched irfft of the powers times the coefficients,
     fast only at lengths without large prime factors. Time of the dense
-    basis over the batched irfft for 300 steps, at every 9th N (geometric
-    mean and range of the per-size ratios, interleaved medians of 5, on a
+    basis over the batched irfft for 300 steps, at every 5th N, for
+    doubled filters of l = 10 (p = 20) and l = 60 (p = 120) (geometric mean
+    and range of the per-size ratios, interleaved medians of 15, on a
     2-vCPU x86-64 host, numpy 2.4, OpenBLAS on one thread):
 
     ============  =====  =========  ============
     N             mean   range      dense faster
     ============  =====  =========  ============
-    256-383       0.34   0.21-0.65  15 of 15
-    384-511       0.49   0.24-0.82  14 of 14
-    512-639       0.64   0.25-1.23  12 of 14
-    640-767       0.67   0.42-1.43  11 of 14
-    768-895       0.77   0.44-1.83  9 of 15
-    896-1,023     1.01   0.55-1.91  6 of 14
-    1,024-1,407   1.15   0.53-2.54  21 of 42
-    1,408-1,791   1.52   0.80-3.43  17 of 43
+    256-319       0.40   0.16-0.72  26 of 26
+    320-383       0.43   0.12-0.88  26 of 26
+    384-447       0.47   0.17-1.00  26 of 26
+    448-511       0.57   0.21-1.04  24 of 26
+    512-575       0.59   0.20-1.19  20 of 24
+    576-639       0.72   0.33-1.50  18 of 26
+    640-703       0.81   0.38-1.37  12 of 26
+    704-767       0.86   0.44-1.88  16 of 26
+    768-831       0.83   0.35-1.94  16 of 26
+    832-895       1.16   0.42-1.94  7 of 24
     ============  =====  =========  ============
+
+    640 is where the dense basis stops winning on most sizes; it stays
+    faster on average up to about 830, at sizes with large prime factors,
+    while the irfft already wins at 5-smooth sizes from 512 (1.22 at 512,
+    1.74 at 640 for l = 10). The irfft's rounding does not depend on the
+    BLAS thread count; the dense product's does at some sizes.
 
     Returns (last, upper_bound): the step-``steps`` core error and the
     pointwise maximum of |err_j| over j = 1..steps, both of length n.

@@ -163,27 +163,22 @@ def convolve_self(v: Filter) -> Filter:
     return Filter(half / total)
 
 
-def max_filter_length(n: int) -> int:
-    """Largest admissible base half length for n samples; below 1 none exists."""
-    return (n - 1) // 4
-
-
 def filter_length(s, xi: float) -> int:
     """Pick a base filter half length from the oscillation density of a signal.
 
     Uses l = max(1, floor(xi * n / n_extrema)) clamped to floor((n-1)/4),
     so that the filter :func:`convolve_self` makes of it stays admissible.
 
-    Raises ValueError when the signal has fewer than two extrema (the outer
-    decomposition loop should already have stopped) or when no admissible
-    doubled length exists (n < 5).
+    Raises ValueError when the signal has fewer than two extrema or when no
+    admissible doubled length exists (n < 5); the outer decomposition loop
+    ends there.
     """
     v = as_values(s)
     n = v.size
     n_ext = count_extrema(v)
     if n_ext < 2:
         raise ValueError(f"filter length needs at least 2 extrema, found {n_ext}")
-    cap = max_filter_length(n)
+    cap = (n - 1) // 4  # the largest admissible base half length
     if cap < 1:
         raise ValueError(f"no admissible doubled filter length for n={n}")
     raw = max(1, math.floor(xi * n / n_ext))

@@ -1,12 +1,26 @@
 import numpy as np
 import pytest
 
-from iterfilt import Filter, convolve_self
+from iterfilt import Filter, StructuredOperator, convolve_self
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def apply_calls(monkeypatch):
+    """Kinds of the operators applied while the test runs."""
+    calls = []
+    original = StructuredOperator.apply
+
+    def counted(self, x):
+        calls.append(self.kind)
+        return original(self, x)
+
+    monkeypatch.setattr(StructuredOperator, "apply", counted)
+    return calls
 
 
 def random_filter(rng, l):
@@ -29,3 +43,17 @@ def sine_trend(n, period, amplitude=1.0, trend=1.5, phase=0.4):
     j = np.arange(n)
     exact = amplitude * np.sin(2.0 * np.pi * j / period + phase)
     return exact + trend, exact
+
+
+def bench_chirp(seed, n):
+    """The input of the benchmark's ``sift-2k`` workload (``chirp_signal`` in
+    ``perfbench/run.py``): a chirp from 20 to 100 cycles, tones of 12 and 1
+    cycles, a linear trend and Gaussian noise of 10 % of the clean signal's
+    standard deviation, drawn from the seed."""
+    rng = np.random.default_rng([seed, 2048])
+    x = np.linspace(0.0, 1.0, n)
+    clean = (np.sin(2.0 * np.pi * (20.0 * x + 40.0 * x**2) + 0.3)
+             + 0.5 * np.sin(2.0 * np.pi * 12.0 * x + 1.1)
+             + 0.8 * np.sin(2.0 * np.pi * x + 2.0)
+             + 1.5 * x - 0.5)
+    return clean + 0.1 * clean.std() * rng.standard_normal(n)

@@ -1,14 +1,19 @@
 import argparse
 import json
+import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import iterfilt
 from iterfilt import BoundaryKind, Decomposition, StoppingConfig, dif, load_signal
 from iterfilt.cli import (_add_filter_flags, _add_stopping_flags, _stopping_config,
                           _write_decomposition, build_parser, run)
-from conftest import sine_trend
+from conftest import bench_chirp, sine_trend
 
 
 @pytest.fixture
@@ -22,6 +27,25 @@ def signal_file(tmp_path):
 def read_table(path):
     lines = path.read_text().strip().splitlines()
     return lines[0].split(","), [line.split(",") for line in lines[1:]]
+
+
+def outputs_by_blas_threads(tmp_path, signal, argv):
+    """The CSV and sidecar bytes that the command writes for ``signal`` in a
+    fresh interpreter with OpenBLAS on 1 and on 2 threads."""
+    inp = tmp_path / "input.csv"
+    inp.write_text("\n".join(map(repr, signal.tolist())) + "\n")
+    src = str(Path(iterfilt.__file__).resolve().parents[1])
+    code = "import sys; from iterfilt.cli import run; sys.exit(run(sys.argv[1:]))"
+    outputs = []
+    for threads in ("1", "2"):
+        (tmp_path / threads).mkdir()
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads)
+        subprocess.run([sys.executable, "-c", code, *argv, str(inp), "out.csv"], env=env,
+                       cwd=tmp_path / threads, check=True, timeout=120)
+        outputs.append([(tmp_path / threads / name).read_bytes()
+                        for name in ("out.csv", "out.csv.meta.json")])
+    return outputs
 
 
 class TestDecomposeCommand:
@@ -125,6 +149,14 @@ class TestDecomposeCommand:
         assert out.read_bytes() == expected.encode("utf-8")
         tokens = set(expected.replace("\n", ",").split(","))
         assert {"-0", "0", "4.9406564584124654e-324", "-1.0000000000000001e+300"} <= tokens
+
+    def test_zero_kind_outputs_do_not_depend_on_blas_threads(self, tmp_path):
+        # the zero kind's long sifts solve tridiagonal eigenproblems, whose
+        # eigenvectors OpenBLAS rounds by its thread count at some sizes;
+        # the written components and changes must not
+        outputs = outputs_by_blas_threads(tmp_path, bench_chirp(7, 2048),
+                                          ["decompose", "--bc", "zero"])
+        assert outputs[0] == outputs[1]
 
 
 class TestSpectrumCommand:
@@ -234,6 +266,14 @@ class TestErrorboundCommand:
         flat = tmp_path / "flat.csv"
         flat.write_text("1.0\n1.0\n1.0\n1.0\n")
         assert run(["errorbound", str(flat), str(tmp_path / "o.csv")]) == 4
+
+    def test_irfft_propagation_does_not_depend_on_blas_threads(self, tmp_path):
+        # n = 600 with pad 24: N = 648, from 640 on the batched irfft, whose
+        # rounding is the same with 1 and 2 threads (the dense basis's is not)
+        outputs = outputs_by_blas_threads(tmp_path, bench_chirp(7, 600),
+                                          ["errorbound", "--bc", "reflective", "--steps", "500"])
+        assert b'"pad": 24' in outputs[0][1]
+        assert outputs[0] == outputs[1]
 
 
 class TestPhasesweepCommand:

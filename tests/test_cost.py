@@ -3,10 +3,12 @@ allocations.
 
 The kinds with a diagonalizing transform sift in the eigenbasis, so a
 decomposition or phase sweep on them applies no operator, and a sift finds
-its stopping step in O(log K) rows of its energies;
-only the zero kind iterates W, one product per step, with the taps' blocks
-or spectrum built once per sift. The boundary-error propagation keeps
-O(n) memory whatever its step count.
+its stopping step in O(log K) rows of its energies. Only the zero kind
+applies W, with the taps' blocks or spectrum built once per operator: one
+product per step on short filters and short sifts, and a two-pass Lanczos
+basis of about 2m products for a long sift with a long filter, in O(n)
+memory. The boundary-error propagation keeps O(n) memory whatever its
+step count.
 """
 
 import math
@@ -43,20 +45,6 @@ TRANSFORM_KINDS = [BoundaryKind.PERIODIC, BoundaryKind.REFLECTIVE, BoundaryKind.
 CFG = StoppingConfig(max_imfs=4)
 
 
-@pytest.fixture
-def apply_calls(monkeypatch):
-    """Kinds of the operators applied while the test runs."""
-    calls = []
-    original = StructuredOperator.apply
-
-    def counted(self, x):
-        calls.append(self.kind)
-        return original(self, x)
-
-    monkeypatch.setattr(StructuredOperator, "apply", counted)
-    return calls
-
-
 def test_transform_kinds_apply_no_operator(apply_calls):
     s = chirp(256)
     for kind in TRANSFORM_KINDS:
@@ -83,10 +71,10 @@ def test_zero_kind_fft_sift_builds_tap_spectrum_once(apply_calls, monkeypatch):
 
     monkeypatch.setattr(np.fft, "rfft", counted)
     _, k, _ = inner_loop(s, filt, BoundaryKind.ZERO, StoppingConfig())
-    assert len(apply_calls) == k > 1
-    assert lengths.count(2 * filt.length + 1) == 1  # the taps, once per sift
-    assert lengths.count(s.size) == k               # the iterate, once per step
-    assert len(lengths) == k + 1
+    assert k > 1
+    assert lengths.count(2 * filt.length + 1) == 1             # the taps, once per operator
+    assert lengths.count(s.size) == len(apply_calls) > 1       # the vector, once per product
+    assert len(lengths) == len(apply_calls) + 1
 
 
 def test_zero_kind_blocked_sift_builds_tap_blocks_once(apply_calls, monkeypatch):
@@ -102,8 +90,43 @@ def test_zero_kind_blocked_sift_builds_tap_blocks_once(apply_calls, monkeypatch)
 
     monkeypatch.setattr(Filter, "full", counted)
     _, k, _ = inner_loop(s, filt, BoundaryKind.ZERO, StoppingConfig())
-    assert len(apply_calls) == k > 1  # one product per step
+    assert len(apply_calls) > k > 1   # a short sift: 20 Lanczos steps, then the loop
     assert reads == [filt.length]     # the taps, read once to build the blocks
+
+
+def test_zero_kind_cap_hit_sift_applies_fewer_products_than_steps(apply_calls):
+    # delta below every step change: the sift runs to the cap of 1000 steps,
+    # which two Lanczos passes of about 100 vectors reach
+    s, cfg = chirp(2048), StoppingConfig(delta=1e-12)
+    filt = convolve_self(sample_filter(raised_cosine_shape(), 142))
+    _, k, _ = inner_loop(s, filt, BoundaryKind.ZERO, cfg)
+    assert k == cfg.max_inner
+    assert len(apply_calls) <= k // 4
+
+
+def test_zero_kind_dif_products(apply_calls):
+    # 9,760 steps: the six sifts of at most 240 steps on the loop, the nine
+    # of 416 to 1,000 steps in Lanczos bases; the count repeats exactly
+    d = dif(chirp(2048), kind=BoundaryKind.ZERO)
+    assert sum(diag.inner_steps for diag in d.diagnostics) == 9760
+    assert len(apply_calls) == 2580
+
+
+def test_zero_kind_krylov_sift_memory_is_linear(apply_calls):
+    # a 1000-step sift at n = 50,000 in a basis of about 180 vectors: as one
+    # m x n array that basis would be 72 MB, 20 vectors are 8 MB
+    n = 50_000
+    s, cfg = chirp(n), StoppingConfig(delta=1e-12)
+    filt = convolve_self(sample_filter(raised_cosine_shape(), 60))
+    tracemalloc.start()
+    try:
+        imf, k, _ = inner_loop(s, filt, BoundaryKind.ZERO, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert imf.shape == (n,) and k == cfg.max_inner
+    assert len(apply_calls) < k // 2  # the Krylov sift, not the loop
+    assert peak < 8_000_000
 
 
 @pytest.fixture

@@ -1,14 +1,20 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import iterfilt
 from iterfilt import (
     BoundaryKind,
     ConvergenceConstants,
     Filter,
     StoppingConfig,
     StructuredOperator,
+    build_filter,
     convolve_self,
     count_extrema,
     diagonalized_power_apply,
@@ -22,7 +28,7 @@ from iterfilt import (
     stopping_bound_k0,
 )
 from iterfilt.decompose import _first_true, _search_stop
-from conftest import random_doubled_filter, sine_trend
+from conftest import bench_chirp, random_doubled_filter, sine_trend
 from oracles import dense_matrix, direct_apply, reference_sift, scan_stop
 
 TRANSFORM_KINDS = [BoundaryKind.PERIODIC, BoundaryKind.REFLECTIVE, BoundaryKind.ANTIREFLECTIVE]
@@ -502,6 +508,111 @@ class TestSpectralSift:
         assert k == k_ref
         assert np.abs(imf - ref).max() <= 1e-12 * max(np.abs(s).max(), np.abs(ref).max())
         assert abs(d - d_ref) <= 1e-12
+
+
+def assert_sifts_match_reference(d, s, cfg):
+    """Each sifted component of the zero-kind decomposition d of s against
+    ``reference_sift`` on the same residual: the same filter and steps, the
+    component within 1e-12 of the residual's max|s| and the last change
+    within 1e-12."""
+    residual = s
+    for imf, diag in zip(d.imfs[:-1], d.diagnostics):
+        filt = build_filter(residual, raised_cosine_shape(), cfg)
+        ref, k_ref, d_ref = reference_sift(residual, filt, BoundaryKind.ZERO, cfg)
+        assert diag.filter_length == filt.length
+        assert diag.inner_steps == k_ref
+        assert np.abs(imf - ref).max() <= 1e-12 * np.abs(residual).max()
+        assert abs(diag.final_delta - d_ref) <= 1e-12
+        residual = residual - imf
+
+
+def loop_sift(monkeypatch, s, filt, cfg):
+    """The zero kind's sift with its Krylov path switched off."""
+    with monkeypatch.context() as m:
+        m.setattr("iterfilt.decompose._KRYLOV_MIN_LENGTH", 1 << 62)
+        return inner_loop(s, filt, BoundaryKind.ZERO, cfg)
+
+
+class TestKrylovSift:
+    """The zero kind sifts long filters in a two-pass Lanczos basis when the
+    sift is long: the loop's steps, its component to 1e-12 of max|s|, and
+    the loop's own bits wherever the loop runs instead."""
+
+    @pytest.mark.parametrize("seed", [7, 11, 203])
+    def test_benchmark_chirp_matches_reference_sift(self, seed, apply_calls):
+        s, cfg = bench_chirp(seed, 2048), StoppingConfig()
+        d = dif(s, kind=BoundaryKind.ZERO, cfg=cfg)
+        steps = sum(diag.inner_steps for diag in d.diagnostics)
+        assert 3 * len(apply_calls) < steps  # most steps came from Lanczos bases
+        assert_sifts_match_reference(d, s, cfg)
+
+    def test_acceptance_cases_match_reference_sift(self):
+        # criterion 7's zero-kind signals: n = 1,000 with l = 38 and 60 steps,
+        # which stay on the loop
+        rng = np.random.default_rng(707)
+        cfg = StoppingConfig(max_inner=60, max_imfs=6, xi=1.9)
+        for trial in range(20):
+            amplitude = float(rng.uniform(0.5, 2.0))
+            trend = float(rng.uniform(-1.5, 1.5))
+            phase = float(rng.uniform(0.0, 2.0 * np.pi))
+            if list(BoundaryKind)[trial % len(BoundaryKind)] is BoundaryKind.ZERO:
+                s, _ = sine_trend(1000, 20, amplitude=amplitude, trend=trend, phase=phase)
+                assert_sifts_match_reference(dif(s, kind=BoundaryKind.ZERO, cfg=cfg), s, cfg)
+
+    def test_plain_filter_takes_the_loop(self, monkeypatch, apply_calls):
+        # a plain filter's Ritz values leave [0, 1] at the first check, after
+        # 20 products; the loop then returns its own bits
+        s, cfg = chirp(2048), StoppingConfig()
+        filt = plain_or_doubled(30, False)
+        assert StructuredOperator(filt, BoundaryKind.ZERO, s.size).kernel == "gemm"
+        imf, k, d = inner_loop(s, filt, BoundaryKind.ZERO, cfg)
+        assert len(apply_calls) == k + 20
+        ref, k_ref, d_ref = loop_sift(monkeypatch, s, filt, cfg)
+        assert np.array_equal(imf, ref) and (k, d) == (k_ref, d_ref)
+
+    def test_basis_cap_takes_the_loop(self, monkeypatch, apply_calls):
+        # the cap-hit sift's basis needs 100 vectors: capped at 60, the
+        # loop runs after 60 products and returns its own bits
+        s, cfg = chirp(2048), StoppingConfig(delta=1e-12)
+        filt = plain_or_doubled(142, True)
+        monkeypatch.setattr("iterfilt.decompose._KRYLOV_MAX", 60)
+        imf, k, d = inner_loop(s, filt, BoundaryKind.ZERO, cfg)
+        assert len(apply_calls) == 60 + k == 1060
+        ref, k_ref, d_ref = loop_sift(monkeypatch, s, filt, cfg)
+        assert np.array_equal(imf, ref) and (k, d) == (k_ref, d_ref)
+
+    def test_eigenvector_round_off_leaves_no_trace(self, monkeypatch):
+        # OpenBLAS rounds the tridiagonal eigenvectors differently with 1 and
+        # 2 threads at some sizes (m = 280 among m = 20, 40, ..., 400); the
+        # component and change come from the recurrence on T, not from them
+        s, cfg = chirp(2048), StoppingConfig(delta=1e-12)
+        filt = plain_or_doubled(142, True)
+        imf, k, d = inner_loop(s, filt, BoundaryKind.ZERO, cfg)
+        eigh = np.linalg.eigh
+
+        def nudged(a):
+            theta, u = eigh(a)
+            return theta, u * (1.0 + 2.0**-52)
+
+        monkeypatch.setattr(np.linalg, "eigh", nudged)
+        again, k2, d2 = inner_loop(s, filt, BoundaryKind.ZERO, cfg)
+        assert np.array_equal(imf, again) and (k, d) == (k2, d2)
+
+    def test_long_sift_does_not_depend_on_blas_threads(self):
+        # OpenBLAS splits dot products of more than 10,000 samples among its
+        # threads; the basis sums its own, so n = 12,000 rounds alike
+        code = ("import sys, numpy as np; from conftest import bench_chirp; "
+                "from iterfilt import *; "
+                "f = convolve_self(sample_filter(raised_cosine_shape(), 60)); "
+                "imf, k, d = inner_loop(bench_chirp(7, 12000), f, 'zero', "
+                "StoppingConfig(delta=1e-12)); print(imf.tobytes().hex(), k, repr(d))")
+        paths = [str(Path(iterfilt.__file__).resolve().parents[1]), str(Path(__file__).parent)]
+        outputs = [subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                  env=dict(os.environ, PYTHONPATH=os.pathsep.join(paths),
+                                           OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads),
+                                  check=True, timeout=120).stdout
+                   for threads in ("1", "2")]
+        assert outputs[0] == outputs[1] and outputs[0].split()[1] == "1000"
 
 
 def energy_rows(energy, z, m):

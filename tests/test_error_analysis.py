@@ -92,11 +92,12 @@ class TestErrorPropagation:
         with pytest.raises(ValueError, match="match"):
             error_propagation(op, u, 2)
 
-    # extended sizes on both sides of the dense-basis crossover at N = 896,
+    # extended sizes on both sides of the dense-basis crossover at N = 640,
     # primes among them (pocketfft's Bluestein lengths)
     @pytest.mark.parametrize("n,p,steps", [
         (41, 10, 70), (293, 19, 150), (300, 25, 64), (833, 31, 129),
         (880, 7, 3), (886, 5, 150), (895, 6, 100), (1001, 40, 140),
+        (599, 20, 100), (601, 20, 100),
     ])
     def test_matches_dense_oracle(self, rng, n, p, steps):
         # both kernels against iterating the dense operator step by step
@@ -121,8 +122,8 @@ class TestErrorPropagation:
 
     # (extended size N, kernel) from the table in error_propagation's docstring
     @pytest.mark.parametrize("size,kernel", [
-        (9, "dense"), (293, "dense"), (512, "dense"), (895, "dense"),
-        (896, "irfft"), (907, "irfft"), (1024, "irfft"), (4099, "irfft"),
+        (9, "dense"), (293, "dense"), (512, "dense"), (639, "dense"), (640, "irfft"),
+        (895, "irfft"), (896, "irfft"), (907, "irfft"), (1024, "irfft"), (4099, "irfft"),
     ])
     def test_kernel_choice(self, rng, monkeypatch, size, kernel):
         batches = []
