@@ -1,19 +1,19 @@
 """Signal extension rules outside the field of view.
 
-Four named rules (zero, periodic, reflective, anti-reflective) plus the
-constant worst-case extension used by the boundary-error model.
+Four named rules (zero, periodic, reflective, anti-reflective), each one of
+numpy's pad modes: :func:`extend` returns the n + 2p samples of the
+extended signal as one array, the original samples at positions p..p+n-1.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .signal import as_values
 
-__all__ = ["BoundaryKind", "ExtendedSignal", "extend", "constant_error_extension"]
+__all__ = ["BoundaryKind", "extend"]
 
 
 class BoundaryKind(str, Enum):
@@ -23,81 +23,37 @@ class BoundaryKind(str, Enum):
     ANTIREFLECTIVE = "antireflective"
 
 
-@dataclass(frozen=True)
-class ExtendedSignal:
-    """A signal together with p extrapolated samples on each side.
-
-    ``left`` holds positions -p..-1 in index order, ``right`` positions
-    n..n-1+p; ``core`` is the untouched original signal.
-    """
-
-    left: np.ndarray
-    core: np.ndarray
-    right: np.ndarray
-
-    @property
-    def pad(self) -> int:
-        return self.left.size
-
-    @property
-    def n(self) -> int:
-        return self.core.size
-
-    @property
-    def values(self) -> np.ndarray:
-        return np.concatenate([self.left, self.core, self.right])
+# np.pad's keyword arguments for each rule
+_PAD_MODES = {
+    BoundaryKind.ZERO: {"mode": "constant"},
+    BoundaryKind.PERIODIC: {"mode": "wrap"},
+    BoundaryKind.REFLECTIVE: {"mode": "symmetric"},
+    BoundaryKind.ANTIREFLECTIVE: {"mode": "reflect", "reflect_type": "odd"},
+}
 
 
-def extend(s, kind: BoundaryKind, p: int) -> ExtendedSignal:
-    """Extend a signal by p samples per side under a boundary rule.
+def extend(s, kind: BoundaryKind, p: int) -> np.ndarray:
+    """The n + 2p samples of a signal extended by p per side under a rule.
 
-    The rules, for j = 1..p (writing s_j for the core samples):
+    The rules, for j = 1..p (writing s_j for the samples):
 
     * zero:            s(-j) = 0,               s(n-1+j) = 0
     * periodic:        s(-j) = s(n-j),          s(n-1+j) = s(j-1)
     * reflective:      s(-j) = s(j-1),          s(n-1+j) = s(n-j)
     * anti-reflective: s(-j) = 2 s(0) - s(j),   s(n-1+j) = 2 s(n-1) - s(n-1-j)
 
-    Periodic and reflective need p <= n; anti-reflective needs p <= n-1
-    because it indexes sample j = p.
+    Element p + i of the result is s_i. Periodic and reflective need
+    p <= n; anti-reflective needs p <= n-1 because it indexes sample j = p.
     """
     v = as_values(s)
     n = v.size
     kind = BoundaryKind(kind)
     if p < 0:
         raise ValueError("pad must be nonnegative")
-
-    if kind is BoundaryKind.ZERO:
-        left = np.zeros(p)
-        right = np.zeros(p)
-    elif kind is BoundaryKind.PERIODIC:
-        if p > n:
-            raise ValueError(f"periodic extension needs p <= n, got p={p}, n={n}")
-        left = v[n - p:n].copy()
-        right = v[:p].copy()
-    elif kind is BoundaryKind.REFLECTIVE:
-        if p > n:
-            raise ValueError(f"reflective extension needs p <= n, got p={p}, n={n}")
-        left = v[:p][::-1].copy()
-        right = v[n - p:][::-1].copy()
-    else:  # anti-reflective
-        if p > n - 1:
-            raise ValueError(f"anti-reflective extension needs p <= n-1, got p={p}, n={n}")
-        left = 2.0 * v[0] - v[1:p + 1][::-1]
-        right = 2.0 * v[-1] - v[n - 1 - p:n - 1][::-1]
-
-    return ExtendedSignal(left=left, core=v.copy(), right=right)
-
-
-def constant_error_extension(s, p: int) -> ExtendedSignal:
-    """Worst-case extension: zero core, pads filled with chi = max |s|.
-
-    This is the input vector of the boundary-error propagation model; chi
-    bounds the assumed constant discrepancy between any extension rule and
-    the unknown true continuation.
-    """
-    v = as_values(s)
-    if p < 0:
-        raise ValueError("pad must be nonnegative")
-    chi = float(np.abs(v).max())
-    return ExtendedSignal(left=np.full(p, chi), core=np.zeros(v.size), right=np.full(p, chi))
+    if kind is BoundaryKind.PERIODIC and p > n:
+        raise ValueError(f"periodic extension needs p <= n, got p={p}, n={n}")
+    if kind is BoundaryKind.REFLECTIVE and p > n:
+        raise ValueError(f"reflective extension needs p <= n, got p={p}, n={n}")
+    if kind is BoundaryKind.ANTIREFLECTIVE and p > n - 1:
+        raise ValueError(f"anti-reflective extension needs p <= n-1, got p={p}, n={n}")
+    return np.pad(v, p, **_PAD_MODES[kind])

@@ -25,7 +25,7 @@ import numpy as np
 from . import __version__
 from .boundary import BoundaryKind
 from .decompose import Decomposition, StoppingConfig, build_filter, dif, eif, inner_loop
-from .error_analysis import boundary_error_estimate, make_sine_trend_generator, phase_sweep
+from .error_analysis import error_propagation, make_sine_trend_generator, phase_sweep
 from .filters import SHAPE_NAMES, convolve_self, get_shape, raised_cosine_shape, sample_filter
 from .operators import TRANSFORM_KINDS, StructuredOperator
 from .signal import ParseError, load_signal, normalize
@@ -207,11 +207,10 @@ def _cmd_errorbound(args) -> int:
     if steps is None:
         steps = max(inner_loop(signal, filt, BoundaryKind(args.bc), cfg)[1], 1)
     pad = args.pad if args.pad is not None else 2 * filt.length
-    estimate = boundary_error_estimate(signal.values, filt, pad, steps)
-    bound = estimate.upper_bound
+    last, bound = error_propagation(signal, filt, steps, pad)
     _write_columns(args.output, "x_index,err_k,ub_k",
-                   [np.arange(bound.size), estimate.last, bound], ["%d", _FLOAT, _FLOAT])
-    _write_meta(args, {"pad": pad, "steps": steps, "chi": estimate.chi})
+                   [np.arange(bound.size), last, bound], ["%d", _FLOAT, _FLOAT])
+    _write_meta(args, {"pad": pad, "steps": steps, "chi": float(np.abs(signal.values).max())})
     return 0
 
 

@@ -392,10 +392,9 @@ def _next_filter(values: np.ndarray, shape: FilterShape, cfg: StoppingConfig) ->
     loop ends: :func:`filter_length` finds fewer than two extrema or no
     admissible filter length, counting the extrema once."""
     try:
-        length = filter_length(values, cfg.xi)
+        return build_filter(values, shape, cfg)
     except ValueError:
         return None
-    return convolve_self(sample_filter(shape, length))
 
 
 def _outer_loop(values: np.ndarray, shape: FilterShape, kind: BoundaryKind,
@@ -459,17 +458,19 @@ def eif(s, shape: FilterShape | None = None,
     back to the central n samples on output. By default p is twice the
     length of the filter that :func:`dif` would take first, and 0 when
     there is none (then the signal is its own trend). The result's ``pad``
-    records p. With p = 0 and periodic conditions this reproduces
-    :func:`dif` exactly.
+    records p. The signal is scaled by a power of two before it is
+    extended, so no extension rule overflows on finite samples. With p = 0
+    and periodic conditions this reproduces :func:`dif` exactly.
     """
     values = as_values(s)
     shape, cfg = shape or raised_cosine_shape(), cfg or StoppingConfig()
     if p is None:
         first = _next_filter(values, shape, cfg)
         p = 0 if first is None else 2 * first.length
-    extended = extend(values, kind, p)
-    imfs_ext, diags = _outer_loop(extended.values, shape, BoundaryKind.PERIODIC, cfg)
-    imfs = [f[p: p + extended.n].copy() for f in imfs_ext]
+    e = _unit_exponent(values)
+    imfs_ext, diags = _outer_loop(extend(np.ldexp(values, -e), kind, p), shape,
+                                  BoundaryKind.PERIODIC, cfg)
+    imfs = [np.ldexp(f[p: p + values.size], e) for f in imfs_ext]
     return Decomposition(imfs=imfs, diagnostics=diags, pad=p)
 
 

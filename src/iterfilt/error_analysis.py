@@ -15,18 +15,16 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .boundary import BoundaryKind, ExtendedSignal, constant_error_extension
+from .boundary import BoundaryKind
 from .decompose import StoppingConfig, build_filter, inner_loop
 from .filters import Filter, FilterShape, raised_cosine_shape
 from .operators import TRANSFORM_KINDS, StructuredOperator
 from .signal import as_values
 
 __all__ = [
-    "ErrorEstimate",
     "error_propagation",
     "actual_error",
     "relative_error",
-    "boundary_error_estimate",
     "make_sine_trend_generator",
     "phase_sweep",
     "SweepPoint",
@@ -41,24 +39,13 @@ _DENSE_MAX_SIZE = 640
 _DENSE_ROWS = 64
 
 
-@dataclass(frozen=True)
-class ErrorEstimate:
-    """The last step's propagated error and the pointwise upper bound."""
+def error_propagation(s, filt: Filter, steps: int, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Propagate the worst-case boundary error of a signal for a number of steps.
 
-    last: np.ndarray              # (n,)
-    upper_bound: np.ndarray       # (n,)
-    chi: float
-    pad: int
-    steps: int
-
-
-def error_propagation(op_ext: StructuredOperator, u: ExtendedSignal,
-                      steps: int) -> tuple[np.ndarray, np.ndarray]:
-    """Propagate the worst-case boundary error for a number of steps.
-
-    The step-j error is the core restriction of (I - W)^j u, u the
-    constant-outside/zero-inside vector on the extended domain and W
-    periodic of size N = n + 2p. All steps come from one DFT of u, whose
+    The step-j error is the core restriction of (I - W)^j u: u is the
+    array of N = n + 2p samples that holds chi = max |s| at the p outer
+    ones on each side and zero at the n core ones, and W is the periodic
+    operator of ``filt`` of size N. All steps come from one DFT of u, whose
     coefficient k scales by z_k^j at step j, z = 1 - lambda; u is real, so
     the coefficients up to the Nyquist index suffice. One loop runs over
     blocks of steps, whose powers are z^j0 times one table z^1..z^rows
@@ -69,15 +56,15 @@ def error_propagation(op_ext: StructuredOperator, u: ExtendedSignal,
 
     Only the map from a block's powers to its core errors depends on N.
     Below N = 640 a block of 64 steps is one matrix product with the real
-    core basis of :func:`_core_basis`; W is reversal-symmetric, so when u
-    is too (the constant extension is) only the first half of the core is
-    computed and the rest mirrored. From N = 640 on a block of 2^16
-    coefficients is one batched irfft of the powers times the coefficients,
-    fast only at lengths without large prime factors. Time of the dense
-    basis over the batched irfft for 300 steps, at every 5th N, for
-    doubled filters of l = 10 (p = 20) and l = 60 (p = 120) (geometric mean
-    and range of the per-size ratios, interleaved medians of 15, on a
-    2-vCPU x86-64 host, numpy 2.4, OpenBLAS on one thread):
+    core basis of :func:`_core_basis`; W and u are both reversal-symmetric,
+    so only the first half of the core is computed and the rest mirrored.
+    From N = 640 on a block of 2^16 coefficients is one batched irfft of
+    the powers times the coefficients, fast only at lengths without large
+    prime factors. Time of the dense basis over the batched irfft for 300
+    steps, at every 5th N, for doubled filters of l = 10 (p = 20) and
+    l = 60 (p = 120) (geometric mean and range of the per-size ratios,
+    interleaved medians of 15, on a 2-vCPU x86-64 host, numpy 2.4, OpenBLAS
+    on one thread):
 
     ============  =====  =========  ============
     N             mean   range      dense faster
@@ -101,27 +88,29 @@ def error_propagation(op_ext: StructuredOperator, u: ExtendedSignal,
     BLAS thread count; the dense product's does at some sizes.
 
     Returns (last, upper_bound): the step-``steps`` core error and the
-    pointwise maximum of |err_j| over j = 1..steps, both of length n.
+    pointwise maximum of |err_j| over j = 1..steps, both arrays of length n.
+    With p = 0 both are zero.
 
     Only a self-convolved filter keeps every |z_k| <= 1. A plain filter's
     eigenvalues reach below zero, so the error grows like
     max|1 - lambda|^steps and the maximum bounds nothing: 2.3e10 after
     1,000 steps on a 200-sample sine plus trend with chi = 2.5.
     """
+    if p < 0:
+        raise ValueError("pad must be nonnegative")
+    values = as_values(s)
+    n, l = values.size, filt.length
+    size = n + 2 * p
+    u = np.zeros(size)
+    u[:p] = u[p + n:] = float(np.abs(values).max())
+    op = StructuredOperator(filt, BoundaryKind.PERIODIC, size)
     if steps < 1:
         raise ValueError("steps must be at least 1")
-    if BoundaryKind(op_ext.kind) is not BoundaryKind.PERIODIC:
-        raise ValueError("error propagation runs on the periodic extended operator")
-    full = u.values
-    size = full.size
-    if op_ext.n != size:
-        raise ValueError(f"operator size {op_ext.n} does not match extended length {size}")
-    p, n, l = u.pad, u.n, op_ext.filter.length
-    c, lam = op_ext.to_eigenbasis(full)
+    c, lam = op.to_eigenbasis(u)
     half = size // 2 + 1
     c, z = c[:half] * np.sqrt(size), 1.0 - lam[:half]
     if size < _DENSE_MAX_SIZE:
-        width = (n + 1) // 2 if np.array_equal(full, full[::-1]) else n
+        width = (n + 1) // 2
         rows, basis = _DENSE_ROWS, _core_basis(c, size, p, width)
     else:
         width, rows, basis = n, max(1, _BLOCK // size), None
@@ -186,21 +175,6 @@ def relative_error(f1, f1_exact) -> float:
     if denom == 0.0:
         raise ValueError("relative error undefined for a zero reference component")
     return float(err.max()) / denom
-
-
-def boundary_error_estimate(s, filt: Filter, p: int, steps: int) -> ErrorEstimate:
-    """Run the full worst-case propagation for a signal and filter."""
-    values = as_values(s)
-    u = constant_error_extension(values, p)
-    op = StructuredOperator(filt, BoundaryKind.PERIODIC, values.size + 2 * p)
-    last, upper_bound = error_propagation(op, u, steps)
-    return ErrorEstimate(
-        last=last,
-        upper_bound=upper_bound,
-        chi=float(np.abs(values).max()),
-        pad=p,
-        steps=steps,
-    )
 
 
 @dataclass(frozen=True)
@@ -274,8 +248,8 @@ def phase_sweep(generator: Callable, dt: float, span: float,
             k_used = max(k_used, k)
             errs[kind.value] = relative_error(imf, exact)
 
-        estimate = boundary_error_estimate(samples, filt, 2 * filt.length, max(k_used, 1))
-        ub_rel = float(estimate.upper_bound.max()) / float(np.abs(exact).max())
+        bound = error_propagation(samples, filt, max(k_used, 1), 2 * filt.length)[1]
+        ub_rel = float(bound.max()) / float(np.abs(exact).max())
         best = min(errs, key=errs.get)
         points.append(SweepPoint(endpoint=endpoint, ub_rel=ub_rel, err_rel=errs, best_kind=best))
     return points

@@ -59,11 +59,11 @@ def load_signal(path) -> Signal:
 
     A single leading header line is tolerated: if the first line does not
     parse as a number it is skipped. Decimal point is '.', scientific
-    notation is accepted, line endings may be LF or CRLF. Malformed rows,
-    fewer than three samples and non-finite values are rejected with the
-    1-based row number.
+    notation is accepted, line endings may be LF or CRLF, and a leading
+    UTF-8 byte-order mark is dropped. Malformed rows, fewer than three
+    samples and non-finite values are rejected with the 1-based row number.
     """
-    text = Path(path).read_text(encoding="utf-8")
+    text = Path(path).read_text(encoding="utf-8-sig")
     lines = text.splitlines()
     while lines and lines[-1].strip() == "":
         lines.pop()
@@ -106,9 +106,9 @@ def count_extrema(s) -> int:
     qualify because they lack a two-sided neighbourhood.
     """
     v = as_values(s)
-    # collapse runs of equal samples, then count slope sign flips
+    # collapse runs of equal samples, then count turns (compared, not subtracted: no overflow)
     r = v[np.concatenate([[True], v[1:] != v[:-1]])]
     if r.size < 3:
         return 0
-    slope = np.sign(np.diff(r))
-    return int(np.count_nonzero(slope[:-1] != slope[1:]))
+    rising = r[1:] > r[:-1]
+    return int(np.count_nonzero(rising[:-1] != rising[1:]))

@@ -15,7 +15,7 @@ operator that both kernels of the boundary-error propagation replace.
 
 import numpy as np
 
-from iterfilt import BoundaryKind, Spectrum, extend
+from iterfilt import BoundaryKind, Spectrum, StructuredOperator, extend
 from iterfilt.operators import DENSE_GUARD
 
 # below this fraction of the input's norm an iterate counts as zero
@@ -142,7 +142,7 @@ def dense_power_apply(op, s, k):
 def direct_apply(filt, kind, x):
     """W x by definition: extend x by the filter length under ``kind`` and
     take the valid part of its direct convolution with the taps."""
-    ext = extend(np.asarray(x, dtype=float), kind, filt.length).values
+    ext = extend(np.asarray(x, dtype=float), kind, filt.length)
     return np.convolve(ext, filt.full(), mode="valid")
 
 
@@ -185,15 +185,17 @@ def scan_stop(energy, z, lam, k, d, tiny, cfg):
     return k, d
 
 
-def dense_propagation(op, u, steps):
+def dense_propagation(s, filt, steps, p):
     """(last, max) of the boundary-error propagation by definition: iterate
-    x <- x - W x with the dense periodic operator, starting from the extended
-    vector u, and restrict each step to the core."""
-    dense = dense_matrix(op)
-    x = np.asarray(u.values, dtype=float)
-    core = slice(u.pad, u.pad + u.n)
-    bound = np.zeros(u.n)
+    x <- x - W x with the dense periodic operator of size n + 2p, starting
+    from chi = max |s| on the p samples outside each boundary and zero on
+    the n inside, and restrict each step to the core."""
+    s = np.asarray(s, dtype=float)
+    n, chi = s.size, float(np.abs(s).max())
+    dense = dense_matrix(StructuredOperator(filt, BoundaryKind.PERIODIC, n + 2 * p))
+    x = np.concatenate([np.full(p, chi), np.zeros(n), np.full(p, chi)])
+    bound = np.zeros(n)
     for _ in range(steps):
         x = x - dense @ x
-        bound = np.maximum(bound, np.abs(x[core]))
-    return x[core], bound
+        bound = np.maximum(bound, np.abs(x[p: p + n]))
+    return x[p: p + n], bound

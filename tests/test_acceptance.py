@@ -15,12 +15,12 @@ from iterfilt import (
     StoppingConfig,
     StructuredOperator,
     actual_error,
-    boundary_error_estimate,
     convolve_self,
     diagonalized_power_apply,
     dif,
     dominant_period,
     eif,
+    error_propagation,
     filter_length,
     inner_loop,
     make_sine_trend_generator,
@@ -218,12 +218,12 @@ def test_criterion_08_error_bound_domination():
         assert l_base == period - 1  # fixture sanity: sine sits at the tap-spectrum zero
         filt = convolve_self(sample_filter(raised_cosine_shape(), l_base))
         for k in (3, 9):
-            estimate = boundary_error_estimate(s, filt, 2 * filt.length, k)
+            bound = error_propagation(s, filt, k, 2 * filt.length)[1]
             for kind in BoundaryKind:
                 imf, _, _ = inner_loop(s, filt, kind, StoppingConfig(delta=1e-300, max_inner=k))
                 err = actual_error(imf, exact)
                 interior = slice(1, n - 1)
-                frac = float(np.mean(estimate.upper_bound[interior] >= err[interior]))
+                frac = float(np.mean(bound[interior] >= err[interior]))
                 worst_frac = min(worst_frac, frac)
     ok = worst_frac >= 0.95
     report(8, ok, f"pointwise bound covers the measured error on the fixture suite at "

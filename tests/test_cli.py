@@ -231,6 +231,7 @@ class TestErrorboundCommand:
         meta = json.loads((tmp_path / "eb.csv.meta.json").read_text())
         assert 1 <= meta["config"]["steps"] <= 25
         assert meta["config"]["pad"] >= 2
+        assert meta["config"]["chi"] == np.abs(load_signal(signal_file).values).max()
 
     @pytest.mark.parametrize("bc", ["zero", "periodic", "reflective", "antireflective"])
     @pytest.mark.parametrize("double", ["on", "off"])

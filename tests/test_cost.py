@@ -28,7 +28,6 @@ from iterfilt import (
     StoppingConfig,
     StructuredOperator,
     build_filter,
-    constant_error_extension,
     convolve_self,
     dif,
     eif,
@@ -165,11 +164,10 @@ def test_error_propagation_memory_is_linear():
     # computed: 200 steps at n = 50,000 would be 80 MB as one array
     n, steps = 50_000, 200
     filt = convolve_self(sample_filter(raised_cosine_shape(), 20))
-    u = constant_error_extension(chirp(n), 2 * filt.length)
-    op = StructuredOperator(filt, BoundaryKind.PERIODIC, n + 4 * filt.length)
+    s = chirp(n)
     tracemalloc.start()
     try:
-        last, bound = error_propagation(op, u, steps)
+        last, bound = error_propagation(s, filt, steps, 2 * filt.length)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -267,6 +267,17 @@ class TestEif:
             unpadded = eif(s, kind=kind, p=0, cfg=cfg)
             assert not all(np.array_equal(a, b) for a, b in zip(d.imfs, unpadded.imfs))
 
+    @pytest.mark.parametrize("kind", list(BoundaryKind), ids=lambda k: k.value)
+    @pytest.mark.parametrize("s", [[1.5e308, 0.0, 1.0, -1.0, 2.0, 0.5, -1.7e308],
+                                   [1e308, -1e308] * 5], ids=["spikes", "alternating"])
+    def test_extreme_finite_input_is_scaled_before_extension(self, kind, s):
+        # unscaled, the anti-reflective 2 s(0) - s(j) overflows to infinity
+        s = np.array(s)
+        k = math.frexp(np.abs(s).max())[1]
+        d, unit = eif(s, kind=kind), eif(np.ldexp(s, -k), kind=kind)
+        assert all(np.isfinite(f).all() for f in d.imfs)
+        assert all(np.array_equal(f, np.ldexp(g, k)) for f, g in zip(d.imfs, unit.imfs, strict=True))
+
     def test_pad_record(self):
         s, _ = sine_trend(200, 20)
         assert dif(s).pad == 0

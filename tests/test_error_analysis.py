@@ -4,12 +4,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from iterfilt import (
     BoundaryKind,
-    ExtendedSignal,
     StoppingConfig,
-    StructuredOperator,
     actual_error,
-    boundary_error_estimate,
-    constant_error_extension,
     convolve_self,
     dominant_period,
     error_propagation,
@@ -25,33 +21,23 @@ from test_decompose import null_tuned_filter
 TRANSFORM_KINDS = [BoundaryKind.PERIODIC, BoundaryKind.REFLECTIVE, BoundaryKind.ANTIREFLECTIVE]
 
 
-def propagation_case(rng, n, p, filt=None):
-    """(operator, extended error vector) for a random signal of n samples."""
-    filt = filt or random_doubled_filter(rng, n)
-    u = constant_error_extension(rng.standard_normal(n) + 0.5, p)
-    return StructuredOperator(filt, BoundaryKind.PERIODIC, n + 2 * p), u
+def propagation_case(rng, n, filt=None):
+    """(signal, filter) for a random signal of n samples."""
+    return rng.standard_normal(n) + 0.5, filt or random_doubled_filter(rng, n)
 
 
 class TestErrorPropagation:
     def test_zero_chi_stays_zero(self, rng):
         filt = random_doubled_filter(rng, 20)
-        u = constant_error_extension(np.zeros(20), 6)
-        op = StructuredOperator(filt, BoundaryKind.PERIODIC, 32)
-        last, bound = error_propagation(op, u, 4)
+        last, bound = error_propagation(np.zeros(20), filt, 4, 6)
         assert np.abs(last).max() == 0.0 and bound.max() == 0.0
-
-    def test_core_of_input_is_zero(self, rng):
-        u = constant_error_extension(rng.standard_normal(15), 4)
-        assert np.abs(u.core).max() == 0.0
 
     def test_single_step_support(self, rng):
         # one application reaches exactly l cells into the core
         n, p = 40, 10
-        filt = random_doubled_filter(rng, n)
+        s, filt = propagation_case(rng, n)
         l = filt.length
-        u = constant_error_extension(rng.standard_normal(n) + 0.5, p)
-        op = StructuredOperator(filt, BoundaryKind.PERIODIC, n + 2 * p)
-        err1, _ = error_propagation(op, u, 1)
+        err1, _ = error_propagation(s, filt, 1, p)
         inside = err1[l: n - l]
         assert np.abs(inside).max() == 0.0
         assert np.abs(err1[:l]).min() > 0.0
@@ -59,38 +45,24 @@ class TestErrorPropagation:
 
     def test_support_growth_bound(self, rng):
         n, p, k = 60, 8, 3
-        filt = random_doubled_filter(rng, 24)
+        s, filt = propagation_case(rng, n, random_doubled_filter(rng, 24))
         l = filt.length
-        u = constant_error_extension(rng.standard_normal(n) + 1.0, p)
-        op = StructuredOperator(filt, BoundaryKind.PERIODIC, n + 2 * p)
         for j in range(1, k + 1):
             depth = j * l
             if depth < n - depth:
-                last, bound = error_propagation(op, u, j)
+                last, bound = error_propagation(s, filt, j, p)
                 assert np.abs(last[depth: n - depth]).max() == 0.0
                 assert bound[depth: n - depth].max() == 0.0
 
     def test_pad_zero_identically_zero(self, rng):
-        n = 30
-        filt = random_doubled_filter(rng, n)
-        u = constant_error_extension(rng.standard_normal(n), 0)
-        op = StructuredOperator(filt, BoundaryKind.PERIODIC, n)
-        last, bound = error_propagation(op, u, 5)
+        s, filt = propagation_case(rng, 30)
+        last, bound = error_propagation(s, filt, 5, 0)
         assert np.abs(last).max() == 0.0 and bound.max() == 0.0
 
-    def test_requires_periodic_operator(self, rng):
-        filt = random_doubled_filter(rng, 20)
-        u = constant_error_extension(np.ones(20), 5)
-        op = StructuredOperator(filt, BoundaryKind.REFLECTIVE, 30)
-        with pytest.raises(ValueError, match="periodic"):
-            error_propagation(op, u, 2)
-
-    def test_size_mismatch(self, rng):
-        filt = random_doubled_filter(rng, 20)
-        u = constant_error_extension(np.ones(20), 5)
-        op = StructuredOperator(filt, BoundaryKind.PERIODIC, 31)
-        with pytest.raises(ValueError, match="match"):
-            error_propagation(op, u, 2)
+    def test_negative_pad_rejected(self, rng):
+        s, filt = propagation_case(rng, 20)
+        with pytest.raises(ValueError, match="pad must be nonnegative"):
+            error_propagation(s, filt, 2, -1)
 
     # extended sizes on both sides of the dense-basis crossover at N = 640,
     # primes among them (pocketfft's Bluestein lengths)
@@ -101,24 +73,12 @@ class TestErrorPropagation:
     ])
     def test_matches_dense_oracle(self, rng, n, p, steps):
         # both kernels against iterating the dense operator step by step
-        filt = random_doubled_filter(rng, min(n, 120))
-        op, u = propagation_case(rng, n, p, filt)
-        chi = float(np.abs(u.values).max())
-        last, bound = error_propagation(op, u, steps)
-        oracle_last, oracle_bound = dense_propagation(op, u, steps)
+        s, filt = propagation_case(rng, n, random_doubled_filter(rng, min(n, 120)))
+        chi = float(np.abs(s).max())
+        last, bound = error_propagation(s, filt, steps, p)
+        oracle_last, oracle_bound = dense_propagation(s, filt, steps, p)
         assert np.abs(last - oracle_last).max() <= 1e-13 * chi
         assert np.abs(bound - oracle_bound).max() <= 1e-13 * chi
-
-    def test_asymmetric_input_matches_dense_oracle(self, rng):
-        # the dense basis mirrors only a reversal-symmetric u
-        n, p = 50, 12
-        filt = random_doubled_filter(rng, n)
-        u = ExtendedSignal(left=rng.standard_normal(p), core=np.zeros(n),
-                           right=rng.standard_normal(p))
-        op = StructuredOperator(filt, BoundaryKind.PERIODIC, n + 2 * p)
-        chi = float(np.abs(u.values).max())
-        for got, want in zip(error_propagation(op, u, 40), dense_propagation(op, u, 40)):
-            assert np.abs(got - want).max() <= 1e-13 * chi
 
     # (extended size N, kernel) from the table in error_propagation's docstring
     @pytest.mark.parametrize("size,kernel", [
@@ -135,8 +95,8 @@ class TestErrorPropagation:
 
         monkeypatch.setattr(np.fft, "irfft", counted)
         p = 2
-        op, u = propagation_case(rng, size - 2 * p, p, random_doubled_filter(rng, 9))
-        error_propagation(op, u, 100)
+        s, filt = propagation_case(rng, size - 2 * p, random_doubled_filter(rng, 9))
+        error_propagation(s, filt, 100, p)
         if kernel == "dense":
             assert batches == []
         else:  # blocks of 2^16 coefficients' worth of steps
@@ -148,18 +108,19 @@ class TestErrorUpperBound:
     """The pointwise bound that error_propagation folds over its steps."""
 
     def test_single_step(self, rng):
-        op, u = propagation_case(rng, 12, 4)
-        last, bound = error_propagation(op, u, 1)
+        s, filt = propagation_case(rng, 12)
+        last, bound = error_propagation(s, filt, 1, 4)
         assert np.array_equal(bound, np.abs(last))
 
     def test_monotone_in_steps(self, rng):
         # each step's error is computed the same way whatever the step
         # count, so the running maximum grows exactly
         for n, p in ((12, 4), (200, 60), (900, 20)):
-            op, u = propagation_case(rng, n, p)
-            ub_k = error_propagation(op, u, 1)[1]
+            s, filt = propagation_case(rng, n)
+            ub_k = error_propagation(s, filt, 1, p)[1]
             for k in (2, 3, 63, 64, 65, 130):
-                last, ub_next = error_propagation(op, u, k)
+                last, ub_next = error_propagation(s, filt, k, p)
+                assert last.shape == ub_next.shape == (n,)
                 assert np.all(ub_next >= ub_k)
                 assert np.all(ub_next >= np.abs(last))
                 ub_k = ub_next
@@ -167,28 +128,28 @@ class TestErrorUpperBound:
     def test_componentwise_max(self, rng):
         # the bound is the componentwise max of the single steps' errors:
         # exactly those of shorter calls, and the dense oracle's to round-off
-        op, u = propagation_case(rng, 30, 8)
-        chi = float(np.abs(u.values).max())
-        _, bound = error_propagation(op, u, 6)
-        lasts = [error_propagation(op, u, k)[0] for k in range(1, 7)]
+        s, filt = propagation_case(rng, 30)
+        chi = float(np.abs(s).max())
+        _, bound = error_propagation(s, filt, 6, 8)
+        lasts = [error_propagation(s, filt, k, 8)[0] for k in range(1, 7)]
         assert np.array_equal(bound, np.abs(lasts).max(axis=0))
-        oracle = [dense_propagation(op, u, k)[0] for k in range(1, 7)]
+        oracle = [dense_propagation(s, filt, k, 8)[0] for k in range(1, 7)]
         assert np.abs(bound - np.abs(oracle).max(axis=0)).max() <= 1e-13 * chi
 
     def test_permutation_invariant(self, rng):
         # the bound sees the signal only through chi = max |s|
         s = rng.standard_normal(40)
         filt = random_doubled_filter(rng, 40)
-        est = boundary_error_estimate(s, filt, 9, 7)
-        shuffled = boundary_error_estimate(s[rng.permutation(40)], filt, 9, 7)
-        assert np.array_equal(est.upper_bound, shuffled.upper_bound)
-        assert np.array_equal(est.last, shuffled.last)
+        last, bound = error_propagation(s, filt, 7, 9)
+        shuffled_last, shuffled_bound = error_propagation(s[rng.permutation(40)], filt, 7, 9)
+        assert np.array_equal(bound, shuffled_bound)
+        assert np.array_equal(last, shuffled_last)
 
     def test_empty_rejected(self, rng):
-        op, u = propagation_case(rng, 12, 4)
+        s, filt = propagation_case(rng, 12)
         for steps in (0, -3):
             with pytest.raises(ValueError, match="steps must be at least 1"):
-                error_propagation(op, u, steps)
+                error_propagation(s, filt, steps, 4)
 
 
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)
@@ -200,15 +161,15 @@ def test_propagation_properties(n, base, pad, steps, seed):
     l = filt.length
     p = int(pad * 3 * l)
     assume(2 * l + 1 <= n + 2 * p)
-    op, u = propagation_case(rng, n, p, filt)
-    last, bound = error_propagation(op, u, steps)
+    s, filt = propagation_case(rng, n, filt)
+    last, bound = error_propagation(s, filt, steps, p)
     assert np.array_equal(bound, bound[::-1])
     if steps > 1:
-        assert np.all(bound >= error_propagation(op, u, steps - 1)[1])
+        assert np.all(bound >= error_propagation(s, filt, steps - 1, p)[1])
     depth = steps * l
     assert not last[depth: n - depth].any() and not bound[depth: n - depth].any()
-    chi = float(np.abs(u.values).max())
-    oracle_last, oracle_bound = dense_propagation(op, u, steps)
+    chi = float(np.abs(s).max())
+    oracle_last, oracle_bound = dense_propagation(s, filt, steps, p)
     assert np.abs(last - oracle_last).max() <= 1e-13 * chi
     assert np.abs(bound - oracle_bound).max() <= 1e-13 * chi
 
@@ -235,9 +196,9 @@ class TestActualError:
         filt = null_tuned_filter(period)
         imf, _, _ = inner_loop(s, filt, BoundaryKind.PERIODIC, StoppingConfig(delta=1e-300, max_inner=k))
         err = actual_error(imf, exact)
-        est = boundary_error_estimate(s, filt, 2 * filt.length, k)
+        bound = error_propagation(s, filt, k, 2 * filt.length)[1]
         interior = slice(1, n - 1)
-        frac = np.mean(est.upper_bound[interior] >= err[interior])
+        frac = np.mean(bound[interior] >= err[interior])
         assert frac >= 0.95
 
 
@@ -257,21 +218,6 @@ class TestRelativeError:
     def test_zero_reference(self):
         with pytest.raises(ValueError):
             relative_error(np.ones(4), np.zeros(4))
-
-
-class TestBoundaryErrorEstimate:
-    def test_fields(self, rng):
-        s = rng.standard_normal(30) + 2.0
-        filt = random_doubled_filter(rng, 30)
-        est = boundary_error_estimate(s, filt, 6, 4)
-        assert est.last.shape == (30,)
-        assert est.upper_bound.shape == (30,)
-        assert est.chi == pytest.approx(np.abs(s).max())
-        assert est.pad == 6 and est.steps == 4
-        u = constant_error_extension(s, 6)
-        last, bound = error_propagation(StructuredOperator(filt, BoundaryKind.PERIODIC, 42), u, 4)
-        assert np.array_equal(est.last, last) and np.array_equal(est.upper_bound, bound)
-        assert np.all(est.upper_bound >= np.abs(est.last))
 
 
 class TestDominantPeriod:

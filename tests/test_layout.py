@@ -1,8 +1,10 @@
 """Module layout: no iterfilt module imports another one's private names,
-every exported name exists and is exported by one module only, and every
-hook of the benchmark's tracer exists."""
+every exported name exists and is exported by one module only, the public
+names are a pinned list, and every hook of the benchmark's tracer exists
+and receives the arguments it reads."""
 
 import ast
+import inspect
 import importlib
 import importlib.util
 from pathlib import Path
@@ -65,3 +67,28 @@ def test_tracer_hooks_resolve():
     missing += [(mod, f"{cls}.{attr}") for mod, cls, attr, *_ in tracing.METHODS
                 if attr not in vars(getattr(importlib.import_module(mod), cls, object))]
     assert missing == []
+
+
+PUBLIC_NAMES = [
+    "BoundaryKind", "ConvergenceConstants", "Decomposition", "Filter", "FilterShape",
+    "ImfDiagnostics", "ParseError", "SHAPE_NAMES", "Signal", "Spectrum", "StoppingConfig",
+    "StructuredOperator", "SweepPoint", "__version__", "actual_error", "build_filter",
+    "convolve_self", "count_extrema", "diagonalized_power_apply", "dif", "dominant_period",
+    "eif", "error_propagation", "extend", "filter_length", "get_shape", "inner_loop",
+    "load_signal", "make_sine_trend_generator", "normalize", "phase_sweep",
+    "raised_cosine_shape", "relative_error", "sample_filter", "stopping_bound_k0",
+    "triangle_shape", "uniform_shape", "unit_eigenvectors",
+]
+
+
+def test_public_surface_is_pinned():
+    # a change to the public API shows up as a diff of this list
+    assert sorted(importlib.import_module("iterfilt").__all__) == PUBLIC_NAMES
+
+
+def test_traced_propagation_steps_argument():
+    # perfbench/tracing.py's _propagate_steps reads the step count from the
+    # third positional argument of error_propagation
+    from iterfilt import error_propagation
+
+    assert list(inspect.signature(error_propagation).parameters)[2] == "steps"

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -40,6 +42,16 @@ class TestLoadSignal:
         with pytest.raises(ParseError, match=rf"^row 4: non-finite value '{token}'$") as exc:
             load_signal(f)
         assert exc.value.row == 4
+
+    def test_byte_order_mark_before_number(self, tmp_path):
+        f = tmp_path / "s.csv"
+        f.write_text("\ufeff1.5\n2\n3\n4\n", encoding="utf-8")
+        assert np.array_equal(load_signal(f).values, [1.5, 2.0, 3.0, 4.0])
+
+    def test_byte_order_mark_before_header(self, tmp_path):
+        f = tmp_path / "s.csv"
+        f.write_text("\ufeffvalue\n1.5\n2\n3\n", encoding="utf-8")
+        assert np.array_equal(load_signal(f).values, [1.5, 2.0, 3.0])
 
     def test_crlf_and_scientific_notation(self, tmp_path):
         f = tmp_path / "s.csv"
@@ -118,6 +130,13 @@ class TestCountExtrema:
         base = count_extrema(v)
         assert count_extrema(v + 7.25) == base
         assert count_extrema(3.5 * v) == base
+
+    def test_extreme_neighbours_raise_no_warning(self):
+        # neighbours are compared, not subtracted: 1e308 - (-1e308) overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert count_extrema([1e308, -1e308] * 5) == 8
+            assert count_extrema([1.5e308, 0.0, 1.0, -1.0, 2.0, 0.5, -1.7e308]) == 4
 
     def test_reversal_invariance(self, rng):
         v = rng.standard_normal(60)
