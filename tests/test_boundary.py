@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from iterfilt import BoundaryKind, extend
+from iterfilt import BoundaryKind, error_propagation, extend
+
+from conftest import random_doubled_filter
 
 S4 = np.array([1.0, 2.0, 3.0, 4.0])
 
@@ -78,3 +80,23 @@ class TestExtend:
             assert full[p - j] == 2.0 * v[0] - v[j]
             assert full[p - j] + full[p + j] == pytest.approx(2.0 * full[p], rel=1e-15, abs=1e-15)
 
+
+class TestConstantErrorExtension:
+    """The worst-case extension error error_propagation starts from: chi =
+    max |s| on the p samples outside each boundary, zero inside."""
+
+    def test_zero_pad(self, rng):
+        # no samples outside the boundaries, so nothing to propagate
+        s = np.array([-2.0, 1.0, 0.5] * 10)
+        filt = random_doubled_filter(rng, s.size)
+        for steps in (1, 5, 80):
+            last, bound = error_propagation(s, filt, steps, 0)
+            assert last.shape == bound.shape == s.shape
+            assert not last.any() and not bound.any()
+
+    def test_zero_signal(self, rng):
+        # chi = 0 whatever the pad
+        filt = random_doubled_filter(rng, 20)
+        for p in (1, 3, 25):
+            last, bound = error_propagation(np.zeros(20), filt, 3, p)
+            assert not last.any() and not bound.any()

@@ -220,6 +220,24 @@ class TestRelativeError:
             relative_error(np.ones(4), np.zeros(4))
 
 
+class TestBoundaryErrorEstimate:
+    def test_fields(self, rng):
+        # (last, bound) over the core, bound >= |last|, and both scaled by
+        # chi = max |s| as in the dense oracle
+        s = rng.standard_normal(30) + 2.0
+        filt = random_doubled_filter(rng, 30)
+        chi = float(np.abs(s).max())
+        last, bound = error_propagation(s, filt, 4, 6)
+        assert last.shape == bound.shape == (30,)
+        assert np.all(bound >= np.abs(last))
+        oracle_last, oracle_bound = dense_propagation(s, filt, 4, 6)
+        assert np.abs(last - oracle_last).max() <= 1e-13 * chi
+        assert np.abs(bound - oracle_bound).max() <= 1e-13 * chi
+        unit_last, unit_bound = error_propagation(s / chi, filt, 4, 6)
+        assert np.abs(last - chi * unit_last).max() <= 1e-13 * chi
+        assert np.abs(bound - chi * unit_bound).max() <= 1e-13 * chi
+
+
 class TestDominantPeriod:
     def test_pure_cosine(self):
         t = np.arange(200) * 0.1
