@@ -387,14 +387,24 @@ def build_filter(values, shape: FilterShape, cfg: StoppingConfig) -> Filter:
     return convolve_self(sample_filter(shape, filter_length(values, cfg.xi)))
 
 
-def _next_filter(values: np.ndarray, shape: FilterShape, cfg: StoppingConfig) -> Filter | None:
-    """The filter of the outer step on ``values``, or None where the outer
-    loop ends: :func:`filter_length` finds fewer than two extrema or no
-    admissible filter length, counting the extrema once."""
+def _next_filter(values: np.ndarray, shape: FilterShape, cfg: StoppingConfig,
+                 last: Filter | None = None) -> Filter | None:
+    """The filter of the outer step on ``values`` after the filter ``last``,
+    or None where the outer loop ends: :func:`filter_length` finds fewer
+    than two extrema or no admissible filter length, counting the extrema
+    once. Each filter is longer than the last (Lin, Wang and Zhou 2009):
+    where the extrema give a base length b no longer than the last one's,
+    b_last, the base length is max(b_last + 1, ceil(1.1 b_last)), and the
+    loop ends where that exceeds the largest admissible (n - 1) // 4."""
     try:
-        return build_filter(values, shape, cfg)
+        b = filter_length(values, cfg.xi)
     except ValueError:
         return None
+    if last is not None and b <= (b_last := last.length // 2):
+        b = max(b_last + 1, -(-11 * b_last // 10))
+        if b > (values.size - 1) // 4:
+            return None
+    return convolve_self(sample_filter(shape, b))
 
 
 def _outer_loop(values: np.ndarray, shape: FilterShape, kind: BoundaryKind,
@@ -402,8 +412,9 @@ def _outer_loop(values: np.ndarray, shape: FilterShape, kind: BoundaryKind,
     imfs: list[np.ndarray] = []
     diags: list[ImfDiagnostics] = []
     e = _unit_exponent(values)
-    residual = np.ldexp(values, -e)
-    while len(imfs) < cfg.max_imfs - 1 and (filt := _next_filter(residual, shape, cfg)) is not None:
+    residual, filt = np.ldexp(values, -e), None
+    while (len(imfs) < cfg.max_imfs - 1
+           and (filt := _next_filter(residual, shape, cfg, filt)) is not None):
         imf, k, d = inner_loop(residual, filt, kind, cfg)
         if np.linalg.norm(imf) <= _ZERO_ITERATE * np.linalg.norm(residual):
             break  # the extraction removed nothing: the residual is the trend
@@ -422,13 +433,15 @@ def dif(s, shape: FilterShape | None = None,
 
     Each outer step picks a filter length from the residual's extrema
     count, extracts one component with :func:`inner_loop` (re-imposing the
-    chosen boundary conditions every iteration) and subtracts it. The loop
-    ends when fewer than two extrema remain, max_imfs is reached or a
-    component is numerically zero (at most 1e-14 times the residual's norm,
-    and then dropped); the final residual is appended as the trend, so the
-    components always sum back to the input. A signal too short for any
-    admissible filter length (fewer than 5 samples) is returned as its
-    trend. The loops run on s scaled by a power of two
+    chosen boundary conditions every iteration) and subtracts it. Each
+    filter is longer than the last (see :func:`_next_filter`). The loop
+    ends when fewer than two extrema remain, no admissible filter longer
+    than the last one is left (base length above (n - 1) // 4), max_imfs is
+    reached or a component is numerically zero (at most 1e-14 times the
+    residual's norm, and then dropped); the final residual is appended as
+    the trend, so the components always sum back to the input. A signal too
+    short for any admissible filter length (fewer than 5 samples) is
+    returned as its trend. The loops run on s scaled by a power of two
     (see :func:`inner_loop`), so ``dif(c*s)`` is exactly ``c`` times
     ``dif(s)`` for powers of two c that keep the samples normal.
 
@@ -455,7 +468,9 @@ def eif(s, shape: FilterShape | None = None,
     The signal is extended once by p samples per side under ``kind``; every
     inner and outer iteration then runs a periodic (circulant) operator of
     size n + 2p on the extended vector, and the components are restricted
-    back to the central n samples on output. By default p is twice the
+    back to the central n samples on output. The outer loop is
+    :func:`dif`'s: each filter longer than the last, up to the base length
+    (n + 2p - 1) // 4 of the extended vector. By default p is twice the
     length of the filter that :func:`dif` would take first, and 0 when
     there is none (then the signal is its own trend). The result's ``pad``
     records p. The signal is scaled by a power of two before it is

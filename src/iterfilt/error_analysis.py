@@ -89,7 +89,9 @@ def error_propagation(s, filt: Filter, steps: int, p: int) -> tuple[np.ndarray, 
 
     Returns (last, upper_bound): the step-``steps`` core error and the
     pointwise maximum of |err_j| over j = 1..steps, both arrays of length n.
-    With p = 0 both are zero.
+    With p = 0 both are zero. They are computed for chi scaled by the power
+    of two that brings it into [0.5, 1) and scaled back, exactly, so no sum
+    of the DFT overflows on finite samples.
 
     Only a self-convolved filter keeps every |z_k| <= 1. A plain filter's
     eigenvalues reach below zero, so the error grows like
@@ -101,8 +103,10 @@ def error_propagation(s, filt: Filter, steps: int, p: int) -> tuple[np.ndarray, 
     values = as_values(s)
     n, l = values.size, filt.length
     size = n + 2 * p
+    chi = float(np.abs(values).max())
+    e = math.frexp(chi)[1]
     u = np.zeros(size)
-    u[:p] = u[p + n:] = float(np.abs(values).max())
+    u[:p] = u[p + n:] = math.ldexp(chi, -e)
     op = StructuredOperator(filt, BoundaryKind.PERIODIC, size)
     if steps < 1:
         raise ValueError("steps must be at least 1")
@@ -130,7 +134,7 @@ def error_propagation(s, filt: Filter, steps: int, p: int) -> tuple[np.ndarray, 
     last = err[-1]
     if width < n:
         last, bound = (np.concatenate([v, v[: n // 2][::-1]]) for v in (last, bound))
-    return last, bound
+    return np.ldexp(last, e), np.ldexp(bound, e)
 
 
 def _core_basis(c: np.ndarray, size: int, p: int, width: int) -> np.ndarray:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -68,22 +69,38 @@ def load_signal(path) -> Signal:
     while lines and lines[-1].strip() == "":
         lines.pop()
 
+    header = 0
+    if lines:
+        try:
+            float(lines[0].strip())
+        except ValueError:
+            header = 1  # a header line
+    try:
+        values = np.array(list(map(float, islice(lines, header, None))))
+    except ValueError:
+        values = None
+    if values is None or not np.isfinite(values).all():
+        values = np.array(_parse_rows(lines, header))
+    if values.size < MIN_SAMPLES:
+        raise ParseError(f"need at least {MIN_SAMPLES} samples, found {values.size}")
+    return Signal(values)
+
+
+def _parse_rows(lines: list[str], header: int) -> list[float]:
+    """The samples row by row, each line stripped as ``str.strip`` does
+    (float() keeps the separators U+001C-U+001F); raises ParseError with
+    the 1-based row of the first row that is not a finite number."""
     values = []
-    for idx, line in enumerate(lines, start=1):
+    for idx, line in enumerate(lines[header:], start=header + 1):
         token = line.strip()
         try:
             x = float(token)
         except ValueError:
-            if idx == 1:
-                continue  # header line
             raise ParseError(f"could not parse {token!r} as a number", row=idx) from None
         if not math.isfinite(x):
             raise ParseError(f"non-finite value {token!r}", row=idx)
         values.append(x)
-
-    if len(values) < MIN_SAMPLES:
-        raise ParseError(f"need at least {MIN_SAMPLES} samples, found {len(values)}")
-    return Signal(np.array(values))
+    return values
 
 
 def normalize(s) -> Signal:

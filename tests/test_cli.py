@@ -268,6 +268,17 @@ class TestErrorboundCommand:
         flat.write_text("1.0\n1.0\n1.0\n1.0\n")
         assert run(["errorbound", str(flat), str(tmp_path / "o.csv")]) == 4
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("pad", ["8", "400"], ids=["dense", "irfft"])
+    def test_extreme_finite_input_stays_finite(self, tmp_path, pad):
+        # the DFT of the outside chi = 1.7e308 would sum p copies of it; the
+        # propagation runs on chi scaled by a power of two and scales back
+        inp, out = tmp_path / "big.csv", tmp_path / "eb.csv"
+        inp.write_text("1.5e308\n0\n1\n-1\n2\n0.5\n-1.7e308\n0.3\n-0.2\n0.9\n")
+        assert run(["errorbound", "--pad", pad, str(inp), str(out)]) == 0
+        _, rows = read_table(out)
+        assert np.isfinite(np.array(rows, dtype=float)).all()
+
     def test_irfft_propagation_does_not_depend_on_blas_threads(self, tmp_path):
         # n = 600 with pad 24: N = 648, from 640 on the batched irfft, whose
         # rounding is the same with 1 and 2 threads (the dense basis's is not)

@@ -104,11 +104,12 @@ def test_zero_kind_cap_hit_sift_applies_fewer_products_than_steps(apply_calls):
 
 
 def test_zero_kind_dif_products(apply_calls):
-    # 9,760 steps: the six sifts of at most 240 steps on the loop, the nine
-    # of 416 to 1,000 steps in Lanczos bases; the count repeats exactly
+    # 4,112 steps: the eight sifts of 84 to 267 steps on the loop (seven of
+    # them after the basis's first 20 products), the four of 416 to 1,000
+    # steps in Lanczos bases; the count repeats exactly
     d = dif(chirp(2048), kind=BoundaryKind.ZERO)
-    assert sum(diag.inner_steps for diag in d.diagnostics) == 9760
-    assert len(apply_calls) == 2580
+    assert sum(diag.inner_steps for diag in d.diagnostics) == 4112
+    assert len(apply_calls) == 2355
 
 
 def test_zero_kind_krylov_sift_memory_is_linear(apply_calls):

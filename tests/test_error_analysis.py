@@ -172,6 +172,9 @@ def test_propagation_properties(n, base, pad, steps, seed):
     oracle_last, oracle_bound = dense_propagation(s, filt, steps, p)
     assert np.abs(last - oracle_last).max() <= 1e-13 * chi
     assert np.abs(bound - oracle_bound).max() <= 1e-13 * chi
+    for c in (2.0**-600, 2.0**600):  # chi is propagated at a power-of-two scale
+        scaled = error_propagation(c * s, filt, steps, p)
+        assert np.array_equal(scaled[0], c * last) and np.array_equal(scaled[1], c * bound)
 
 
 class TestActualError:

@@ -59,6 +59,28 @@ class TestLoadSignal:
         assert np.allclose(load_signal(f).values, [1.5e-3, -20.0, 0.0])
 
 
+    def test_trailing_blank_lines_dropped(self, tmp_path):
+        f = tmp_path / "s.csv"
+        f.write_text("1.0\n2.0\n3.0\n\n  \n")
+        assert np.array_equal(load_signal(f).values, [1.0, 2.0, 3.0])
+
+    @pytest.mark.parametrize("text, message", [
+        ("x\n1\ninf\n2\nabc\n", "row 3: non-finite value 'inf'"),
+        ("x\n1\n2\nabc\nnan\n", "row 4: could not parse 'abc' as a number"),
+        ("1\n2\n3\n\n4\n", "row 4: could not parse '' as a number"),
+    ])
+    def test_first_bad_row_reported(self, tmp_path, text, message):
+        f = tmp_path / "s.csv"
+        f.write_text(text)
+        with pytest.raises(ParseError, match=rf"^{message}$"):
+            load_signal(f)
+
+    def test_separator_whitespace_stripped(self, tmp_path):
+        # str.strip removes U+001F, which float() alone rejects
+        f = tmp_path / "s.csv"
+        f.write_text("1.5\x1f\n2\n\x1f3\n")
+        assert np.array_equal(load_signal(f).values, [1.5, 2.0, 3.0])
+
 class TestSignal:
     def test_minimum_length(self):
         with pytest.raises(ValueError):
