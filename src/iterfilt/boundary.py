@@ -11,8 +11,6 @@ from enum import Enum
 
 import numpy as np
 
-from .signal import as_values
-
 __all__ = ["BoundaryKind", "extend"]
 
 
@@ -45,7 +43,7 @@ def extend(s, kind: BoundaryKind, p: int) -> np.ndarray:
     Element p + i of the result is s_i. Periodic and reflective need
     p <= n; anti-reflective needs p <= n-1 because it indexes sample j = p.
     """
-    v = as_values(s)
+    v = np.asarray(s, dtype=float)
     n = v.size
     kind = BoundaryKind(kind)
     if p < 0:

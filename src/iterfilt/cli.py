@@ -210,7 +210,7 @@ def _cmd_errorbound(args) -> int:
     last, bound = error_propagation(signal, filt, steps, pad)
     _write_columns(args.output, "x_index,err_k,ub_k",
                    [np.arange(bound.size), last, bound], ["%d", _FLOAT, _FLOAT])
-    _write_meta(args, {"pad": pad, "steps": steps, "chi": float(np.abs(signal.values).max())})
+    _write_meta(args, {"pad": pad, "steps": steps, "chi": float(np.abs(signal).max())})
     return 0
 
 

@@ -15,8 +15,8 @@ import numpy as np
 from .boundary import BoundaryKind, extend
 from .filters import (Filter, FilterShape, convolve_self, filter_length, raised_cosine_shape,
                       sample_filter)
-from .operators import StructuredOperator, unit_eigenvectors
-from .signal import as_values
+from .operators import StructuredOperator, spectrum_outside_unit, unit_eigenvectors
+from .signal import unit_exponent
 
 __all__ = [
     "StoppingConfig",
@@ -33,8 +33,6 @@ __all__ = [
 # below this fraction of the input's norm an iterate counts as zero: its
 # relative step change is rounding noise
 _ZERO_ITERATE = 1e-14
-# eigenvalues this far outside [0, 1] are round-off of a spectrum inside it
-_SPECTRUM_SLACK = 1e-12
 # the zero kind's Krylov sift (see _sift_krylov): the least filter length
 # that tries it, the steps between its checks, its largest basis, the most
 # steps that the loop takes instead and the agreement of two checks'
@@ -140,9 +138,9 @@ def inner_loop(s, filt: Filter, kind: BoundaryKind,
     any power of two c that keeps the samples normal.
     """
     cfg = cfg or StoppingConfig()
-    values = as_values(s)
+    values = np.asarray(s, dtype=float)
     op = StructuredOperator(filt, BoundaryKind(kind), values.size)
-    e = _unit_exponent(values)
+    e = unit_exponent(values)
     if op.kind is not BoundaryKind.ZERO:
         imf, k, d = _sift_spectral(op, np.ldexp(values, -e), cfg)
         return np.ldexp(imf, e, out=imf), k, d
@@ -165,16 +163,6 @@ def inner_loop(s, filt: Filter, kind: BoundaryKind,
     return np.ldexp(cur, e, out=cur), k, d
 
 
-def _unit_exponent(values: np.ndarray) -> int:
-    """The e with max|values| 2^-e in [0.5, 1), 0 for a zero signal.
-
-    Scaling by 2^-e is exact in binary floating point, so the loops run on
-    the same numbers at every power-of-two scale, and their norms neither
-    overflow nor underflow.
-    """
-    return math.frexp(float(np.max(np.abs(values), initial=0.0)))[1]
-
-
 def _sift_spectral(op: StructuredOperator, values: np.ndarray,
                    cfg: StoppingConfig) -> tuple[np.ndarray, int, float | None]:
     """:func:`inner_loop` in the eigenbasis: one transform round trip plus
@@ -192,8 +180,8 @@ def _sift_spectral(op: StructuredOperator, values: np.ndarray,
     (about 1e-15), below which the loop's step change is rounding noise.
     """
     c, lam = op.to_eigenbasis(values)
-    if lam.min() < -_SPECTRUM_SLACK or lam.max() > 1.0 + _SPECTRUM_SLACK:
-        raise ValueError(f"spectrum [{lam.min():.3g}, {lam.max():.3g}] is not in [0, 1]")
+    if problem := spectrum_outside_unit(lam):
+        raise ValueError(problem)
     norm_cur = float(np.linalg.norm(values))
     tiny = _ZERO_ITERATE * norm_cur
     if norm_cur == 0.0:
@@ -255,7 +243,7 @@ def _sift_krylov(op: StructuredOperator, values: np.ndarray,
             continue
         off = beta[:-1]
         theta, u = np.linalg.eigh(np.diag(alpha) + np.diag(off, 1) + np.diag(off, -1))
-        if theta[0] < -_SPECTRUM_SLACK or theta[-1] > 1.0 + _SPECTRUM_SLACK:
+        if spectrum_outside_unit(theta):
             return None
         z = 1.0 - theta
         c = norm_s * z * u[0]
@@ -411,7 +399,7 @@ def _outer_loop(values: np.ndarray, shape: FilterShape, kind: BoundaryKind,
                 cfg: StoppingConfig):
     imfs: list[np.ndarray] = []
     diags: list[ImfDiagnostics] = []
-    e = _unit_exponent(values)
+    e = unit_exponent(values)
     residual, filt = np.ldexp(values, -e), None
     while (len(imfs) < cfg.max_imfs - 1
            and (filt := _next_filter(residual, shape, cfg, filt)) is not None):
@@ -447,7 +435,7 @@ def dif(s, shape: FilterShape | None = None,
 
     Parameters
     ----------
-    s : Signal or array-like
+    s : array-like
         Input samples, length >= 3.
     shape : FilterShape, optional
         Filter profile; defaults to the raised cosine.
@@ -455,8 +443,8 @@ def dif(s, shape: FilterShape | None = None,
         Extension rule imposed inside the inner loop.
     cfg : StoppingConfig, optional
     """
-    imfs, diags = _outer_loop(as_values(s), shape or raised_cosine_shape(), BoundaryKind(kind),
-                              cfg or StoppingConfig())
+    imfs, diags = _outer_loop(np.asarray(s, dtype=float), shape or raised_cosine_shape(),
+                              BoundaryKind(kind), cfg or StoppingConfig())
     return Decomposition(imfs=imfs, diagnostics=diags)
 
 
@@ -477,12 +465,12 @@ def eif(s, shape: FilterShape | None = None,
     extended, so no extension rule overflows on finite samples. With p = 0
     and periodic conditions this reproduces :func:`dif` exactly.
     """
-    values = as_values(s)
+    values = np.asarray(s, dtype=float)
     shape, cfg = shape or raised_cosine_shape(), cfg or StoppingConfig()
     if p is None:
         first = _next_filter(values, shape, cfg)
         p = 0 if first is None else 2 * first.length
-    e = _unit_exponent(values)
+    e = unit_exponent(values)
     imfs_ext, diags = _outer_loop(extend(np.ldexp(values, -e), kind, p), shape,
                                   BoundaryKind.PERIODIC, cfg)
     imfs = [np.ldexp(f[p: p + values.size], e) for f in imfs_ext]

@@ -18,8 +18,8 @@ import numpy as np
 from .boundary import BoundaryKind
 from .decompose import StoppingConfig, build_filter, inner_loop
 from .filters import Filter, FilterShape, raised_cosine_shape
-from .operators import TRANSFORM_KINDS, StructuredOperator
-from .signal import as_values
+from .operators import TRANSFORM_KINDS, StructuredOperator, spectrum_outside_unit
+from .signal import unit_exponent
 
 __all__ = [
     "error_propagation",
@@ -34,9 +34,10 @@ __all__ = [
 # entries of the (steps, coefficients) block of one batched irfft
 _BLOCK = 1 << 16
 # extended sizes below this take the dense core basis, in blocks of this
-# many steps (see error_propagation)
+# many steps and at a multiple of this many columns (see error_propagation)
 _DENSE_MAX_SIZE = 640
 _DENSE_ROWS = 64
+_DENSE_COLS = 32
 
 
 def error_propagation(s, filt: Filter, steps: int, p: int) -> tuple[np.ndarray, np.ndarray]:
@@ -54,17 +55,19 @@ def error_propagation(s, filt: Filter, steps: int, p: int) -> tuple[np.ndarray, 
     is exactly zero deeper than j*l samples into the core, and the
     round-off is cleared there.
 
-    Only the map from a block's powers to its core errors depends on N.
-    Below N = 640 a block of 64 steps is one matrix product with the real
-    core basis of :func:`_core_basis`; W and u are both reversal-symmetric,
-    so only the first half of the core is computed and the rest mirrored.
-    From N = 640 on a block of 2^16 coefficients is one batched irfft of
-    the powers times the coefficients, fast only at lengths without large
-    prime factors. Time of the dense basis over the batched irfft for 300
-    steps, at every 5th N, for doubled filters of l = 10 (p = 20) and
-    l = 60 (p = 120) (geometric mean and range of the per-size ratios,
-    interleaved medians of 15, on a 2-vCPU x86-64 host, numpy 2.4, OpenBLAS
-    on one thread):
+    W and u are both reversal-symmetric, so only the first (n + 1) // 2
+    core samples are computed and the rest mirrored. Only the map from a
+    block's powers to those errors depends on N. Below N = 640 a block of
+    64 steps is one matrix product with the real core basis of
+    :func:`_core_basis`, its width rounded up to a multiple of 32 columns
+    and the product trimmed: at such widths OpenBLAS rounds the product
+    the same under any thread count. From N = 640 on a block of 2^16
+    coefficients is one batched irfft of the powers times the
+    coefficients, fast only at lengths without large prime factors. Time
+    of the dense basis over the batched irfft for 300 steps, at every 5th
+    N, for doubled filters of l = 10 (p = 20) and l = 60 (p = 120)
+    (geometric mean and range of the per-size ratios, interleaved medians
+    of 15, on a 2-vCPU x86-64 host, numpy 2.4, OpenBLAS on one thread):
 
     ============  =====  =========  ============
     N             mean   range      dense faster
@@ -84,56 +87,49 @@ def error_propagation(s, filt: Filter, steps: int, p: int) -> tuple[np.ndarray, 
     640 is where the dense basis stops winning on most sizes; it stays
     faster on average up to about 830, at sizes with large prime factors,
     while the irfft already wins at 5-smooth sizes from 512 (1.22 at 512,
-    1.74 at 640 for l = 10). The irfft's rounding does not depend on the
-    BLAS thread count; the dense product's does at some sizes.
+    1.74 at 640 for l = 10).
 
     Returns (last, upper_bound): the step-``steps`` core error and the
     pointwise maximum of |err_j| over j = 1..steps, both arrays of length n.
     With p = 0 both are zero. They are computed for chi scaled by the power
     of two that brings it into [0.5, 1) and scaled back, exactly, so no sum
-    of the DFT overflows on finite samples.
-
-    Only a self-convolved filter keeps every |z_k| <= 1. A plain filter's
-    eigenvalues reach below zero, so the error grows like
-    max|1 - lambda|^steps and the maximum bounds nothing: 2.3e10 after
-    1,000 steps on a 200-sample sine plus trend with chi = 2.5.
+    of the DFT overflows on finite samples. Raises ValueError, as
+    :func:`inner_loop` does, for a spectrum outside [0, 1], where some
+    |z_k| > 1 would grow the error without bound.
     """
     if p < 0:
         raise ValueError("pad must be nonnegative")
-    values = as_values(s)
+    values = np.asarray(s, dtype=float)
     n, l = values.size, filt.length
     size = n + 2 * p
-    chi = float(np.abs(values).max())
-    e = math.frexp(chi)[1]
+    chi, e = float(np.abs(values).max()), unit_exponent(values)
     u = np.zeros(size)
     u[:p] = u[p + n:] = math.ldexp(chi, -e)
     op = StructuredOperator(filt, BoundaryKind.PERIODIC, size)
     if steps < 1:
         raise ValueError("steps must be at least 1")
     c, lam = op.to_eigenbasis(u)
-    half = size // 2 + 1
+    if problem := spectrum_outside_unit(lam):
+        raise ValueError(problem)
+    half, width = size // 2 + 1, (n + 1) // 2
     c, z = c[:half] * np.sqrt(size), 1.0 - lam[:half]
     if size < _DENSE_MAX_SIZE:
-        width = (n + 1) // 2
-        rows, basis = _DENSE_ROWS, _core_basis(c, size, p, width)
+        rows, basis = _DENSE_ROWS, _core_basis(c, size, p, -(-width // _DENSE_COLS) * _DENSE_COLS)
     else:
-        width, rows, basis = n, max(1, _BLOCK // size), None
+        rows, basis = max(1, _BLOCK // size), None
     table = z ** np.arange(1, rows + 1)[:, None]
     bound = np.zeros(width)
     for j0 in range(0, steps, rows):
         powers = table * z ** j0 if j0 else table
         if basis is not None:  # all rows, so no step's error depends on ``steps``
-            err = (powers @ basis)[: steps - j0]
+            err = (powers @ basis)[: steps - j0, :width]
         else:
-            err = np.fft.irfft(powers[: steps - j0] * c, size)[:, p: p + n]
+            err = np.fft.irfft(powers[: steps - j0] * c, size)[:, p: p + width]
         if 2 * l * (j0 + 1) < n:
-            col = np.arange(err.shape[1])
             depth = l * np.arange(j0 + 1, j0 + len(err) + 1)[:, None]
-            err[(col >= depth) & (col < n - depth)] = 0.0
+            err[np.arange(width) >= depth] = 0.0
         np.maximum(bound, np.abs(err).max(axis=0), out=bound)
-    last = err[-1]
-    if width < n:
-        last, bound = (np.concatenate([v, v[: n // 2][::-1]]) for v in (last, bound))
+    last, bound = (np.concatenate([v, v[: n // 2][::-1]]) for v in (err[-1], bound))
     return np.ldexp(last, e), np.ldexp(bound, e)
 
 
@@ -142,14 +138,11 @@ def _core_basis(c: np.ndarray, size: int, p: int, width: int) -> np.ndarray:
     sum_k z_k^j A[k, i] for i < width: the irfft's weights (1/N at DC and
     Nyquist, 2/N between) times Re(c_k e^{2 pi i k m / N}), m = p + i, from
     one cos/sin table of length N indexed by (k m) mod N."""
+    edges = [0, -1] if size % 2 == 0 else [0]  # DC and, at even N, Nyquist
     weight = np.full(c.size, 2.0 / size)
-    weight[0] = 1.0 / size
-    if size % 2 == 0:
-        weight[-1] = 1.0 / size
+    weight[edges] = 1.0 / size
     re, im = c.real * weight, c.imag * weight
-    im[0] = 0.0          # irfft reads only the real part of DC and Nyquist
-    if size % 2 == 0:
-        im[-1] = 0.0
+    im[edges] = 0.0  # irfft reads only the real part of DC and Nyquist
     angle = 2.0 * np.pi / size * np.arange(size)
     # k m < size^2 fits int32, whose remainder is about 4x faster than int64's
     index = np.multiply.outer(np.arange(c.size, dtype=np.int32),

@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .signal import as_values, count_extrema
+from .signal import count_extrema
 
 __all__ = [
     "FilterShape",
@@ -173,7 +173,7 @@ def filter_length(s, xi: float) -> int:
     admissible doubled length exists (n < 5); the outer decomposition loop
     ends there.
     """
-    v = as_values(s)
+    v = np.asarray(s, dtype=float)
     n = v.size
     n_ext = count_extrema(v)
     if n_ext < 2:

@@ -32,6 +32,8 @@ __all__ = [
 
 DENSE_GUARD = 4096
 _MULT_TOL = 1e-10
+# eigenvalues this far outside [0, 1] are round-off of a spectrum inside it
+_SPECTRUM_SLACK = 1e-12
 # filters of at most this many taps take numpy's convolution, operators of
 # fewer samples take no FFT, and no blocked product below _BLOCKED_MIN_SIZE
 # (see StructuredOperator.kernel)
@@ -305,6 +307,17 @@ def unit_eigenvectors(kind: BoundaryKind, n: int) -> list[np.ndarray]:
         ramp = np.arange(n, dtype=float)
         return [ramp, ramp[::-1].copy()]
     raise ValueError("zero boundary conditions have no unit eigenvalue")
+
+
+def spectrum_outside_unit(lam: np.ndarray) -> str | None:
+    """The error message for eigenvalues that leave [0, 1] by more than
+    round-off (1e-12), or None. A self-convolved filter's spectrum lies in
+    [0, 1] under every kind; a plain filter's reaches below zero, and the
+    sift or the error propagation would then grow like max|1 - lambda|^k."""
+    lo, hi = float(lam.min()), float(lam.max())
+    if lo < -_SPECTRUM_SLACK or hi > 1.0 + _SPECTRUM_SLACK:
+        return f"spectrum [{lo:.3g}, {hi:.3g}] is not in [0, 1]"
+    return None
 
 
 def _as_vector(x, n: int, dtype=float) -> np.ndarray:

@@ -1,15 +1,15 @@
-"""Signal container, CSV ingestion and the extrema census used by the outer loop."""
+"""CSV ingestion, power-of-two scaling, normalization and the extrema
+census used by the outer loop. Signals are plain float arrays."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
 
 import numpy as np
 
-__all__ = ["ParseError", "Signal", "load_signal", "normalize", "count_extrema"]
+__all__ = ["ParseError", "load_signal", "normalize", "count_extrema"]
 
 MIN_SAMPLES = 3
 
@@ -22,41 +22,8 @@ class ParseError(ValueError):
         super().__init__(message if row is None else f"row {row}: {message}")
 
 
-@dataclass(frozen=True)
-class Signal:
-    """A real signal sampled on the uniform unit-interval grid x_j = j/(n-1).
-
-    Values are stored as an immutable float array; at least three samples
-    are required so that a filter of length >= 1 is admissible.
-    """
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim != 1:
-            raise ValueError(f"signal must be one-dimensional, got shape {v.shape}")
-        if v.size < MIN_SAMPLES:
-            raise ValueError(f"signal needs at least {MIN_SAMPLES} samples, got {v.size}")
-        bad = np.flatnonzero(~np.isfinite(v))
-        if bad.size:
-            raise ValueError(f"non-finite sample at position {bad[0]}")
-        v = v.copy()
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
-
-    @property
-    def n(self) -> int:
-        return self.values.size
-
-
-def as_values(s) -> np.ndarray:
-    """Accept a Signal or any 1-D array-like and return a float ndarray."""
-    return np.asarray(getattr(s, "values", s), dtype=float)
-
-
-def load_signal(path) -> Signal:
-    """Read a signal from a CSV file with one sample per line.
+def load_signal(path) -> np.ndarray:
+    """Read the samples of a CSV file with one sample per line as a float array.
 
     A single leading header line is tolerated: if the first line does not
     parse as a number it is skipped. Decimal point is '.', scientific
@@ -83,7 +50,7 @@ def load_signal(path) -> Signal:
         values = np.array(_parse_rows(lines, header))
     if values.size < MIN_SAMPLES:
         raise ParseError(f"need at least {MIN_SAMPLES} samples, found {values.size}")
-    return Signal(values)
+    return values
 
 
 def _parse_rows(lines: list[str], header: int) -> list[float]:
@@ -103,16 +70,32 @@ def _parse_rows(lines: list[str], header: int) -> list[float]:
     return values
 
 
-def normalize(s) -> Signal:
-    """Rescale a signal to unit Euclidean norm.
+def unit_exponent(values: np.ndarray) -> int:
+    """The e with max|values| 2^-e in [0.5, 1), 0 for a zero signal.
 
-    Raises ValueError for the all-zero signal, whose direction is undefined.
+    Scaling by 2^-e is exact in binary floating point, so the loops run on
+    the same numbers at every power-of-two scale, and their norms neither
+    overflow nor underflow.
     """
-    v = as_values(s)
+    return math.frexp(float(np.max(np.abs(values), initial=0.0)))[1]
+
+
+def normalize(s) -> np.ndarray:
+    """Rescale a signal to unit Euclidean norm, as a float array.
+
+    The norm is taken of the signal scaled by 2^-e (:func:`unit_exponent`),
+    so it neither overflows nor underflows on finite samples. Raises
+    ValueError for a non-finite sample and for the all-zero signal, whose
+    direction is undefined.
+    """
+    v = np.asarray(s, dtype=float)
+    if not np.isfinite(v).all():
+        raise ValueError("cannot normalize a non-finite signal")
+    v = np.ldexp(v, -unit_exponent(v))
     nrm = float(np.linalg.norm(v))
     if nrm == 0.0:
         raise ValueError("cannot normalize the zero signal")
-    return Signal(v / nrm)
+    return v / nrm
 
 
 def count_extrema(s) -> int:
@@ -122,7 +105,7 @@ def count_extrema(s) -> int:
     neighbours counts as exactly one extremum; the endpoint samples never
     qualify because they lack a two-sided neighbourhood.
     """
-    v = as_values(s)
+    v = np.asarray(s, dtype=float)
     # collapse runs of equal samples, then count turns (compared, not subtracted: no overflow)
     r = v[np.concatenate([[True], v[1:] != v[:-1]])]
     if r.size < 3:

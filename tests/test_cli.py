@@ -105,6 +105,18 @@ class TestDecomposeCommand:
         zeros.write_text("0.0\n0.0\n0.0\n0.0\n")
         assert run(["decompose", "--normalize", str(zeros), str(tmp_path / "o.csv")]) == 4
 
+    @pytest.mark.filterwarnings("error")
+    def test_normalize_extreme_scale(self, tmp_path):
+        # unscaled, the norm of these samples overflows to inf and the
+        # normalized signal reads all zero
+        inp, out = tmp_path / "big.csv", tmp_path / "out.csv"
+        inp.write_text("1e200\n-3e200\n2e200\n")
+        assert run(["decompose", "--normalize", str(inp), str(out)]) == 0
+        header, rows = read_table(out)
+        assert header == ["imf_1"]
+        expected = np.array([1.0, -3.0, 2.0]) / np.sqrt(14.0)
+        assert np.abs(np.array(rows, dtype=float)[:, 0] - expected).max() <= 1e-15
+
     def test_sidecar_contract(self, tmp_path, signal_file):
         out = tmp_path / "out.csv"
         assert run(["decompose", "--mode", "eif", "--max-inner", "30", "--max-imfs", "4",
@@ -231,7 +243,7 @@ class TestErrorboundCommand:
         meta = json.loads((tmp_path / "eb.csv.meta.json").read_text())
         assert 1 <= meta["config"]["steps"] <= 25
         assert meta["config"]["pad"] >= 2
-        assert meta["config"]["chi"] == np.abs(load_signal(signal_file).values).max()
+        assert meta["config"]["chi"] == np.abs(load_signal(signal_file)).max()
 
     @pytest.mark.parametrize("bc", ["zero", "periodic", "reflective", "antireflective"])
     @pytest.mark.parametrize("double", ["on", "off"])
@@ -279,6 +291,14 @@ class TestErrorboundCommand:
         _, rows = read_table(out)
         assert np.isfinite(np.array(rows, dtype=float)).all()
 
+    def test_dense_propagation_does_not_depend_on_blas_threads(self, tmp_path):
+        # n = 300 with pad 16: N = 332, below 640 the dense core basis, whose
+        # width is rounded up to 32 columns so the product rounds the same
+        # with 1 and 2 threads
+        outputs = outputs_by_blas_threads(tmp_path, bench_chirp(11, 300),
+                                          ["errorbound", "--pad", "16", "--steps", "700"])
+        assert outputs[0] == outputs[1]
+
     def test_irfft_propagation_does_not_depend_on_blas_threads(self, tmp_path):
         # n = 600 with pad 24: N = 648, from 640 on the batched irfft, whose
         # rounding is the same with 1 and 2 threads (the dense basis's is not)
@@ -286,6 +306,7 @@ class TestErrorboundCommand:
                                           ["errorbound", "--bc", "reflective", "--steps", "500"])
         assert b'"pad": 24' in outputs[0][1]
         assert outputs[0] == outputs[1]
+
 
 
 class TestPhasesweepCommand:

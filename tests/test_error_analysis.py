@@ -12,7 +12,9 @@ from iterfilt import (
     inner_loop,
     make_sine_trend_generator,
     phase_sweep,
+    raised_cosine_shape,
     relative_error,
+    sample_filter,
 )
 from conftest import random_doubled_filter, random_filter, sine_trend
 from oracles import dense_propagation
@@ -58,6 +60,13 @@ class TestErrorPropagation:
         s, filt = propagation_case(rng, 30)
         last, bound = error_propagation(s, filt, 5, 0)
         assert np.abs(last).max() == 0.0 and bound.max() == 0.0
+
+    def test_plain_filter_rejected(self):
+        # a plain filter's eigenvalues reach below zero, where |1 - lambda| > 1:
+        # unchecked, this case grows to 1.5e227 in 20,000 steps and to NaN in 40,000
+        s, _ = sine_trend(200, 20)
+        with pytest.raises(ValueError, match=r"^spectrum \[-.*\] is not in \[0, 1\]$"):
+            error_propagation(s, sample_filter(raised_cosine_shape(), 9), 100, 18)
 
     def test_negative_pad_rejected(self, rng):
         s, filt = propagation_case(rng, 20)

@@ -4,7 +4,6 @@ import pytest
 from iterfilt import (
     Filter,
     FilterShape,
-    Signal,
     convolve_self,
     filter_length,
     get_shape,
@@ -154,6 +153,6 @@ class TestFilterLength:
         with pytest.raises(ValueError, match="extrema"):
             filter_length(np.arange(10.0), 1.6)
 
-    def test_accepts_signal_objects(self):
-        s = Signal(self._signal_with_extrema(100, 10))
+    def test_accepts_plain_lists(self):
+        s = self._signal_with_extrema(100, 10).tolist()
         assert filter_length(s, 1.6) == 16

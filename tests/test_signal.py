@@ -3,19 +3,21 @@ import warnings
 import numpy as np
 import pytest
 
-from iterfilt import ParseError, Signal, count_extrema, load_signal, normalize
+from iterfilt import ParseError, count_extrema, load_signal, normalize
 
 
 class TestLoadSignal:
     def test_plain_numbers(self, tmp_path):
         f = tmp_path / "s.csv"
         f.write_text("1.0\n2.0\n3.0\n")
-        assert np.array_equal(load_signal(f).values, [1.0, 2.0, 3.0])
+        values = load_signal(f)
+        assert type(values) is np.ndarray and values.dtype == np.float64
+        assert np.array_equal(values, [1.0, 2.0, 3.0])
 
     def test_header_skipped(self, tmp_path):
         f = tmp_path / "s.csv"
         f.write_text("value\n1.0\n2.0\n3.0\n")
-        assert load_signal(f).n == 3
+        assert load_signal(f).size == 3
 
     def test_malformed_row_reports_position(self, tmp_path):
         f = tmp_path / "s.csv"
@@ -46,23 +48,23 @@ class TestLoadSignal:
     def test_byte_order_mark_before_number(self, tmp_path):
         f = tmp_path / "s.csv"
         f.write_text("\ufeff1.5\n2\n3\n4\n", encoding="utf-8")
-        assert np.array_equal(load_signal(f).values, [1.5, 2.0, 3.0, 4.0])
+        assert np.array_equal(load_signal(f), [1.5, 2.0, 3.0, 4.0])
 
     def test_byte_order_mark_before_header(self, tmp_path):
         f = tmp_path / "s.csv"
         f.write_text("\ufeffvalue\n1.5\n2\n3\n", encoding="utf-8")
-        assert np.array_equal(load_signal(f).values, [1.5, 2.0, 3.0])
+        assert np.array_equal(load_signal(f), [1.5, 2.0, 3.0])
 
     def test_crlf_and_scientific_notation(self, tmp_path):
         f = tmp_path / "s.csv"
         f.write_bytes(b"1.5e-3\r\n-2E+1\r\n0.0\r\n")
-        assert np.allclose(load_signal(f).values, [1.5e-3, -20.0, 0.0])
+        assert np.allclose(load_signal(f), [1.5e-3, -20.0, 0.0])
 
 
     def test_trailing_blank_lines_dropped(self, tmp_path):
         f = tmp_path / "s.csv"
         f.write_text("1.0\n2.0\n3.0\n\n  \n")
-        assert np.array_equal(load_signal(f).values, [1.0, 2.0, 3.0])
+        assert np.array_equal(load_signal(f), [1.0, 2.0, 3.0])
 
     @pytest.mark.parametrize("text, message", [
         ("x\n1\ninf\n2\nabc\n", "row 3: non-finite value 'inf'"),
@@ -79,40 +81,43 @@ class TestLoadSignal:
         # str.strip removes U+001F, which float() alone rejects
         f = tmp_path / "s.csv"
         f.write_text("1.5\x1f\n2\n\x1f3\n")
-        assert np.array_equal(load_signal(f).values, [1.5, 2.0, 3.0])
-
-class TestSignal:
-    def test_minimum_length(self):
-        with pytest.raises(ValueError):
-            Signal(np.array([1.0, 2.0]))
-
-    def test_rejects_nan(self):
-        with pytest.raises(ValueError):
-            Signal(np.array([1.0, np.nan, 2.0]))
-
-    def test_values_immutable(self):
-        s = Signal(np.array([1.0, 2.0, 3.0]))
-        with pytest.raises(ValueError):
-            s.values[0] = 9.0
-
+        assert np.array_equal(load_signal(f), [1.5, 2.0, 3.0])
 
 class TestNormalize:
     def test_three_four_five(self):
         out = normalize([3.0, 4.0, 0.0])
-        assert np.allclose(out.values, [0.6, 0.8, 0.0], atol=1e-15)
+        assert np.allclose(out, [0.6, 0.8, 0.0], atol=1e-15)
 
     def test_unit_norm_within_tolerance(self, rng):
         out = normalize(rng.standard_normal(40))
-        assert abs(np.linalg.norm(out.values) - 1.0) <= 1e-12
+        assert abs(np.linalg.norm(out) - 1.0) <= 1e-12
 
     def test_idempotent(self, rng):
         once = normalize(rng.standard_normal(25))
         twice = normalize(once)
-        assert np.abs(twice.values - once.values).max() <= 1e-12
+        assert np.abs(twice - once).max() <= 1e-12
 
     def test_zero_signal_rejected(self):
         with pytest.raises(ValueError):
             normalize([0.0, 0.0, 0.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            normalize([1.0, bad, 2.0])
+
+    def test_returns_a_float_array(self):
+        out = normalize([3, 4, 0])
+        assert type(out) is np.ndarray and out.dtype == np.float64
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale", [1e200, 1e-200, 5e-324], ids=["1e200", "1e-200", "subnormal"])
+    def test_extreme_scales_give_the_unit_vector(self, scale):
+        # the norm is taken at a power of two that brings max|s| into [0.5, 1):
+        # unscaled, the squares of 1e200 overflow and those of 1e-200 vanish
+        base = np.array([1.0, -3.0, 2.0])
+        out = normalize(scale * base)
+        assert np.abs(out - base / np.sqrt(14.0)).max() <= 1e-15
 
 
 class TestCountExtrema:
