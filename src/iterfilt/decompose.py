@@ -2,13 +2,18 @@
 
 The direct method re-imposes boundary conditions at every inner step; the
 extended variant pads the signal once, iterates a circulant operator on the
-padded vector and restricts the results back to the field of view.
+padded vector and restricts the results back to the field of view. A sift
+under a rule with a diagonalizing transform runs in its eigenbasis. The
+zero rule's sift takes one of three routes by a fixed rule: a periodic
+interior plus two boundary strips for a shallow sift of a long signal, a
+Lanczos basis for a deep sift with a long filter, and otherwise the loop.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cache, partial
 
 import numpy as np
 
@@ -42,6 +47,10 @@ _KRYLOV_CHECK = 20
 _KRYLOV_MAX = 400
 _KRYLOV_LOOP_STEPS = 240
 _KRYLOV_TOL = 1e-14
+# the zero kind's strip sift (see _sift_strips): the least n that tries
+# it, and the least n / (D l) that takes it
+_STRIP_MIN_SIZE = 50_000
+_STRIP_COST = 16
 
 
 @dataclass(frozen=True)
@@ -128,12 +137,19 @@ def inner_loop(s, filt: Filter, kind: BoundaryKind,
     eigenbasis (:func:`_sift_spectral`), in one transform round trip plus
     O(n log K), K being max_inner, and raise ValueError for a spectrum
     outside [0, 1], which no self-convolved filter has. The zero kind takes
-    any filter and applies W once per step, except that a filter of
-    l >= 16 on the blocked or FFT kernel first tries a two-pass Lanczos
-    basis (:func:`_sift_krylov`): a sift of more than 240 steps then takes
-    about 2m products for a basis of m vectors, typically 80-140, in O(n)
-    memory, with the loop's steps and its component within about 5e-13
-    of max|s|. All run on s scaled by the power of two that brings max|s| into
+    any filter and one of three routes, each with the loop's steps and its
+    component within about 5e-13 of max|s|:
+
+    * a shallow sift of a long signal (n >= 50,000) is a periodic interior
+      plus two boundary strips (:func:`_sift_strips`): one real FFT round
+      trip and the loop on short windows at the two ends;
+    * a deep sift with a long filter (l >= 16 on the blocked or FFT kernel,
+      more than 240 steps) is summed from a two-pass Lanczos basis
+      (:func:`_sift_krylov`), about 2m products for a basis of m vectors,
+      typically 80-140, in O(n) memory;
+    * every other sift is the loop, which applies W once per step.
+
+    All run on s scaled by the power of two that brings max|s| into
     [0.5, 1), so ``inner_loop(c*s)`` is ``c`` times ``inner_loop(s)`` for
     any power of two c that keeps the samples normal.
     """
@@ -141,14 +157,19 @@ def inner_loop(s, filt: Filter, kind: BoundaryKind,
     values = np.asarray(s, dtype=float)
     op = StructuredOperator(filt, BoundaryKind(kind), values.size)
     e = unit_exponent(values)
-    if op.kind is not BoundaryKind.ZERO:
-        imf, k, d = _sift_spectral(op, np.ldexp(values, -e), cfg)
-        return np.ldexp(imf, e, out=imf), k, d
     cur = np.ldexp(values, -e)
-    if (found := _sift_krylov(op, cur, cfg)) is not None:
-        imf, k, d = found
-        return np.ldexp(imf, e, out=imf), k, d
-    norm_cur = float(np.linalg.norm(cur))
+    if op.kind is not BoundaryKind.ZERO:
+        imf, k, d = _sift_spectral(op, cur, cfg)
+    else:
+        imf, k, d = (_sift_strips(op, cur, cfg) or _sift_krylov(op, cur, cfg)
+                     or _sift_loop(op, cur, cfg))
+    return np.ldexp(imf, e, out=imf), k, d
+
+
+def _sift_loop(op: StructuredOperator, cur: np.ndarray,
+               cfg: StoppingConfig) -> tuple[np.ndarray, int, float | None]:
+    """:func:`inner_loop` by one product per step, in place on ``cur``."""
+    norm_cur = _norm(cur)
     tiny = _ZERO_ITERATE * norm_cur
     k = 0
     d = None
@@ -156,11 +177,11 @@ def inner_loop(s, filt: Filter, kind: BoundaryKind,
         step = op.apply(cur)  # the step changes the iterate by W x
         cur -= step
         k += 1
-        d = float(np.linalg.norm(step)) / norm_cur
-        norm_cur = float(np.linalg.norm(cur))
+        d = _norm(step) / norm_cur
+        norm_cur = _norm(cur)
         if d < cfg.delta:
             break
-    return np.ldexp(cur, e, out=cur), k, d
+    return cur, k, d
 
 
 def _sift_spectral(op: StructuredOperator, values: np.ndarray,
@@ -169,31 +190,160 @@ def _sift_spectral(op: StructuredOperator, values: np.ndarray,
     the search for the stopping step, since a step scales each coefficient
     c by z = 1 - lambda and changes the iterate by ||lambda c||.
 
-    Step 1 runs in signal space: the anti-reflective transform is not
-    orthogonal, but its ramp coefficients (eigenvalue one) vanish in that
-    step, after which coefficient norms equal signal norms for every kind.
-    Row j of the later steps holds the squared coefficients before step
-    k + j + 1. On a spectrum in [0, 1] (every doubled filter) the stopping
-    rule holds from some row on, which :func:`_search_stop` finds in
-    O(log K) rows of O(n); a spectrum outside it raises ValueError. The
-    steps agree with the loop's for any delta above the iterate's round-off
-    (about 1e-15), below which the loop's step change is rounding noise.
+    The periodic kind takes the real transform
+    (:meth:`StructuredOperator.to_real_eigenbasis`): half the bins, each
+    weighted by its share of the norm. Step 1 runs in signal space: the
+    anti-reflective transform is not orthogonal, but its ramp coefficients
+    (eigenvalue one) vanish in that step, after which coefficient norms
+    equal signal norms for every kind. Row j of the later steps holds the
+    weighted squared coefficients before step k + j + 1. On a spectrum in
+    [0, 1] (every doubled filter) the stopping rule holds from some row on,
+    which :func:`_search_stop` finds in O(log K) rows of O(n); a spectrum
+    outside it raises ValueError. The steps agree with the loop's for any
+    delta above the iterate's round-off (about 1e-15), below which the
+    loop's step change is rounding noise.
     """
-    c, lam = op.to_eigenbasis(values)
+    if op.kind is BoundaryKind.PERIODIC:
+        c, lam, weight = op.to_real_eigenbasis(values)
+        inverse = partial(np.fft.irfft, n=op.n)
+    else:
+        c, lam = op.to_eigenbasis(values)
+        weight, inverse = 1.0, op.from_eigenbasis
     if problem := spectrum_outside_unit(lam):
         raise ValueError(problem)
-    norm_cur = float(np.linalg.norm(values))
+    norm_cur = _norm(values)
     tiny = _ZERO_ITERATE * norm_cur
     if norm_cur == 0.0:
         return values.copy(), 0, None
     z = 1.0 - lam
     c = z * c
-    cur = op.from_eigenbasis(c)
-    k, d = 1, float(np.linalg.norm(cur - values)) / norm_cur
-    k, d = _search_stop(np.abs(c) ** 2, z, lam, k, d, tiny, cfg)
+    cur = inverse(c)
+    k, d = 1, _norm(cur - values) / norm_cur
+    k, d = _search_stop(_decay_rows(weight * np.abs(c) ** 2, z, lam), k, d, tiny, cfg)
     if k > 1:
-        cur = op.from_eigenbasis(z ** (k - 1) * c)
+        cur = inverse(z ** (k - 1) * c)
     return cur, k, d
+
+
+def _sift_strips(op: StructuredOperator, values: np.ndarray,
+                 cfg: StoppingConfig) -> tuple[np.ndarray, int, float | None] | None:
+    """:func:`inner_loop` for the zero kind as a periodic interior plus two
+    boundary strips, or None where another route is to run.
+
+    The zero rule's step and the periodic rule's step differ only within
+    l samples of the ends, and each step carries a difference l samples
+    further in, so after m steps the two iterates agree deeper than m*l
+    from both ends. For m up to a depth D, the periodic iterate comes from
+    the real transform (:meth:`StructuredOperator.to_real_eigenbasis`), the
+    strips of w = D*l samples at each end from the loop on a window of 8w
+    (:func:`_strip_sums`), and the norms of the zero iterate and of its
+    step are the periodic rows of :func:`_decay_rows` corrected on the
+    strips. :func:`_search_stop` finds the stopping step k on those rows,
+    since a doubled filter's Toeplitz spectrum lies in [0, 1] as the
+    periodic one does; the component is irfft(z^k c) with its strips from
+    the loop run again to depth k.
+
+    D is the periodic search's stopping step plus a quarter plus 8, doubled
+    while the search needs rows past it. A fixed rule
+    (:func:`_strips_pay`), like :attr:`StructuredOperator.kernel`'s, takes
+    this route for n >= 50,000 where 16 D l <= n: its window products cost
+    about 3 * 8 D l D multiply-adds against the loop's n k, on top of two
+    transforms of n and the search. Time of this route over the one that
+    runs otherwise, for one sift of unit noise on a trend with
+    delta = 1e-3, or 3e-4 where k is marked * (interleaved medians of 7,
+    2-vCPU x86-64, numpy 2.4, OpenBLAS on one thread):
+
+    ========  ===  ====  ===  =====  =====  ======
+    n         l    k     D    D l/n  ratio  rule
+    ========  ===  ====  ===  =====  =====  ======
+    200,000   4    151   196  0.004  0.40   strips
+    200,000   24   56    78   0.009  0.28   strips
+    200,000   6    468*  593  0.018  0.34   strips
+    200,000   60   108*  143  0.043  0.54   strips
+    100,000   4    150   195  0.008  0.47   strips
+    100,000   6    469*  594  0.036  0.70   strips
+    100,000   24   169*  219  0.053  0.81   strips
+    100,000   60   109*  144  0.086  1.01   other
+    50,000    4    152   198  0.016  0.71   strips
+    50,000    24   56    78   0.037  0.56   strips
+    50,000    6    469*  595  0.071  1.13   other
+    50,000    24   174*  225  0.108  1.32   other
+    20,000    4    153   199  0.040  1.17   other
+    20,000    10   84    113  0.057  1.25   other
+    ========  ===  ====  ===  =====  =====  ======
+
+    A filter whose periodic spectrum leaves [0, 1] goes to the other
+    routes, as does a zero signal.
+    """
+    n, l = values.size, op.filter.length
+    if not _strips_pay(n, l, 8):  # no depth is below 8
+        return None
+    norm = _norm(values)
+    if norm == 0.0:
+        return None
+    periodic = StructuredOperator(op.filter, BoundaryKind.PERIODIC, n)
+    c, lam, weight = periodic.to_real_eigenbasis(values)
+    if spectrum_outside_unit(lam):
+        return None
+    z, tiny = 1.0 - lam, _ZERO_ITERATE * norm
+    rows = _decay_rows(weight * np.abs(c) ** 2, z, lam)
+    estimate, _ = _search_stop(rows, 0, math.inf, tiny, cfg)
+    depth = min(estimate + estimate // 4 + 8, cfg.max_inner)
+    while _strips_pay(n, l, depth):
+        fix_norm, fix_step = _strip_sums(values, op.filter, depth)
+
+        def fixed(j: int) -> tuple[float, float]:
+            norm2, step2 = rows(j)
+            return norm2 + fix_norm[j], step2 + fix_step[j]
+
+        if (found := _search_stop(fixed, 0, math.inf, tiny, cfg, depth)) is not None:
+            k, d = found
+            imf = np.fft.irfft(z ** k * c, n)
+            strips = _strip_vector(values, k * l)[: 4 * k * l]  # the two zero-rule windows
+            window = StructuredOperator(op.filter, BoundaryKind.ZERO, strips.size)
+            for _ in range(k):
+                strips -= window.apply(strips)
+            imf[: k * l], imf[n - k * l:] = strips[: k * l], strips[3 * k * l:]
+            return imf, k, d
+        depth = min(2 * depth, cfg.max_inner)
+    return None
+
+
+def _strips_pay(n: int, l: int, depth: int) -> bool:
+    """The rule of :func:`_sift_strips`: n >= 50,000 and 16 D l <= n."""
+    return n >= _STRIP_MIN_SIZE and _STRIP_COST * depth * l <= n
+
+
+def _strip_vector(values: np.ndarray, w: int) -> np.ndarray:
+    """The ends a = values[:2w] and b = values[n-2w:] as [a, b, a, b]: a
+    zero-rule window at each end of the vector and, across the middle
+    junction, a window of the periodic wrap."""
+    a, b = values[: 2 * w], values[values.size - 2 * w:]
+    return np.concatenate([a, b, a, b])
+
+
+def _strip_sums(values: np.ndarray, filt: Filter, depth: int) -> tuple[np.ndarray, np.ndarray]:
+    """The zero-rule iterate's squared norm minus the periodic one's on the
+    strips of w = depth*l samples at the two ends, and the same for their
+    steps, after m = 0..depth-1 steps.
+
+    The loop runs on :func:`_strip_vector`: its first and last w samples
+    are the zero iterate's strips, its middle 2w the periodic iterate's.
+    Each window reaches w samples past its strips, and a junction's wrong
+    neighbours travel l samples a step, so for m < depth neither they nor
+    the step's products reach a strip."""
+    w = depth * filt.length
+    v = _strip_vector(values, w)
+    window = StructuredOperator(filt, BoundaryKind.ZERO, v.size)
+    zero_l, zero_r, wrap = slice(0, w), slice(7 * w, 8 * w), slice(3 * w, 5 * w)
+    fix_norm, fix_step = np.empty(depth), np.empty(depth)
+    for m in range(depth):
+        step = window.apply(v)
+        for fix, x in ((fix_norm, v), (fix_step, step)):
+            fix[m] = (_dot(x[zero_l], x[zero_l]) + _dot(x[zero_r], x[zero_r])
+                      - _dot(x[wrap], x[wrap]))
+        v -= step
+    return fix_norm, fix_step
 
 
 def _sift_krylov(op: StructuredOperator, values: np.ndarray,
@@ -230,7 +380,7 @@ def _sift_krylov(op: StructuredOperator, values: np.ndarray,
     if (op.kernel == "convolve" or op.filter.length < _KRYLOV_MIN_LENGTH
             or cfg.max_inner <= _KRYLOV_LOOP_STEPS):
         return None
-    norm_s = math.sqrt(_dot(values, values))
+    norm_s = _norm(values)
     if norm_s == 0.0:
         return None
     tiny = _ZERO_ITERATE * norm_s
@@ -247,7 +397,8 @@ def _sift_krylov(op: StructuredOperator, values: np.ndarray,
             return None
         z = 1.0 - theta
         c = norm_s * z * u[0]
-        k, _ = _search_stop(c * c, z, theta, 1, math.hypot(alpha[0], beta[0]), tiny, cfg)
+        k, _ = _search_stop(_decay_rows(c * c, z, theta), 1, math.hypot(alpha[0], beta[0]),
+                            tiny, cfg)
         if k <= max(m, _KRYLOV_LOOP_STEPS):
             return None
         added = np.abs(u[-_KRYLOV_CHECK:] @ (z ** (k - 1) * c)).max()
@@ -288,9 +439,15 @@ def _lanczos(op: StructuredOperator, v: np.ndarray, alpha: list[float], beta: li
 
 def _dot(x: np.ndarray, y: np.ndarray) -> float:
     """x . y summed by numpy, not BLAS: OpenBLAS splits long dot products
-    among its threads, which would round the Lanczos basis, and so the
-    component, by the thread count."""
+    among its threads, which would round the Lanczos basis and the loops'
+    norms, and so the component and its last change, by the thread
+    count."""
     return float(np.einsum("i,i", x, y))
+
+
+def _norm(x: np.ndarray) -> float:
+    """||x||_2 by :func:`_dot`."""
+    return math.sqrt(_dot(x, x))
 
 
 def _tridiagonal_steps(diag: np.ndarray, off: np.ndarray, norm: float,
@@ -307,46 +464,61 @@ def _tridiagonal_steps(diag: np.ndarray, off: np.ndarray, norm: float,
     return y, math.sqrt(_dot(step, step) / _dot(prev, prev))
 
 
-def _search_stop(energy: np.ndarray, z: np.ndarray, lam: np.ndarray, k: int, d: float,
-                 tiny: float, cfg: StoppingConfig) -> tuple[int, float]:
-    """The loop's (steps, last step change) after step k left the squared
-    coefficients ``energy`` and the change d, on a spectrum in [0, 1].
+def _decay_rows(energy: np.ndarray, z: np.ndarray, lam: np.ndarray):
+    """row(j) -> (squared norm, squared step) of the iterate whose squared
+    coefficients are ``energy`` z^(2j): the sums of energy z^(2j) and of
+    energy z^(2j) lambda^2, each row computed once. A z just above one is
+    the round-off of an eigenvalue that is zero, so the decay z^2 is
+    clamped to one."""
+    decay, lam2 = np.minimum(z * z, 1.0), lam * lam
 
-    Row j holds energy z^(2j), the squared coefficients before step
-    k + j + 1; the loop stops at the first row whose norm is at most tiny
-    (after k + j steps) or whose step change is below delta (after
-    k + j + 1 steps), and at max_inner steps. That row is found by
-    :func:`_first_true`.
+    @cache
+    def row(j: int) -> tuple[float, float]:
+        e = np.power(decay, j)
+        e *= energy
+        return float(e.sum()), _dot(e, lam2)
+
+    return row
+
+
+def _search_stop(rows, k: int, d: float, tiny: float, cfg: StoppingConfig,
+                 depth: int | None = None) -> tuple[int, float] | None:
+    """The loop's (steps, last step change) after step k took the change
+    d, from ``rows(j)``, the squared norm and squared step of the iterate
+    before step k + j + 1 (:func:`_decay_rows`), on a spectrum in [0, 1].
+
+    The loop stops at the first row whose norm is at most tiny (after
+    k + j steps) or whose step change is below delta (after k + j + 1
+    steps), and at max_inner steps. That row is found by
+    :func:`_first_true` among the first ``depth`` rows, all rows by
+    default; None means that it lies past them.
 
     With every z in [0, 1], the norm of row j and its step change are both
     nonincreasing in j: going to row j + 1 multiplies each weight by z^2,
     which rises with z while lambda^2 = (1 - z)^2 falls, so by Chebyshev's
     sum inequality the weighted mean of lambda^2 cannot rise. The stopping
     rule, once met, therefore holds for every later row, and its first row
-    takes O(log K) evaluations of O(n) for K = max_inner - k rows, each
-    row evaluated once. A z just above one is the round-off of an
-    eigenvalue that is zero, so the decay z^2 is clamped to one here.
+    takes O(log K) evaluations of O(n) for K = max_inner - k rows.
     """
     count = cfg.max_inner - k
     if d < cfg.delta or count < 1:
         return k, d
-    decay, lam2 = np.minimum(z * z, 1.0), lam * lam
-    rows: dict[int, tuple[float, float]] = {}
 
     def row(j: int) -> tuple[float, float]:
         """The norm and step change of row j."""
-        if j not in rows:
-            e = energy * np.power(decay, j)
-            norm = math.sqrt(e.sum())
-            rows[j] = (norm, math.sqrt(e @ lam2) / norm if norm else math.nan)
-        return rows[j]
+        norm2, step2 = rows(j)
+        norm = math.sqrt(max(norm2, 0.0))
+        return norm, (math.sqrt(max(step2, 0.0)) / norm if norm else math.nan)
 
     def stops(j: int) -> bool:
         norm, change = row(j)
         return norm <= tiny or change < cfg.delta
 
+    end = count if depth is None else min(depth, count)
+    if (j := _first_true(stops, end)) == end < count:
+        return None
     # with no stopping row the cap ends the loop, after the last row's step
-    j = min(_first_true(stops, count), count - 1)
+    j = min(j, count - 1)
     norm, change = row(j)
     if norm <= tiny:
         return k + j, (row(j - 1)[1] if j else d)

@@ -28,7 +28,6 @@ __all__ = [
     "make_sine_trend_generator",
     "phase_sweep",
     "SweepPoint",
-    "dominant_period",
 ]
 
 # entries of the (steps, coefficients) block of one batched irfft
@@ -37,7 +36,7 @@ _BLOCK = 1 << 16
 # many steps and at a multiple of this many columns (see error_propagation)
 _DENSE_MAX_SIZE = 640
 _DENSE_ROWS = 64
-_DENSE_COLS = 32
+_DENSE_COLS = 8
 
 
 def error_propagation(s, filt: Filter, steps: int, p: int) -> tuple[np.ndarray, np.ndarray]:
@@ -46,9 +45,9 @@ def error_propagation(s, filt: Filter, steps: int, p: int) -> tuple[np.ndarray, 
     The step-j error is the core restriction of (I - W)^j u: u is the
     array of N = n + 2p samples that holds chi = max |s| at the p outer
     ones on each side and zero at the n core ones, and W is the periodic
-    operator of ``filt`` of size N. All steps come from one DFT of u, whose
-    coefficient k scales by z_k^j at step j, z = 1 - lambda; u is real, so
-    the coefficients up to the Nyquist index suffice. One loop runs over
+    operator of ``filt`` of size N. All steps come from one real DFT of u
+    (:meth:`StructuredOperator.to_real_eigenbasis`), whose coefficient k
+    scales by z_k^j at step j, z = 1 - lambda. One loop runs over
     blocks of steps, whose powers are z^j0 times one table z^1..z^rows
     (each within a few ulps whatever j), and folds each block into the
     result, so memory stays O(block + n). W is banded, so the step-j error
@@ -59,9 +58,11 @@ def error_propagation(s, filt: Filter, steps: int, p: int) -> tuple[np.ndarray, 
     core samples are computed and the rest mirrored. Only the map from a
     block's powers to those errors depends on N. Below N = 640 a block of
     64 steps is one matrix product with the real core basis of
-    :func:`_core_basis`, its width rounded up to a multiple of 32 columns
+    :func:`_core_basis`, its width rounded up to a multiple of 8 columns
     and the product trimmed: at such widths OpenBLAS rounds the product
-    the same under any thread count. From N = 640 on a block of 2^16
+    the same under 1 and 2 threads (on 561 sizes below 640; at multiples
+    of 4, or unrounded, about half of them round by the thread count).
+    From N = 640 on a block of 2^16
     coefficients is one batched irfft of the powers times the
     coefficients, fast only at lengths without large prime factors. Time
     of the dense basis over the batched irfft for 300 steps, at every 5th
@@ -108,13 +109,13 @@ def error_propagation(s, filt: Filter, steps: int, p: int) -> tuple[np.ndarray, 
     op = StructuredOperator(filt, BoundaryKind.PERIODIC, size)
     if steps < 1:
         raise ValueError("steps must be at least 1")
-    c, lam = op.to_eigenbasis(u)
+    c, lam, weight = op.to_real_eigenbasis(u)
     if problem := spectrum_outside_unit(lam):
         raise ValueError(problem)
-    half, width = size // 2 + 1, (n + 1) // 2
-    c, z = c[:half] * np.sqrt(size), 1.0 - lam[:half]
+    z, width = 1.0 - lam, (n + 1) // 2
     if size < _DENSE_MAX_SIZE:
-        rows, basis = _DENSE_ROWS, _core_basis(c, size, p, -(-width // _DENSE_COLS) * _DENSE_COLS)
+        cols = -(-width // _DENSE_COLS) * _DENSE_COLS
+        rows, basis = _DENSE_ROWS, _core_basis(c, weight, size, p, cols)
     else:
         rows, basis = max(1, _BLOCK // size), None
     table = z ** np.arange(1, rows + 1)[:, None]
@@ -133,16 +134,15 @@ def error_propagation(s, filt: Filter, steps: int, p: int) -> tuple[np.ndarray, 
     return np.ldexp(last, e), np.ldexp(bound, e)
 
 
-def _core_basis(c: np.ndarray, size: int, p: int, width: int) -> np.ndarray:
+def _core_basis(c: np.ndarray, weight: np.ndarray, size: int, p: int,
+                width: int) -> np.ndarray:
     """Real (size//2 + 1, width) matrix A with irfft(c * z^j)[p + i] =
-    sum_k z_k^j A[k, i] for i < width: the irfft's weights (1/N at DC and
-    Nyquist, 2/N between) times Re(c_k e^{2 pi i k m / N}), m = p + i, from
-    one cos/sin table of length N indexed by (k m) mod N."""
-    edges = [0, -1] if size % 2 == 0 else [0]  # DC and, at even N, Nyquist
-    weight = np.full(c.size, 2.0 / size)
-    weight[edges] = 1.0 / size
+    sum_k z_k^j A[k, i] for i < width, c being the rfft of a real vector:
+    the irfft's weights, which are the norm weights of
+    :meth:`StructuredOperator.to_real_eigenbasis` (1/N at DC and Nyquist,
+    whose c is real, and 2/N between), times Re(c_k e^{2 pi i k m / N}),
+    m = p + i, from one cos/sin table of length N indexed by (k m) mod N."""
     re, im = c.real * weight, c.imag * weight
-    im[edges] = 0.0  # irfft reads only the real part of DC and Nyquist
     angle = 2.0 * np.pi / size * np.arange(size)
     # k m < size^2 fits int32, whose remainder is about 4x faster than int64's
     index = np.multiply.outer(np.arange(c.size, dtype=np.int32),
@@ -251,18 +251,3 @@ def phase_sweep(generator: Callable, dt: float, span: float,
         points.append(SweepPoint(endpoint=endpoint, ub_rel=ub_rel, err_rel=errs, best_kind=best))
     return points
 
-
-def dominant_period(values, step: float) -> float:
-    """Dominant period of a sampled curve from its spectrum peak.
-
-    The curve is detrended with a linear fit before the Fourier transform so
-    slow drift does not mask the oscillation.
-    """
-    v = np.asarray(values, dtype=float)
-    if v.size < 4:
-        raise ValueError("need at least 4 samples to estimate a period")
-    x = np.arange(v.size)
-    v = v - np.polyval(np.polyfit(x, v, 1), x)
-    spectrum = np.abs(np.fft.rfft(v))
-    peak = 1 + int(np.argmax(spectrum[1:]))
-    return v.size * step / peak

@@ -262,6 +262,20 @@ class StructuredOperator:
             return _dct2(s), lam
         return _art_inverse_apply(s), lam
 
+    def to_real_eigenbasis(self, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The periodic kind's real transform of x: the coefficients
+        rfft(x) at bins 0..n//2, the eigenvalue of each bin and its weight
+        in ||x||^2 = sum weight |c|^2, which is 2/n but 1/n at DC and, for
+        even n, at Nyquist (the bins that have no mirror image).
+        ``np.fft.irfft(c, n)`` inverts it. Raises ValueError for the other
+        kinds."""
+        if self.kind is not BoundaryKind.PERIODIC:
+            raise ValueError("the real transform diagonalizes the periodic kind only")
+        n = self.n
+        weight = np.full(n // 2 + 1, 2.0 / n)
+        weight[[0, -1] if n % 2 == 0 else [0]] = 1.0 / n
+        return np.fft.rfft(_as_vector(x, n)), self._symbol(n), weight
+
     def from_eigenbasis(self, c) -> np.ndarray:
         """Signal with eigenbasis coefficients c, the inverse of :meth:`to_eigenbasis`."""
         c = _as_vector(c, self.n, dtype=None)
@@ -277,15 +291,16 @@ class StructuredOperator:
 
     def _symbol(self, m: int) -> np.ndarray:
         """Filter frequency response w_0 + 2 sum_j w_j cos(2 pi i j / m),
-        i = 0..m-1, from one FFT of the zero-padded taps."""
+        i = 0..m//2, from one real FFT of the zero-padded taps."""
         w = self.filter.half_weights
-        return 2.0 * np.fft.fft(w, m).real - w[0]
+        return 2.0 * np.fft.rfft(w, m).real - w[0]
 
     def _transform_eigenvalues(self) -> np.ndarray:
         """Eigenvalues ordered to match the diagonalizing transform's basis."""
         n = self.n
         if self.kind is BoundaryKind.PERIODIC:
-            return self._symbol(n)
+            half = self._symbol(n)  # the symbol is even: bin n - i mirrors bin i
+            return np.concatenate([half, half[1: (n + 1) // 2][::-1]])
         if self.kind is BoundaryKind.REFLECTIVE:
             return self._symbol(2 * n)[:n]
         if self.kind is BoundaryKind.ANTIREFLECTIVE:

@@ -11,12 +11,12 @@ def rng():
 
 @pytest.fixture
 def apply_calls(monkeypatch):
-    """Kinds of the operators applied while the test runs."""
+    """The operators applied while the test runs, one entry per product."""
     calls = []
     original = StructuredOperator.apply
 
     def counted(self, x):
-        calls.append(self.kind)
+        calls.append(self)
         return original(self, x)
 
     monkeypatch.setattr(StructuredOperator, "apply", counted)
@@ -57,3 +57,11 @@ def bench_chirp(seed, n):
              + 0.8 * np.sin(2.0 * np.pi * x + 2.0)
              + 1.5 * x - 0.5)
     return clean + 0.1 * clean.std() * rng.standard_normal(n)
+
+
+def noise_trend(seed, n):
+    """The input of the benchmark's ``io-200k`` workload
+    (``noise_trend_signal`` in ``perfbench/run.py``): unit Gaussian noise on a
+    linear trend from -1 to 2, drawn from the seed."""
+    rng = np.random.default_rng([seed, 200_000])
+    return rng.standard_normal(n) + np.linspace(-1.0, 2.0, n)

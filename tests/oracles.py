@@ -10,7 +10,9 @@ eigenbasis product replaces; the reference sift is the
 per-step loop of direct products that every sift must reproduce step for
 step; the stop scan is the row-by-row stopping rule that the sift's search
 for the stopping step replaces; the dense propagation is the step-by-step iteration of the periodic
-operator that both kernels of the boundary-error propagation replace.
+operator that both kernels of the boundary-error propagation replace; the
+dominant period reads the period of a boundary-error curve off its
+spectrum peak.
 """
 
 import numpy as np
@@ -199,3 +201,19 @@ def dense_propagation(s, filt, steps, p):
         x = x - dense @ x
         bound = np.maximum(bound, np.abs(x[p: p + n]))
     return x[p: p + n], bound
+
+
+def dominant_period(values, step: float) -> float:
+    """Dominant period of a sampled curve from its spectrum peak.
+
+    The curve is detrended with a linear fit before the Fourier transform so
+    slow drift does not mask the oscillation.
+    """
+    v = np.asarray(values, dtype=float)
+    if v.size < 4:
+        raise ValueError("need at least 4 samples to estimate a period")
+    x = np.arange(v.size)
+    v = v - np.polyval(np.polyfit(x, v, 1), x)
+    spectrum = np.abs(np.fft.rfft(v))
+    peak = 1 + int(np.argmax(spectrum[1:]))
+    return v.size * step / peak

@@ -18,7 +18,6 @@ from iterfilt import (
     convolve_self,
     diagonalized_power_apply,
     dif,
-    dominant_period,
     eif,
     error_propagation,
     filter_length,
@@ -32,7 +31,7 @@ from iterfilt import (
 )
 from iterfilt.cli import run
 from conftest import random_doubled_filter, random_filter, sine_trend
-from oracles import dense_matrix, dense_power_apply, dense_spectrum, direct_apply
+from oracles import dense_matrix, dense_power_apply, dense_spectrum, direct_apply, dominant_period
 
 TRANSFORM_KINDS = [BoundaryKind.PERIODIC, BoundaryKind.REFLECTIVE, BoundaryKind.ANTIREFLECTIVE]
 

@@ -170,6 +170,14 @@ class TestDecomposeCommand:
                                           ["decompose", "--bc", "zero"])
         assert outputs[0] == outputs[1]
 
+    def test_zero_kind_loop_norms_do_not_depend_on_blas_threads(self, tmp_path):
+        # OpenBLAS splits dot products of more than 10,000 samples among its
+        # threads; the loop's norms, and so each final_delta, are summed by
+        # numpy, so n = 20,000 writes the same sidecar
+        outputs = outputs_by_blas_threads(tmp_path, bench_chirp(7, 20_000),
+                                          ["decompose", "--bc", "zero", "--max-imfs", "4"])
+        assert outputs[0] == outputs[1]
+
 
 class TestSpectrumCommand:
     def test_periodic_spectrum(self, tmp_path):

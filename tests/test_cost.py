@@ -5,10 +5,11 @@ The kinds with a diagonalizing transform sift in the eigenbasis, so a
 decomposition or phase sweep on them applies no operator, and a sift finds
 its stopping step in O(log K) rows of its energies. Only the zero kind
 applies W, with the taps' blocks or spectrum built once per operator: one
-product per step on short filters and short sifts, and a two-pass Lanczos
-basis of about 2m products for a long sift with a long filter, in O(n)
-memory. The boundary-error propagation keeps O(n) memory whatever its
-step count.
+product per step on short filters and short sifts, a two-pass Lanczos
+basis of about 2m products for a long sift with a long filter, and for a
+shallow sift of a long signal products on short windows at its two ends
+only, all in O(n) memory. The boundary-error propagation keeps O(n) memory
+whatever its step count.
 """
 
 import math
@@ -38,6 +39,7 @@ from iterfilt import (
     raised_cosine_shape,
     sample_filter,
 )
+from conftest import noise_trend
 from test_decompose import chirp
 
 TRANSFORM_KINDS = [BoundaryKind.PERIODIC, BoundaryKind.REFLECTIVE, BoundaryKind.ANTIREFLECTIVE]
@@ -127,6 +129,23 @@ def test_zero_kind_krylov_sift_memory_is_linear(apply_calls):
     assert imf.shape == (n,) and k == cfg.max_inner
     assert len(apply_calls) < k // 2  # the Krylov sift, not the loop
     assert peak < 8_000_000
+
+
+def test_zero_kind_strip_sift_memory_is_linear(apply_calls):
+    # a 468-step sift at n = 200,000 runs its windows to a depth of 593,
+    # 28,464 samples with l = 6: the strips of every step would take 34 MB
+    n = 200_000
+    s, cfg = noise_trend(3, n), StoppingConfig(delta=3e-4)
+    filt = convolve_self(sample_filter(raised_cosine_shape(), 3))
+    tracemalloc.start()
+    try:
+        imf, k, _ = inner_loop(s, filt, BoundaryKind.ZERO, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert imf.shape == (n,) and k == 468
+    assert max(op.n for op in apply_calls) == 8 * 593 * 6  # no product of full length
+    assert peak < 80 * n  # ten doubles a sample
 
 
 @pytest.fixture

@@ -26,8 +26,9 @@ from iterfilt import (
     sample_filter,
     stopping_bound_k0,
 )
-from iterfilt.decompose import _first_true, _search_stop
-from conftest import bench_chirp, random_doubled_filter, sine_trend
+from iterfilt.decompose import (_decay_rows, _first_true, _search_stop, _strip_sums,
+                                _strips_pay)
+from conftest import bench_chirp, noise_trend, random_doubled_filter, sine_trend
 from oracles import dense_matrix, direct_apply, reference_sift, scan_stop
 
 TRANSFORM_KINDS = [BoundaryKind.PERIODIC, BoundaryKind.REFLECTIVE, BoundaryKind.ANTIREFLECTIVE]
@@ -647,6 +648,105 @@ class TestKrylovSift:
         assert outputs[0] == outputs[1] and outputs[0].split()[1] == "1000"
 
 
+# (n, l, D, strips) of the table in _sift_strips's docstring
+STRIP_RULE = [
+    (200_000, 4, 196, True), (200_000, 24, 78, True), (200_000, 6, 593, True),
+    (200_000, 60, 143, True), (100_000, 4, 195, True), (100_000, 6, 594, True),
+    (100_000, 24, 219, True), (100_000, 60, 144, False), (50_000, 4, 198, True),
+    (50_000, 24, 78, True), (50_000, 6, 595, False), (50_000, 24, 225, False),
+    (20_000, 4, 199, False), (20_000, 10, 113, False),
+]
+
+
+def sift_without_strips(monkeypatch, s, filt, cfg):
+    """The zero kind's sift with its strip route switched off."""
+    with monkeypatch.context() as m:
+        m.setattr("iterfilt.decompose._STRIP_MIN_SIZE", 1 << 62)
+        return inner_loop(s, filt, BoundaryKind.ZERO, cfg)
+
+
+@pytest.fixture
+def strip_depths(monkeypatch):
+    """The depths at which the strip route runs its windows."""
+    depths = []
+
+    def counted(values, filt, depth):
+        depths.append(depth)
+        return _strip_sums(values, filt, depth)
+
+    monkeypatch.setattr("iterfilt.decompose._strip_sums", counted)
+    return depths
+
+
+class TestStripSift:
+    """The zero kind sifts a long signal's shallow sifts as a periodic
+    interior plus two boundary strips: the loop's steps and its component
+    to 1e-12 of max|s|, with no product of full length."""
+
+    @pytest.mark.parametrize("seed", [5, 7])
+    def test_noise_trend_matches_reference_sift(self, seed, apply_calls):
+        # the benchmark's io-200k input: two sifts, l = 4 and 6, of 151 to
+        # 253 steps, whose windows of 8 D l samples the rule keeps within n/2
+        s, cfg = noise_trend(seed, 200_000), StoppingConfig(max_imfs=3)
+        d = dif(s, kind=BoundaryKind.ZERO, cfg=cfg)
+        assert [g.filter_length for g in d.diagnostics] == [4, 6, 0]
+        assert apply_calls and max(op.n for op in apply_calls) <= s.size // 2
+        assert_sifts_match_reference(d, s, cfg)
+
+    def test_benchmark_chirp_matches_reference_sift(self, apply_calls):
+        # the n = 10^5 chirp's first five sifts, l = 4 to 16, take the strips
+        s, cfg = bench_chirp(7, 100_000), StoppingConfig(max_imfs=6)
+        d = dif(s, kind=BoundaryKind.ZERO, cfg=cfg)
+        assert [g.filter_length for g in d.diagnostics] == [4, 6, 8, 12, 16, 0]
+        assert apply_calls and max(op.n for op in apply_calls) <= s.size // 2
+        assert_sifts_match_reference(d, s, cfg)
+
+    def test_deep_strips_double_the_depth(self, strip_depths):
+        # a constant under 1e-3 noise: the periodic sift stops after about
+        # 117 steps, the zero rule's edges take 185, past the first depth
+        s = 1.0 + 1e-3 * np.random.default_rng(1).standard_normal(50_000)
+        filt, cfg = plain_or_doubled(3, True), StoppingConfig()
+        imf, k, d = inner_loop(s, filt, BoundaryKind.ZERO, cfg)
+        assert strip_depths == [154, 308]
+        ref, k_ref, d_ref = reference_sift(s, filt, BoundaryKind.ZERO, cfg)
+        assert k == k_ref == 185
+        assert np.abs(imf - ref).max() <= 1e-12 * np.abs(s).max()
+        assert abs(d - d_ref) <= 1e-12
+
+    def test_depth_past_the_rule_takes_the_loop(self, monkeypatch, strip_depths):
+        # under 1e-4 noise the edges take 582 steps: a depth of 796 would
+        # break the rule at n = 50,000, so the loop runs and keeps its bits
+        s = 1.0 + 1e-4 * np.random.default_rng(1).standard_normal(50_000)
+        filt, cfg = plain_or_doubled(2, True), StoppingConfig()
+        imf, k, d = inner_loop(s, filt, BoundaryKind.ZERO, cfg)
+        assert strip_depths == [199, 398]
+        ref, k_ref, d_ref = sift_without_strips(monkeypatch, s, filt, cfg)
+        assert np.array_equal(imf, ref) and (k, d) == (k_ref, d_ref) and k == 582
+
+    def test_strips_do_not_depend_on_blas_threads(self, apply_calls):
+        # the window products run on the blocked kernel and the sums by
+        # numpy, so a routed sift rounds alike under 1 and 2 threads
+        inner_loop(noise_trend(7, 60_000), plain_or_doubled(4, True), BoundaryKind.ZERO)
+        assert {op.kernel for op in apply_calls} == {"gemm"}
+        assert max(op.n for op in apply_calls) < 60_000
+        code = ("from conftest import noise_trend; from iterfilt import *; "
+                "f = convolve_self(sample_filter(raised_cosine_shape(), 4)); "
+                "imf, k, d = inner_loop(noise_trend(7, 60_000), f, 'zero'); "
+                "print(imf.tobytes().hex(), k, repr(d))")
+        paths = [str(Path(iterfilt.__file__).resolve().parents[1]), str(Path(__file__).parent)]
+        outputs = [subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                  env=dict(os.environ, PYTHONPATH=os.pathsep.join(paths),
+                                           OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads),
+                                  check=True, timeout=120).stdout
+                   for threads in ("1", "2")]
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("n,l,depth,strips", STRIP_RULE)
+    def test_rule_table(self, n, l, depth, strips):
+        # the rows of _sift_strips's documented table
+        assert _strips_pay(n, l, depth) == strips
+
+
 def energy_rows(energy, z, m):
     """Norm N and step change D of rows 0..m-1: the iterate with squared
     coefficients energy z^(2j), and the change ||lambda c|| / ||c|| of the
@@ -746,7 +846,7 @@ class TestStopSearch:
         lam, energy, d, tiny, cfg, expected = stop_case(name)
         z = 1.0 - lam
         k_scan, d_scan = scan_stop(energy, z, lam, 1, d, tiny, cfg)
-        k, d_found = _search_stop(energy, z, lam, 1, d, tiny, cfg)
+        k, d_found = _search_stop(_decay_rows(energy, z, lam), 1, d, tiny, cfg)
         assert k == k_scan
         assert abs(d_found - d_scan) <= 1e-12
         if expected is not None:

@@ -1,13 +1,18 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import iterfilt
 from iterfilt import (
     BoundaryKind,
     StoppingConfig,
     actual_error,
     convolve_self,
-    dominant_period,
     error_propagation,
     inner_loop,
     make_sine_trend_generator,
@@ -17,7 +22,7 @@ from iterfilt import (
     sample_filter,
 )
 from conftest import random_doubled_filter, random_filter, sine_trend
-from oracles import dense_propagation
+from oracles import dense_propagation, dominant_period
 from test_decompose import null_tuned_filter
 
 TRANSFORM_KINDS = [BoundaryKind.PERIODIC, BoundaryKind.REFLECTIVE, BoundaryKind.ANTIREFLECTIVE]
@@ -111,6 +116,25 @@ class TestErrorPropagation:
         else:  # blocks of 2^16 coefficients' worth of steps
             rows = max(1, (1 << 16) // size)
             assert batches == [min(rows, 100 - j0) for j0 in range(0, 100, rows)]
+
+    def test_dense_kernel_does_not_depend_on_blas_threads(self):
+        # (n, base length, pad) of six chirps whose core widths 99-155 are
+        # rounded up to 8 columns; rounded to 4, or not at all, each of them
+        # rounds by the OpenBLAS thread count
+        cases = [(198, 18, 72), (216, 13, 52), (231, 5, 20), (264, 6, 24), (273, 1, 4),
+                 (309, 2, 8)]
+        code = ("import hashlib; from conftest import bench_chirp; from iterfilt import *\n"
+                f"for n, l, p in {cases}:\n"
+                "    f = convolve_self(sample_filter(raised_cosine_shape(), l))\n"
+                "    last, bound = error_propagation(bench_chirp(n, n), f, 300 + n % 5, p)\n"
+                "    print(hashlib.sha1(last.tobytes() + bound.tobytes()).hexdigest())")
+        paths = [str(Path(iterfilt.__file__).resolve().parents[1]), str(Path(__file__).parent)]
+        outputs = [subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                  env=dict(os.environ, PYTHONPATH=os.pathsep.join(paths),
+                                           OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads),
+                                  check=True, timeout=120).stdout
+                   for threads in ("1", "2")]
+        assert outputs[0] == outputs[1] and len(outputs[0].split()) == len(cases)
 
 
 class TestErrorUpperBound:

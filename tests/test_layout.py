@@ -73,7 +73,7 @@ PUBLIC_NAMES = [
     "BoundaryKind", "ConvergenceConstants", "Decomposition", "Filter", "FilterShape",
     "ImfDiagnostics", "ParseError", "SHAPE_NAMES", "Spectrum", "StoppingConfig",
     "StructuredOperator", "SweepPoint", "__version__", "actual_error", "build_filter",
-    "convolve_self", "count_extrema", "diagonalized_power_apply", "dif", "dominant_period",
+    "convolve_self", "count_extrema", "diagonalized_power_apply", "dif",
     "eif", "error_propagation", "extend", "filter_length", "get_shape", "inner_loop",
     "load_signal", "make_sine_trend_generator", "normalize", "phase_sweep",
     "raised_cosine_shape", "relative_error", "sample_filter", "stopping_bound_k0",

@@ -490,6 +490,23 @@ class TestDiagonalization:
                 assert np.abs(c - q_inv @ s).max() <= 1e-12
                 assert np.abs(op.from_eigenbasis(c) - s).max() <= 1e-12
 
+    def test_real_eigenbasis_matches_closed_form(self, rng):
+        # the periodic kind's real transform: the rfft with the cosine-table
+        # eigenvalue of each bin, and weights that give back ||x||^2
+        for n in (3, 4, 5, 16, 33, 301, 1024):
+            l = int(rng.integers(1, (n - 1) // 2 + 1))
+            op = StructuredOperator(random_filter(rng, l), BoundaryKind.PERIODIC, n)
+            s = rng.standard_normal(n)
+            c, lam, weight = op.to_real_eigenbasis(s)
+            assert c.shape == lam.shape == weight.shape == (n // 2 + 1,)
+            assert np.abs(c - np.fft.fft(s)[: n // 2 + 1]).max() <= 1e-12 * n
+            assert np.abs(lam - closed_form_eigenvalues(op)[: n // 2 + 1]).max() <= 1e-13
+            assert abs(weight @ np.abs(c) ** 2 - s @ s) <= 1e-12 * (s @ s)
+            assert np.abs(np.fft.irfft(c, n) - s).max() <= 1e-12
+        for kind in (BoundaryKind.REFLECTIVE, BoundaryKind.ANTIREFLECTIVE, BoundaryKind.ZERO):
+            with pytest.raises(ValueError, match="periodic kind only"):
+                StructuredOperator(random_filter(rng, 2), kind, 10).to_real_eigenbasis(np.ones(10))
+
     def test_zero_kind_has_no_eigenbasis(self, rng):
         op = StructuredOperator(random_filter(rng, 2), BoundaryKind.ZERO, 10)
         with pytest.raises(ValueError):

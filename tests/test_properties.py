@@ -2,14 +2,16 @@
 
 hypothesis draws the signals, derandomized and with no example database, so
 every run sees the same cases: 3 to 40 samples of any finite double up to
-1e308 in magnitude, subnormals and zeros among them, and constants.
+1e308 in magnitude, subnormals and zeros among them, and constants; and, for
+the zero kind's kernels and Lanczos sift and the propagation's two kernels,
+a few seeded chirps of 300 to 5,000 samples.
 """
 
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
-from iterfilt import (BoundaryKind, StoppingConfig, convolve_self, dif, eif, inner_loop,
-                      raised_cosine_shape, sample_filter)
+from iterfilt import (BoundaryKind, StoppingConfig, StructuredOperator, convolve_self, dif, eif,
+                      error_propagation, inner_loop, raised_cosine_shape, sample_filter)
 
 CFG = StoppingConfig(max_inner=200)
 EDGES = [0.0, 1.0, -1.0, 1e308, -1e308, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310]
@@ -97,3 +99,82 @@ def test_periodic_roll(data, s):
     rolled, k_rolled, _ = inner_loop(np.roll(s, shift), filt, BoundaryKind.PERIODIC, CFG)
     assert k_rolled == k
     assert close(rolled, np.roll(imf, shift), s)
+
+
+# -- the fast paths, on 320 to 5,000 samples --------------------------------
+
+FAST = settings(derandomize=True, database=None, max_examples=6, deadline=None)
+
+
+def long_signal(n, seed):
+    """A chirp of 5 to 60 cycles on a trend, with 10 % noise: its sifts
+    take the blocked and FFT kernels and, with a small delta, the Lanczos
+    basis."""
+    rng = np.random.default_rng([seed, n])
+    x = np.linspace(0.0, 1.0, n)
+    clean = np.sin(2.0 * np.pi * (5.0 * x + 27.5 * x**2)) + 2.0 * x - 1.0
+    return clean + 0.1 * rng.standard_normal(n)
+
+
+def kernel(n, base):
+    """The zero kind's kernel for the doubled filter of this base length."""
+    return StructuredOperator(convolve_self(sample_filter(raised_cosine_shape(), base)),
+                              BoundaryKind.ZERO, n).kernel
+
+
+@FAST
+@given(n=st.integers(640, 5000), base=st.integers(6, 160), seed=st.integers(0, 2**32 - 1),
+       delta=st.sampled_from([1e-3, 1e-6]))
+@example(n=2048, base=9, seed=1, delta=1e-6)     # blocked kernel, a Lanczos basis
+@example(n=1500, base=100, seed=2, delta=1e-6)   # FFT kernel, a Lanczos basis
+@example(n=700, base=40, seed=3, delta=1e-3)     # convolution kernel below n = 1,024
+def test_zero_kind_fast_paths(n, base, seed, delta):
+    # the sift scales exactly by powers of two and commutes with reversal,
+    # and dif's finite components rebuild the input
+    base = min(base, (n - 1) // 4)
+    s, cfg = long_signal(n, seed), StoppingConfig(delta=delta)
+    filt = convolve_self(sample_filter(raised_cosine_shape(), base))
+    imf, k, d = inner_loop(s, filt, BoundaryKind.ZERO, cfg)
+    assert np.isfinite(imf).all() and 1 <= k <= cfg.max_inner
+    for c in (2.0**-300, 2.0**300):
+        scaled, k_c, d_c = inner_loop(c * s, filt, BoundaryKind.ZERO, cfg)
+        assert (k_c, d_c) == (k, d) and np.array_equal(scaled, c * imf)
+    reversed_, k_r, _ = inner_loop(s[::-1], filt, BoundaryKind.ZERO, cfg)
+    assert k_r == k
+    assert np.abs(reversed_[::-1] - imf).max() <= 1e-12 * np.abs(s).max()
+    dec = dif(s, kind=BoundaryKind.ZERO, cfg=StoppingConfig(delta=delta, max_imfs=3))
+    assert all(np.isfinite(f).all() for f in dec.imfs)
+    assert np.abs(dec.reconstruction() - s).max() <= 1e-10 * np.abs(s).max()
+
+
+def test_zero_kind_fast_path_examples_reach_every_route(apply_calls):
+    # the explicit examples above reach each kernel, and the two with
+    # delta 1e-6 sift in a Lanczos basis: fewer products than steps
+    assert [kernel(2048, 9), kernel(1500, 100), kernel(700, 40)] == ["gemm", "fft", "convolve"]
+    for n, base, seed in ((2048, 9, 1), (1500, 100, 2)):
+        apply_calls.clear()
+        filt = convolve_self(sample_filter(raised_cosine_shape(), base))
+        _, k, _ = inner_loop(long_signal(n, seed), filt, BoundaryKind.ZERO,
+                             StoppingConfig(delta=1e-6))
+        assert len(apply_calls) < k
+
+
+@FAST
+@given(n=st.integers(320, 2500), base=st.integers(1, 40), pad=st.integers(0, 400),
+       steps=st.integers(1, 700), seed=st.integers(0, 2**32 - 1))
+@example(n=600, base=6, pad=24, steps=500, seed=4)   # N = 648: the batched irfft
+@example(n=300, base=4, pad=16, steps=700, seed=5)   # N = 332: the dense core basis
+def test_propagation_fast_paths(n, base, pad, steps, seed):
+    # finite, exactly symmetric, exactly scaled by powers of two, and the
+    # same for the reversed input (only max|s| enters)
+    s = long_signal(n, seed)
+    filt = convolve_self(sample_filter(raised_cosine_shape(), min(base, (n - 1) // 4)))
+    last, bound = error_propagation(s, filt, steps, pad)
+    assert np.isfinite(last).all() and np.isfinite(bound).all()
+    assert np.array_equal(last, last[::-1]) and np.array_equal(bound, bound[::-1])
+    assert np.all(bound >= np.abs(last))
+    for c in (2.0**-300, 2.0**300):
+        scaled = error_propagation(c * s, filt, steps, pad)
+        assert np.array_equal(scaled[0], c * last) and np.array_equal(scaled[1], c * bound)
+    again = error_propagation(s[::-1], filt, steps, pad)
+    assert np.array_equal(again[0], last) and np.array_equal(again[1], bound)
