@@ -3,10 +3,7 @@
 The direct method re-imposes boundary conditions at every inner step; the
 extended variant pads the signal once, iterates a circulant operator on the
 padded vector and restricts the results back to the field of view. A sift
-under a rule with a diagonalizing transform runs in its eigenbasis. The
-zero rule's sift takes one of three routes by a fixed rule: a periodic
-interior plus two boundary strips for a shallow sift of a long signal, a
-Lanczos basis for a deep sift with a long filter, and otherwise the loop.
+takes one of four routes by a fixed rule (see :func:`inner_loop`).
 """
 
 from __future__ import annotations
@@ -21,7 +18,7 @@ from .boundary import BoundaryKind, extend
 from .filters import (Filter, FilterShape, convolve_self, filter_length, raised_cosine_shape,
                       sample_filter)
 from .operators import StructuredOperator, spectrum_outside_unit, unit_eigenvectors
-from .signal import unit_exponent
+from .signal import dot, l2_norm, unit_exponent
 
 __all__ = [
     "StoppingConfig",
@@ -38,13 +35,13 @@ __all__ = [
 # below this fraction of the input's norm an iterate counts as zero: its
 # relative step change is rounding noise
 _ZERO_ITERATE = 1e-14
-# the zero kind's Krylov sift (see _sift_krylov): the least filter length
-# that tries it, the steps between its checks, its largest basis, the most
-# steps that the loop takes instead and the agreement of two checks'
-# component coordinates, relative to ||s||
+# the zero kind's Krylov sift (see _sift_krylov): least filter length,
+# steps between checks, largest basis, samples of a kept basis, most steps
+# the loop takes instead of two passes, coordinates' agreement over ||s||
 _KRYLOV_MIN_LENGTH = 16
 _KRYLOV_CHECK = 20
 _KRYLOV_MAX = 400
+_KRYLOV_BUDGET = 1 << 20
 _KRYLOV_LOOP_STEPS = 240
 _KRYLOV_TOL = 1e-14
 # the zero kind's strip sift (see _sift_strips): the least n that tries
@@ -126,28 +123,25 @@ class ConvergenceConstants:
 
 def inner_loop(s, filt: Filter, kind: BoundaryKind,
                cfg: StoppingConfig | None = None) -> tuple[np.ndarray, int, float | None]:
-    """Extract one component: iterate s <- s - W s until the step change
-    ||s_next - s_cur||_2 / ||s_cur||_2 drops below delta.
+    """Extract one component: iterate s <- s - W s, re-imposing the
+    boundary conditions at every step, until the step change
+    ||s_next - s_cur||_2 / ||s_cur||_2 drops below delta or the iterate is
+    at most 1e-14 ||s||, where that change is rounding noise. Returns
+    (iterate, steps, last change), the change None if no step was taken.
 
-    Boundary conditions are re-imposed by every application. Stops early
-    when the iterate is numerically zero, at most 1e-14 times the norm of s
-    (the step change is rounding noise there). Returns (iterate, steps,
-    last step change), the change being None when no step was taken. The
-    kinds with a diagonalizing transform take the same steps in the
-    eigenbasis (:func:`_sift_spectral`), in one transform round trip plus
-    O(n log K), K being max_inner, and raise ValueError for a spectrum
+    The kinds with a diagonalizing transform take the same steps in the
+    eigenbasis (:func:`_sift_spectral`), one transform round trip plus
+    O(n log K) for K = max_inner, and raise ValueError for a spectrum
     outside [0, 1], which no self-convolved filter has. The zero kind takes
     any filter and one of three routes, each with the loop's steps and its
     component within about 5e-13 of max|s|:
 
-    * a shallow sift of a long signal (n >= 50,000) is a periodic interior
-      plus two boundary strips (:func:`_sift_strips`): one real FFT round
-      trip and the loop on short windows at the two ends;
-    * a deep sift with a long filter (l >= 16 on the blocked or FFT kernel,
-      more than 240 steps) is summed from a two-pass Lanczos basis
-      (:func:`_sift_krylov`), about 2m products for a basis of m vectors,
-      typically 80-140, in O(n) memory;
-    * every other sift is the loop, which applies W once per step.
+    * strips (:func:`_sift_strips`) for a shallow sift where n >= 50,000:
+      one real FFT round trip and the loop on short windows at the ends;
+    * a Lanczos basis of m vectors (:func:`_sift_krylov`), typically
+      60-140, for l >= 16 on the blocked or FFT kernel: m products where
+      n <= 2,621, else 2m for sifts of more than 240 steps;
+    * otherwise the loop, one product per step.
 
     All run on s scaled by the power of two that brings max|s| into
     [0.5, 1), so ``inner_loop(c*s)`` is ``c`` times ``inner_loop(s)`` for
@@ -169,7 +163,7 @@ def inner_loop(s, filt: Filter, kind: BoundaryKind,
 def _sift_loop(op: StructuredOperator, cur: np.ndarray,
                cfg: StoppingConfig) -> tuple[np.ndarray, int, float | None]:
     """:func:`inner_loop` by one product per step, in place on ``cur``."""
-    norm_cur = _norm(cur)
+    norm_cur = l2_norm(cur)
     tiny = _ZERO_ITERATE * norm_cur
     k = 0
     d = None
@@ -177,8 +171,8 @@ def _sift_loop(op: StructuredOperator, cur: np.ndarray,
         step = op.apply(cur)  # the step changes the iterate by W x
         cur -= step
         k += 1
-        d = _norm(step) / norm_cur
-        norm_cur = _norm(cur)
+        d = l2_norm(step) / norm_cur
+        norm_cur = l2_norm(cur)
         if d < cfg.delta:
             break
     return cur, k, d
@@ -211,14 +205,14 @@ def _sift_spectral(op: StructuredOperator, values: np.ndarray,
         weight, inverse = 1.0, op.from_eigenbasis
     if problem := spectrum_outside_unit(lam):
         raise ValueError(problem)
-    norm_cur = _norm(values)
+    norm_cur = l2_norm(values)
     tiny = _ZERO_ITERATE * norm_cur
     if norm_cur == 0.0:
         return values.copy(), 0, None
     z = 1.0 - lam
     c = z * c
     cur = inverse(c)
-    k, d = 1, _norm(cur - values) / norm_cur
+    k, d = 1, l2_norm(cur - values) / norm_cur
     k, d = _search_stop(_decay_rows(weight * np.abs(c) ** 2, z, lam), k, d, tiny, cfg)
     if k > 1:
         cur = inverse(z ** (k - 1) * c)
@@ -278,7 +272,7 @@ def _sift_strips(op: StructuredOperator, values: np.ndarray,
     n, l = values.size, op.filter.length
     if not _strips_pay(n, l, 8):  # no depth is below 8
         return None
-    norm = _norm(values)
+    norm = l2_norm(values)
     if norm == 0.0:
         return None
     periodic = StructuredOperator(op.filter, BoundaryKind.PERIODIC, n)
@@ -340,8 +334,8 @@ def _strip_sums(values: np.ndarray, filt: Filter, depth: int) -> tuple[np.ndarra
     for m in range(depth):
         step = window.apply(v)
         for fix, x in ((fix_norm, v), (fix_step, step)):
-            fix[m] = (_dot(x[zero_l], x[zero_l]) + _dot(x[zero_r], x[zero_r])
-                      - _dot(x[wrap], x[wrap]))
+            fix[m] = (dot(x[zero_l], x[zero_l]) + dot(x[zero_r], x[zero_r])
+                      - dot(x[wrap], x[wrap]))
         v -= step
     return fix_norm, fix_step
 
@@ -351,43 +345,52 @@ def _sift_krylov(op: StructuredOperator, values: np.ndarray,
     """:func:`inner_loop` for the zero kind in a Lanczos basis of W and s,
     or None where the loop is to run instead.
 
-    Pass 1 runs the three-term recurrence without reorthogonalization and
-    keeps alpha, beta and two vectors. Every 20 steps the m x m
-    tridiagonal T = U diag(theta) U^T gives the sift in the Ritz basis, as
-    :func:`_sift_spectral` does in the eigenbasis: coefficients
-    c = ||s|| z U[0, :] after step 1, z = 1 - theta, step 1's change
-    ||W s|| / ||s|| = ||T e_1|| exact, and :func:`_search_stop` for the
-    stopping step k (Gallopoulos and Saad 1992 for such Krylov
-    approximations of f(W) s); a doubled filter's Toeplitz spectrum, and so
-    every Ritz value, lies in [0, 1]. Pass 1 ends when two successive
-    checks agree on k and the component's coordinates U z^(k-1) c on the
-    20 newest vectors are within 1e-14 ||s|| (older coordinates drift by
-    about 1e-13 ||s|| once the basis loses orthogonality). Pass 2
-    regenerates the same basis and sums its vectors times the coordinates:
-    O(n) memory, no m x n basis. The coordinates and the last change come
-    from k steps y <- y - T y on ||s|| e_1, elementwise, so their bits do
-    not depend on the thread count of the eigensolve's BLAS; nor do the
-    basis's, whose dot products :func:`_dot` sums.
+    Every 20 steps of the recurrence (no reorthogonalization) the m x m
+    tridiagonal T = U diag(theta) U^T gives the sift in the Ritz basis as
+    :func:`_sift_spectral` does in the eigenbasis (Gallopoulos and Saad
+    1992): c = ||s|| z U[0, :] after step 1, z = 1 - theta, step 1's change
+    ||T e_1||, and :func:`_search_stop` for the stopping step k; a doubled
+    filter's Ritz values lie in [0, 1]. The basis is done when two checks
+    agree on k and the coordinates U z^(k-1) c on the 20 newest vectors are
+    within 1e-14 ||s|| (older ones drift by 1e-13 ||s|| as orthogonality
+    goes), or, kept, where k < m - 1 puts the loop's iterate in it. The
+    coordinates and last change come from k steps y <- y - T y on
+    ||s|| e_1, not from U, so no bit depends on the BLAS thread count.
 
-    Like :attr:`StructuredOperator.kernel`, a fixed rule picks the loop
-    where a product costs little next to a Lanczos step's O(n) vector work:
-    the convolve kernel and l < 16. The loop also runs where a Ritz value
-    leaves [0, 1] (a filter that is not doubled), at m = 400, at a
-    breakdown and where k <= m or k <= 240, max_inner included: a basis
-    took 80-140 vectors on chirps of n = 2,048 and 10^5, so two passes
-    cost about what 240 loop steps do.
+    A basis of up to 400 n <= 2^20 samples (8 MiB, n <= 2,621) is kept, m
+    products for m vectors; above, a second pass regenerates it, 2m
+    products in O(n) memory, and the loop runs where k <= m or k <= 240,
+    max_inner included. Time of a kept 1,000-step sift (delta 1e-12) over
+    two passes', and its MiB (medians of 9, 2-vCPU x86-64, numpy 2.4, one
+    BLAS thread):
+
+    ======  ===  ===  =====  ====
+    n       l    m    ratio  MiB
+    ======  ===  ===  =====  ====
+    1,024   60   140  0.63   1.1
+    1,024   284  80   0.64   0.6
+    2,621   60   180  0.71   3.6
+    2,621   284  100  0.67   2.0
+    20,000  60   180  0.90   27.5
+    20,000  284  200  0.60   30.5
+    ======  ===  ===  =====  ====
+
+    The loop runs for the convolve kernel and l < 16 (a cheap product next
+    to a Lanczos step's vector work), where a Ritz value leaves [0, 1], at
+    m = 400 and at a breakdown.
     """
+    kept = _KRYLOV_MAX * op.n <= _KRYLOV_BUDGET
     if (op.kernel == "convolve" or op.filter.length < _KRYLOV_MIN_LENGTH
-            or cfg.max_inner <= _KRYLOV_LOOP_STEPS):
+            or not kept and cfg.max_inner <= _KRYLOV_LOOP_STEPS):
         return None
-    norm_s = _norm(values)
+    norm_s = l2_norm(values)
     if norm_s == 0.0:
         return None
     tiny = _ZERO_ITERATE * norm_s
-    alpha: list[float] = []
-    beta: list[float] = []
-    last_k = 0
+    alpha, beta, basis, last_k = [], [], [], 0
     for v in _lanczos(op, values / norm_s, alpha, beta):
+        if kept:
+            basis.append(v)
         m = len(alpha)
         if m == 0 or m % _KRYLOV_CHECK:
             continue
@@ -399,7 +402,9 @@ def _sift_krylov(op: StructuredOperator, values: np.ndarray,
         c = norm_s * z * u[0]
         k, _ = _search_stop(_decay_rows(c * c, z, theta), 1, math.hypot(alpha[0], beta[0]),
                             tiny, cfg)
-        if k <= max(m, _KRYLOV_LOOP_STEPS):
+        if kept and k < m - 1:
+            break
+        if not kept and k <= max(m, _KRYLOV_LOOP_STEPS):
             return None
         added = np.abs(u[-_KRYLOV_CHECK:] @ (z ** (k - 1) * c)).max()
         if k == last_k and added <= _KRYLOV_TOL * norm_s:
@@ -412,7 +417,7 @@ def _sift_krylov(op: StructuredOperator, values: np.ndarray,
     y, d = _tridiagonal_steps(np.array(alpha), np.array(beta[:-1]), norm_s, k)
     imf, scaled = np.zeros_like(values), np.empty_like(values)
     # y first: zip then stops before asking the basis for a vector beyond v_m
-    for coord, v in zip(y, _lanczos(op, values / norm_s, [], [])):
+    for coord, v in zip(y, basis or _lanczos(op, values / norm_s, [], [])):
         imf += np.multiply(v, coord, out=scaled)
     return imf, k, d
 
@@ -420,48 +425,49 @@ def _sift_krylov(op: StructuredOperator, values: np.ndarray,
 def _lanczos(op: StructuredOperator, v: np.ndarray, alpha: list[float], beta: list[float]):
     """Yield the Lanczos vectors v_1 = v, v_2, ... of W by the three-term
     recurrence, appending alpha_j and beta_j to the lists as v_(j+1) is
-    made; v_(j+1) takes the j-th product. Two vectors are kept. Ends at a
-    breakdown, a beta at most 1e-14, before yielding its vector."""
+    made; v_(j+1), a new array, takes the j-th product. Two vectors are
+    kept. Ends at a breakdown, a beta at most 1e-14, before yielding its
+    vector."""
     prev, scaled, b = np.zeros_like(v), np.empty_like(v), 0.0
     while True:
         yield v
         w = op.apply(v)
-        a = _dot(v, w)
+        a = dot(v, w)
         w -= np.multiply(v, a, out=scaled)
         w -= np.multiply(prev, b, out=scaled)
-        b = math.sqrt(_dot(w, w))
+        b = math.sqrt(dot(w, w))
         alpha.append(a)
         beta.append(b)
         if b <= _ZERO_ITERATE:
             return
-        prev, v = v, np.divide(w, b, out=w)
-
-
-def _dot(x: np.ndarray, y: np.ndarray) -> float:
-    """x . y summed by numpy, not BLAS: OpenBLAS splits long dot products
-    among its threads, which would round the Lanczos basis and the loops'
-    norms, and so the component and its last change, by the thread
-    count."""
-    return float(np.einsum("i,i", x, y))
-
-
-def _norm(x: np.ndarray) -> float:
-    """||x||_2 by :func:`_dot`."""
-    return math.sqrt(_dot(x, x))
+        prev, v = v, w / b
 
 
 def _tridiagonal_steps(diag: np.ndarray, off: np.ndarray, norm: float,
                        k: int) -> tuple[np.ndarray, float]:
     """y = (I - T)^k (norm e_1) for the tridiagonal T and the change
-    ||T y'|| / ||y'|| of its last step from y', by k elementwise steps."""
+    ||T y'|| / ||y'|| of its last step from y', by elementwise steps, 8 at
+    a time by P = (I - T)^8 (einsum, not BLAS)."""
     y = np.zeros(diag.size)
     y[0] = norm
-    for _ in range(k):
-        step = diag * y
-        step[:-1] += off * y[1:]
-        step[1:] += off * y[:-1]
-        prev, y = y, y - step
-    return y, math.sqrt(_dot(step, step) / _dot(prev, prev))
+    blocks, rest = divmod(k - 1, 8)
+    if blocks:
+        power = np.eye(diag.size)
+        for _ in range(8):
+            power, _ = _tridiagonal_step(diag[:, None], off[:, None], power)
+        for _ in range(blocks):
+            y = np.einsum("ij,j", power, y)
+    for _ in range(rest + 1):
+        prev, (y, step) = y, _tridiagonal_step(diag, off, y)
+    return y, math.sqrt(dot(step, step) / dot(prev, prev))
+
+
+def _tridiagonal_step(diag: np.ndarray, off: np.ndarray, y: np.ndarray):
+    """(y - T y, T y) along the first axis of y."""
+    step = diag * y
+    step[:-1] += off * y[1:]
+    step[1:] += off * y[:-1]
+    return y - step, step
 
 
 def _decay_rows(energy: np.ndarray, z: np.ndarray, lam: np.ndarray):
@@ -476,7 +482,7 @@ def _decay_rows(energy: np.ndarray, z: np.ndarray, lam: np.ndarray):
     def row(j: int) -> tuple[float, float]:
         e = np.power(decay, j)
         e *= energy
-        return float(e.sum()), _dot(e, lam2)
+        return float(e.sum()), dot(e, lam2)
 
     return row
 
@@ -576,7 +582,7 @@ def _outer_loop(values: np.ndarray, shape: FilterShape, kind: BoundaryKind,
     while (len(imfs) < cfg.max_imfs - 1
            and (filt := _next_filter(residual, shape, cfg, filt)) is not None):
         imf, k, d = inner_loop(residual, filt, kind, cfg)
-        if np.linalg.norm(imf) <= _ZERO_ITERATE * np.linalg.norm(residual):
+        if l2_norm(imf) <= _ZERO_ITERATE * l2_norm(residual):
             break  # the extraction removed nothing: the residual is the trend
         imfs.append(imf)
         diags.append(ImfDiagnostics(k, filt.length, d))
@@ -603,17 +609,9 @@ def dif(s, shape: FilterShape | None = None,
     short for any admissible filter length (fewer than 5 samples) is
     returned as its trend. The loops run on s scaled by a power of two
     (see :func:`inner_loop`), so ``dif(c*s)`` is exactly ``c`` times
-    ``dif(s)`` for powers of two c that keep the samples normal.
-
-    Parameters
-    ----------
-    s : array-like
-        Input samples, length >= 3.
-    shape : FilterShape, optional
-        Filter profile; defaults to the raised cosine.
-    kind : BoundaryKind
-        Extension rule imposed inside the inner loop.
-    cfg : StoppingConfig, optional
+    ``dif(s)`` for powers of two c that keep the samples normal. ``s`` has
+    at least 3 samples, ``shape`` defaults to the raised cosine and
+    ``kind`` is the rule imposed inside the inner loop.
     """
     imfs, diags = _outer_loop(np.asarray(s, dtype=float), shape or raised_cosine_shape(),
                               BoundaryKind(kind), cfg or StoppingConfig())

@@ -43,7 +43,8 @@ def load_signal(path) -> np.ndarray:
         except ValueError:
             header = 1  # a header line
     try:
-        values = np.array(list(map(float, islice(lines, header, None))))
+        values = np.fromiter(map(float, islice(lines, header, None)), float,
+                             count=len(lines) - header)
     except ValueError:
         values = None
     if values is None or not np.isfinite(values).all():
@@ -80,11 +81,24 @@ def unit_exponent(values: np.ndarray) -> int:
     return math.frexp(float(np.max(np.abs(values), initial=0.0)))[1]
 
 
+def dot(x: np.ndarray, y: np.ndarray) -> float:
+    """x . y summed by numpy, not BLAS: OpenBLAS splits dot products of
+    more than 10,000 samples among its threads, which would round every
+    norm, and all that follows from it, by the thread count."""
+    return float(np.einsum("i,i", x, y))
+
+
+def l2_norm(x: np.ndarray) -> float:
+    """||x||_2 by :func:`dot`."""
+    return math.sqrt(dot(x, x))
+
+
 def normalize(s) -> np.ndarray:
     """Rescale a signal to unit Euclidean norm, as a float array.
 
     The norm is taken of the signal scaled by 2^-e (:func:`unit_exponent`),
-    so it neither overflows nor underflows on finite samples. Raises
+    so it neither overflows nor underflows on finite samples, and summed by
+    :func:`dot`, so its bits do not depend on the BLAS thread count. Raises
     ValueError for a non-finite sample and for the all-zero signal, whose
     direction is undefined.
     """
@@ -92,7 +106,7 @@ def normalize(s) -> np.ndarray:
     if not np.isfinite(v).all():
         raise ValueError("cannot normalize a non-finite signal")
     v = np.ldexp(v, -unit_exponent(v))
-    nrm = float(np.linalg.norm(v))
+    nrm = l2_norm(v)
     if nrm == 0.0:
         raise ValueError("cannot normalize the zero signal")
     return v / nrm

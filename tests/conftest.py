@@ -1,7 +1,15 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+from unittest import mock
+
 import numpy as np
 import pytest
 
-from iterfilt import Filter, StructuredOperator, convolve_self
+import iterfilt
+from iterfilt import BoundaryKind, Filter, StructuredOperator, convolve_self
+from iterfilt.decompose import _sift_krylov
 
 
 @pytest.fixture
@@ -65,3 +73,37 @@ def noise_trend(seed, n):
     linear trend from -1 to 2, drawn from the seed."""
     rng = np.random.default_rng([seed, 200_000])
     return rng.standard_normal(n) + np.linspace(-1.0, 2.0, n)
+
+
+def outputs_by_blas_threads(code, *args, cwd=None):
+    """The standard output of ``python -c code *args`` in a fresh
+    interpreter with OpenBLAS on 1 and on 2 threads, the package and the
+    test helpers on its path; with ``cwd``, each run works in its own new
+    directory, ``cwd / "1"`` and ``cwd / "2"``."""
+    paths = [str(Path(iterfilt.__file__).resolve().parents[1]), str(Path(__file__).parent)]
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths), OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads)
+        where = None if cwd is None else cwd / threads
+        if where is not None:
+            where.mkdir()
+        outputs.append(subprocess.run([sys.executable, "-c", code, *args], env=env, cwd=where,
+                                      capture_output=True, text=True, check=True,
+                                      timeout=120).stdout)
+    return outputs
+
+
+def kept_and_regenerated(op, values, cfg):
+    """The zero kind's Lanczos sift of ``values``, scaled as ``inner_loop``
+    scales them (None where it sends the sift to the loop), with its basis
+    kept, and with the budget for a kept basis at 0, so that a second pass
+    regenerates the basis."""
+    kept = _sift_krylov(op, values, cfg)
+    with mock.patch("iterfilt.decompose._KRYLOV_BUDGET", 0):
+        return kept, _sift_krylov(op, values, cfg)
+
+
+def same_sift(a, b):
+    """Two sifts' (component, steps, last change) agree bit for bit."""
+    return np.array_equal(a[0], b[0]) and a[1:] == b[1:]

@@ -1,19 +1,14 @@
 import argparse
 import json
-import os
-import subprocess
-import sys
 from dataclasses import fields
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import iterfilt
 from iterfilt import BoundaryKind, Decomposition, StoppingConfig, dif, load_signal
 from iterfilt.cli import (_add_filter_flags, _add_stopping_flags, _stopping_config,
                           _write_decomposition, build_parser, run)
-from conftest import bench_chirp, sine_trend
+from conftest import bench_chirp, outputs_by_blas_threads, sine_trend
 
 
 @pytest.fixture
@@ -29,23 +24,15 @@ def read_table(path):
     return lines[0].split(","), [line.split(",") for line in lines[1:]]
 
 
-def outputs_by_blas_threads(tmp_path, signal, argv):
+def cli_outputs_by_blas_threads(tmp_path, signal, argv):
     """The CSV and sidecar bytes that the command writes for ``signal`` in a
     fresh interpreter with OpenBLAS on 1 and on 2 threads."""
     inp = tmp_path / "input.csv"
     inp.write_text("\n".join(map(repr, signal.tolist())) + "\n")
-    src = str(Path(iterfilt.__file__).resolve().parents[1])
     code = "import sys; from iterfilt.cli import run; sys.exit(run(sys.argv[1:]))"
-    outputs = []
-    for threads in ("1", "2"):
-        (tmp_path / threads).mkdir()
-        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
-                   OMP_NUM_THREADS=threads)
-        subprocess.run([sys.executable, "-c", code, *argv, str(inp), "out.csv"], env=env,
-                       cwd=tmp_path / threads, check=True, timeout=120)
-        outputs.append([(tmp_path / threads / name).read_bytes()
-                        for name in ("out.csv", "out.csv.meta.json")])
-    return outputs
+    outputs_by_blas_threads(code, *argv, str(inp), "out.csv", cwd=tmp_path)
+    return [[(tmp_path / threads / name).read_bytes() for name in ("out.csv", "out.csv.meta.json")]
+            for threads in ("1", "2")]
 
 
 class TestDecomposeCommand:
@@ -166,16 +153,16 @@ class TestDecomposeCommand:
         # the zero kind's long sifts solve tridiagonal eigenproblems, whose
         # eigenvectors OpenBLAS rounds by its thread count at some sizes;
         # the written components and changes must not
-        outputs = outputs_by_blas_threads(tmp_path, bench_chirp(7, 2048),
-                                          ["decompose", "--bc", "zero"])
+        outputs = cli_outputs_by_blas_threads(tmp_path, bench_chirp(7, 2048),
+                                              ["decompose", "--bc", "zero"])
         assert outputs[0] == outputs[1]
 
     def test_zero_kind_loop_norms_do_not_depend_on_blas_threads(self, tmp_path):
         # OpenBLAS splits dot products of more than 10,000 samples among its
         # threads; the loop's norms, and so each final_delta, are summed by
         # numpy, so n = 20,000 writes the same sidecar
-        outputs = outputs_by_blas_threads(tmp_path, bench_chirp(7, 20_000),
-                                          ["decompose", "--bc", "zero", "--max-imfs", "4"])
+        outputs = cli_outputs_by_blas_threads(tmp_path, bench_chirp(7, 20_000),
+                                              ["decompose", "--bc", "zero", "--max-imfs", "4"])
         assert outputs[0] == outputs[1]
 
 
@@ -303,15 +290,15 @@ class TestErrorboundCommand:
         # n = 300 with pad 16: N = 332, below 640 the dense core basis, whose
         # width is rounded up to 32 columns so the product rounds the same
         # with 1 and 2 threads
-        outputs = outputs_by_blas_threads(tmp_path, bench_chirp(11, 300),
-                                          ["errorbound", "--pad", "16", "--steps", "700"])
+        outputs = cli_outputs_by_blas_threads(tmp_path, bench_chirp(11, 300),
+                                              ["errorbound", "--pad", "16", "--steps", "700"])
         assert outputs[0] == outputs[1]
 
     def test_irfft_propagation_does_not_depend_on_blas_threads(self, tmp_path):
         # n = 600 with pad 24: N = 648, from 640 on the batched irfft, whose
         # rounding is the same with 1 and 2 threads (the dense basis's is not)
-        outputs = outputs_by_blas_threads(tmp_path, bench_chirp(7, 600),
-                                          ["errorbound", "--bc", "reflective", "--steps", "500"])
+        outputs = cli_outputs_by_blas_threads(
+            tmp_path, bench_chirp(7, 600), ["errorbound", "--bc", "reflective", "--steps", "500"])
         assert b'"pad": 24' in outputs[0][1]
         assert outputs[0] == outputs[1]
 

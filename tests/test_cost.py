@@ -5,11 +5,12 @@ The kinds with a diagonalizing transform sift in the eigenbasis, so a
 decomposition or phase sweep on them applies no operator, and a sift finds
 its stopping step in O(log K) rows of its energies. Only the zero kind
 applies W, with the taps' blocks or spectrum built once per operator: one
-product per step on short filters and short sifts, a two-pass Lanczos
-basis of about 2m products for a long sift with a long filter, and for a
-shallow sift of a long signal products on short windows at its two ends
-only, all in O(n) memory. The boundary-error propagation keeps O(n) memory
-whatever its step count.
+product per step on short filters, a Lanczos basis of m products with a
+long filter, kept within a budget of 2^20 samples (n <= 2,621), and above
+it, for a long sift, regenerated in O(n) memory for 2m, and for a shallow
+sift of a long signal products on short windows at its two ends only, in
+O(n) memory. The boundary-error propagation keeps O(n) memory whatever
+its step count.
 """
 
 import math
@@ -79,7 +80,9 @@ def test_zero_kind_fft_sift_builds_tap_spectrum_once(apply_calls, monkeypatch):
 
 
 def test_zero_kind_blocked_sift_builds_tap_blocks_once(apply_calls, monkeypatch):
-    s = chirp(2048)
+    # n = 4,096 is above the budget for a kept basis: a short sift takes 20
+    # Lanczos steps and then the loop, both on one operator
+    s = chirp(4096)
     filt = convolve_self(sample_filter(raised_cosine_shape(), 14))
     assert StructuredOperator(filt, BoundaryKind.ZERO, s.size).kernel == "gemm"
     reads = []
@@ -97,7 +100,7 @@ def test_zero_kind_blocked_sift_builds_tap_blocks_once(apply_calls, monkeypatch)
 
 def test_zero_kind_cap_hit_sift_applies_fewer_products_than_steps(apply_calls):
     # delta below every step change: the sift runs to the cap of 1000 steps,
-    # which two Lanczos passes of about 100 vectors reach
+    # which a kept Lanczos basis of 100 vectors reaches
     s, cfg = chirp(2048), StoppingConfig(delta=1e-12)
     filt = convolve_self(sample_filter(raised_cosine_shape(), 142))
     _, k, _ = inner_loop(s, filt, BoundaryKind.ZERO, cfg)
@@ -106,12 +109,12 @@ def test_zero_kind_cap_hit_sift_applies_fewer_products_than_steps(apply_calls):
 
 
 def test_zero_kind_dif_products(apply_calls):
-    # 4,112 steps: the eight sifts of 84 to 267 steps on the loop (seven of
-    # them after the basis's first 20 products), the four of 416 to 1,000
-    # steps in Lanczos bases; the count repeats exactly
+    # 4,112 steps: the sift of 122 steps with l = 6 on the loop, the eleven
+    # of 84 to 1,000 steps with l >= 16 in kept Lanczos bases; the count
+    # repeats exactly
     d = dif(chirp(2048), kind=BoundaryKind.ZERO)
     assert sum(diag.inner_steps for diag in d.diagnostics) == 4112
-    assert len(apply_calls) == 2355
+    assert len(apply_calls) == 1062
 
 
 def test_zero_kind_krylov_sift_memory_is_linear(apply_calls):
@@ -129,6 +132,26 @@ def test_zero_kind_krylov_sift_memory_is_linear(apply_calls):
     assert imf.shape == (n,) and k == cfg.max_inner
     assert len(apply_calls) < k // 2  # the Krylov sift, not the loop
     assert peak < 8_000_000
+
+
+def test_zero_kind_kept_basis_memory_is_bounded(apply_calls):
+    # a 1000-step sift at n = 2,048 ends in a kept basis of 180 vectors,
+    # 2.8 MB: the basis, 16 doubles a sample and six m x m arrays of the
+    # eigensolves; with m <= 400 that is within the budget of 2^20 samples
+    # plus O(n)
+    n = 2048
+    s, cfg = chirp(n), StoppingConfig(delta=1e-12)
+    filt = convolve_self(sample_filter(raised_cosine_shape(), 30))
+    tracemalloc.start()
+    try:
+        imf, k, _ = inner_loop(s, filt, BoundaryKind.ZERO, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    m = len(apply_calls)
+    assert imf.shape == (n,) and k == cfg.max_inner and m == 180
+    assert peak < 8 * ((m + 1) * n + 16 * n + 6 * m * m)
+    assert peak < 8 * (2**20 + 17 * n + 6 * 400**2)
 
 
 def test_zero_kind_strip_sift_memory_is_linear(apply_calls):

@@ -1,13 +1,8 @@
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import iterfilt
 from iterfilt import (
     BoundaryKind,
     ConvergenceConstants,
@@ -28,7 +23,8 @@ from iterfilt import (
 )
 from iterfilt.decompose import (_decay_rows, _first_true, _search_stop, _strip_sums,
                                 _strips_pay)
-from conftest import bench_chirp, noise_trend, random_doubled_filter, sine_trend
+from conftest import (bench_chirp, kept_and_regenerated, noise_trend, outputs_by_blas_threads,
+                      random_doubled_filter, same_sift, sine_trend)
 from oracles import dense_matrix, direct_apply, reference_sift, scan_stop
 
 TRANSFORM_KINDS = [BoundaryKind.PERIODIC, BoundaryKind.REFLECTIVE, BoundaryKind.ANTIREFLECTIVE]
@@ -564,20 +560,54 @@ def loop_sift(monkeypatch, s, filt, cfg):
 
 
 class TestKrylovSift:
-    """The zero kind sifts long filters in a two-pass Lanczos basis when the
-    sift is long: the loop's steps, its component to 1e-12 of max|s|, and
-    the loop's own bits wherever the loop runs instead."""
+    """The zero kind sifts long filters in a Lanczos basis, kept up to
+    n = 2,621 and above regenerated for long sifts: the loop's steps, its
+    component to 1e-12 of max|s|, and the loop's own bits wherever the loop
+    runs instead."""
 
     @pytest.mark.parametrize("seed", [7, 11, 203])
     def test_benchmark_chirp_matches_reference_sift(self, seed, apply_calls):
-        # the loop would take one product per step; four sifts of 263 to 870
-        # steps per seed take Lanczos bases of 119 to 279 products
+        # the loop would take one product per step; the ten or eleven sifts
+        # with l >= 16 per seed end in kept bases of 60 to 140 vectors
         s, cfg = bench_chirp(seed, 2048), StoppingConfig()
         d = dif(s, kind=BoundaryKind.ZERO, cfg=cfg)
         steps = sum(diag.inner_steps for diag in d.diagnostics)
-        assert (steps, len(apply_calls)) == {7: (3799, 2436), 11: (3422, 2079),
-                                             203: (3821, 2359)}[seed]
+        assert (steps, len(apply_calls)) == {7: (3799, 1105), 11: (3422, 982),
+                                             203: (3821, 1105)}[seed]
         assert_sifts_match_reference(d, s, cfg)
+
+    @pytest.mark.parametrize("seed", [7, 11, 203])
+    def test_kept_basis_is_the_regenerated_basis(self, seed, monkeypatch):
+        # with no budget a second pass regenerates each basis; the four
+        # sifts of more than 240 steps that then still take it give the
+        # same bits and the same (k, d) with their basis kept
+        pairs = []
+
+        def both(op, values, cfg):
+            kept, again = kept_and_regenerated(op, values, cfg)
+            pairs.append((kept, again))
+            return kept and (kept[0].copy(), *kept[1:])  # inner_loop scales it in place
+
+        monkeypatch.setattr("iterfilt.decompose._sift_krylov", both)
+        dif(bench_chirp(seed, 2048), kind=BoundaryKind.ZERO)
+        compared = [(kept, again) for kept, again in pairs if again is not None]
+        assert len(compared) == 4
+        assert all(kept is not None and same_sift(kept, again) for kept, again in compared)
+
+    @pytest.mark.parametrize("base,delta,max_inner,products", [
+        (142, 0.01, 1000, 20), (30, 0.01, 1000, 20), (9, 0.01, 1000, 20), (30, 1e-3, 60, 80)])
+    def test_short_sift_ends_in_its_kept_basis(self, base, delta, max_inner, products,
+                                               apply_calls):
+        # k < m - 1 puts the loop's iterate in the basis, where a kept basis
+        # ends: the loop's steps, its component to 1e-12 of max|s| and its
+        # last change to 1e-12, in at most k + 21 products
+        s, cfg = chirp(2048), StoppingConfig(delta=delta, max_inner=max_inner)
+        filt = plain_or_doubled(base, True)
+        imf, k, d = inner_loop(s, filt, BoundaryKind.ZERO, cfg)
+        ref, k_ref, d_ref = reference_sift(s, filt, BoundaryKind.ZERO, cfg)
+        assert len(apply_calls) == products and k == k_ref and k < products - 1
+        assert np.abs(imf - ref).max() <= 1e-12 * np.abs(s).max()
+        assert abs(d - d_ref) <= 1e-12
 
     def test_acceptance_cases_match_reference_sift(self):
         # criterion 7's zero-kind signals: n = 1,000 with l = 38 and 60 steps,
@@ -639,12 +669,7 @@ class TestKrylovSift:
                 "f = convolve_self(sample_filter(raised_cosine_shape(), 60)); "
                 "imf, k, d = inner_loop(bench_chirp(7, 12000), f, 'zero', "
                 "StoppingConfig(delta=1e-12)); print(imf.tobytes().hex(), k, repr(d))")
-        paths = [str(Path(iterfilt.__file__).resolve().parents[1]), str(Path(__file__).parent)]
-        outputs = [subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                                  env=dict(os.environ, PYTHONPATH=os.pathsep.join(paths),
-                                           OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads),
-                                  check=True, timeout=120).stdout
-                   for threads in ("1", "2")]
+        outputs = outputs_by_blas_threads(code)
         assert outputs[0] == outputs[1] and outputs[0].split()[1] == "1000"
 
 
@@ -733,12 +758,7 @@ class TestStripSift:
                 "f = convolve_self(sample_filter(raised_cosine_shape(), 4)); "
                 "imf, k, d = inner_loop(noise_trend(7, 60_000), f, 'zero'); "
                 "print(imf.tobytes().hex(), k, repr(d))")
-        paths = [str(Path(iterfilt.__file__).resolve().parents[1]), str(Path(__file__).parent)]
-        outputs = [subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                                  env=dict(os.environ, PYTHONPATH=os.pathsep.join(paths),
-                                           OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads),
-                                  check=True, timeout=120).stdout
-                   for threads in ("1", "2")]
+        outputs = outputs_by_blas_threads(code)
         assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize("n,l,depth,strips", STRIP_RULE)

@@ -1,13 +1,7 @@
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-import iterfilt
 from iterfilt import (
     BoundaryKind,
     StoppingConfig,
@@ -21,7 +15,7 @@ from iterfilt import (
     relative_error,
     sample_filter,
 )
-from conftest import random_doubled_filter, random_filter, sine_trend
+from conftest import outputs_by_blas_threads, random_doubled_filter, random_filter, sine_trend
 from oracles import dense_propagation, dominant_period
 from test_decompose import null_tuned_filter
 
@@ -128,12 +122,7 @@ class TestErrorPropagation:
                 "    f = convolve_self(sample_filter(raised_cosine_shape(), l))\n"
                 "    last, bound = error_propagation(bench_chirp(n, n), f, 300 + n % 5, p)\n"
                 "    print(hashlib.sha1(last.tobytes() + bound.tobytes()).hexdigest())")
-        paths = [str(Path(iterfilt.__file__).resolve().parents[1]), str(Path(__file__).parent)]
-        outputs = [subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                                  env=dict(os.environ, PYTHONPATH=os.pathsep.join(paths),
-                                           OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads),
-                                  check=True, timeout=120).stdout
-                   for threads in ("1", "2")]
+        outputs = outputs_by_blas_threads(code)
         assert outputs[0] == outputs[1] and len(outputs[0].split()) == len(cases)
 
 

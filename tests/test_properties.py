@@ -12,6 +12,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from iterfilt import (BoundaryKind, StoppingConfig, StructuredOperator, convolve_self, dif, eif,
                       error_propagation, inner_loop, raised_cosine_shape, sample_filter)
+from iterfilt.signal import unit_exponent
+from conftest import kept_and_regenerated, same_sift
 
 CFG = StoppingConfig(max_inner=200)
 EDGES = [0.0, 1.0, -1.0, 1e308, -1e308, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310]
@@ -130,12 +132,16 @@ def kernel(n, base):
 @example(n=700, base=40, seed=3, delta=1e-3)     # convolution kernel below n = 1,024
 def test_zero_kind_fast_paths(n, base, seed, delta):
     # the sift scales exactly by powers of two and commutes with reversal,
-    # and dif's finite components rebuild the input
+    # a kept Lanczos basis gives the regenerated basis's bits, and dif's
+    # finite components rebuild the input
     base = min(base, (n - 1) // 4)
     s, cfg = long_signal(n, seed), StoppingConfig(delta=delta)
     filt = convolve_self(sample_filter(raised_cosine_shape(), base))
     imf, k, d = inner_loop(s, filt, BoundaryKind.ZERO, cfg)
     assert np.isfinite(imf).all() and 1 <= k <= cfg.max_inner
+    kept, again = kept_and_regenerated(StructuredOperator(filt, BoundaryKind.ZERO, n),
+                                       np.ldexp(s, -unit_exponent(s)), cfg)
+    assert again is None or same_sift(kept, again)
     for c in (2.0**-300, 2.0**300):
         scaled, k_c, d_c = inner_loop(c * s, filt, BoundaryKind.ZERO, cfg)
         assert (k_c, d_c) == (k, d) and np.array_equal(scaled, c * imf)
@@ -149,14 +155,17 @@ def test_zero_kind_fast_paths(n, base, seed, delta):
 
 def test_zero_kind_fast_path_examples_reach_every_route(apply_calls):
     # the explicit examples above reach each kernel, and the two with
-    # delta 1e-6 sift in a Lanczos basis: fewer products than steps
+    # delta 1e-6 sift in a Lanczos basis: fewer products than steps, and a
+    # regenerated basis too, so the kept one is compared with it
     assert [kernel(2048, 9), kernel(1500, 100), kernel(700, 40)] == ["gemm", "fft", "convolve"]
     for n, base, seed in ((2048, 9, 1), (1500, 100, 2)):
         apply_calls.clear()
+        s, cfg = long_signal(n, seed), StoppingConfig(delta=1e-6)
         filt = convolve_self(sample_filter(raised_cosine_shape(), base))
-        _, k, _ = inner_loop(long_signal(n, seed), filt, BoundaryKind.ZERO,
-                             StoppingConfig(delta=1e-6))
+        _, k, _ = inner_loop(s, filt, BoundaryKind.ZERO, cfg)
         assert len(apply_calls) < k
+        op = StructuredOperator(filt, BoundaryKind.ZERO, n)
+        assert kept_and_regenerated(op, np.ldexp(s, -unit_exponent(s)), cfg)[1] is not None
 
 
 @FAST

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from iterfilt import ParseError, count_extrema, load_signal, normalize
+from conftest import outputs_by_blas_threads
 
 
 class TestLoadSignal:
@@ -118,6 +119,16 @@ class TestNormalize:
         base = np.array([1.0, -3.0, 2.0])
         out = normalize(scale * base)
         assert np.abs(out - base / np.sqrt(14.0)).max() <= 1e-15
+
+    def test_does_not_depend_on_blas_threads(self):
+        # OpenBLAS splits dot products of more than 10,000 samples among its
+        # threads; the norm is summed by numpy, so n = 20,000 rounds alike
+        code = ("import hashlib; from conftest import bench_chirp; from iterfilt import normalize\n"
+                "for seed in range(20):\n"
+                "    unit = normalize(bench_chirp(seed, 20_000))\n"
+                "    print(hashlib.sha1(unit.tobytes()).hexdigest())")
+        outputs = outputs_by_blas_threads(code)
+        assert outputs[0] == outputs[1] and len(outputs[0].split()) == 20
 
 
 class TestCountExtrema:
