@@ -18,6 +18,7 @@ import inspect
 import json
 import sys
 from dataclasses import asdict, fields
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -237,11 +238,16 @@ _COMMANDS = {
 }
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built by :func:`build_parser`."""
+    return build_parser()
+
+
 def run(argv=None) -> int:
     """Parse arguments, dispatch, and map failures to exit codes."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse reports usage errors itself
         return int(exc.code or 0)
     try:

@@ -394,8 +394,9 @@ def _sift_krylov(op: StructuredOperator, values: np.ndarray,
         m = len(alpha)
         if m == 0 or m % _KRYLOV_CHECK:
             continue
-        off = beta[:-1]
-        theta, u = np.linalg.eigh(np.diag(alpha) + np.diag(off, 1) + np.diag(off, -1))
+        u = np.diag(alpha)  # T, its off-diagonals written in place
+        u.flat[1::m + 1] = u.flat[m::m + 1] = beta[:-1]
+        theta, u = np.linalg.eigh(u)
         if spectrum_outside_unit(theta):
             return None
         z = 1.0 - theta
@@ -497,7 +498,10 @@ def _search_stop(rows, k: int, d: float, tiny: float, cfg: StoppingConfig,
     k + j steps) or whose step change is below delta (after k + j + 1
     steps), and at max_inner steps. That row is found by
     :func:`_first_true` among the first ``depth`` rows, all rows by
-    default; None means that it lies past them.
+    default; None means that it lies past them. The search is guided by
+    the row's margin log(change / delta), -inf where the norm is at most
+    tiny, which falls about linearly in log(j + 1); the stopping rule
+    itself decides each row, so the row found is the one bisection finds.
 
     With every z in [0, 1], the norm of row j and its step change are both
     nonincreasing in j: going to row j + 1 multiplies each weight by z^2,
@@ -520,8 +524,12 @@ def _search_stop(rows, k: int, d: float, tiny: float, cfg: StoppingConfig,
         norm, change = row(j)
         return norm <= tiny or change < cfg.delta
 
+    def margin(j: int) -> float:
+        norm, change = row(j)
+        return math.log(change) - math.log(cfg.delta) if norm > tiny and change else -math.inf
+
     end = count if depth is None else min(depth, count)
-    if (j := _first_true(stops, end)) == end < count:
+    if (j := _first_true(stops, end, margin)) == end < count:
         return None
     # with no stopping row the cap ends the loop, after the last row's step
     j = min(j, count - 1)
@@ -531,20 +539,43 @@ def _search_stop(rows, k: int, d: float, tiny: float, cfg: StoppingConfig,
     return k + j + 1, change
 
 
-def _first_true(holds, end: int) -> int:
+def _first_true(holds, end: int, margin=None) -> int:
     """The least j in [0, end) with ``holds(j)``, or end if there is none,
-    for a ``holds`` that stays true once it is true: galloping over
-    j = 0, 1, 3, 7, ... and then bisection, O(log end) calls with no j
-    evaluated twice."""
-    lo, hi = -1, 0  # holds(lo) is false (-1: before the first j)
-    while not holds(hi):
-        if hi == end - 1:
-            return end
-        lo, hi = hi, min(2 * hi + 1, end - 1)
+    for a ``holds`` that stays true once it is true, in O(log end) calls
+    with no j evaluated twice.
+
+    Without ``margin``: galloping over j = 0, 1, 3, 7, ... and then
+    bisection. With it, a number that falls through zero about where
+    ``holds`` starts (read after ``holds(j)``), each probe after the
+    first two goes where the line through the last two probes' margins
+    over log(j + 1) crosses zero, kept inside the bracket of j not yet
+    decided; a probe that leaves more than half of that bracket is
+    followed by a bisection, so at most 2 ceil(log2(end + 1)) calls are
+    made, whatever the margins.
+    """
+    lo, hi, j, last = -1, end, 0, None  # holds(lo) false (-1: before j = 0), holds(hi) true
     while hi - lo > 1:
-        mid = (lo + hi) // 2
-        lo, hi = (lo, mid) if holds(mid) else (mid, hi)
+        size = hi - lo
+        if holds(j):
+            hi = j
+        else:
+            lo = j
+        if margin is None:
+            j = min(2 * j + 1, end - 1) if hi == end else (lo + hi) // 2
+            continue
+        point, j = (math.log1p(j), margin(j)), (lo + hi) // 2
+        if 2 * (hi - lo) <= size and (guess := _crossing(last, point)) is not None:
+            j = min(max(guess, lo + 1), hi - 1)
+        last = point
     return hi
+
+
+def _crossing(a, b) -> int | None:
+    """The j where the line through the points (log(j + 1), margin) a and
+    b crosses zero, rounded, or None where that is not a finite number."""
+    (xa, ma), (xb, mb) = a or b, b
+    x = xb - mb * (xb - xa) / (mb - ma) if ma != mb else math.nan
+    return round(math.expm1(min(x, 64.0))) if math.isfinite(x) else None
 
 
 def build_filter(values, shape: FilterShape, cfg: StoppingConfig) -> Filter:

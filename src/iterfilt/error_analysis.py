@@ -16,8 +16,9 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .boundary import BoundaryKind
-from .decompose import StoppingConfig, build_filter, inner_loop
-from .filters import Filter, FilterShape, raised_cosine_shape
+from .decompose import StoppingConfig, inner_loop
+from .filters import (Filter, FilterShape, convolve_self, filter_length, raised_cosine_shape,
+                      sample_filter)
 from .operators import TRANSFORM_KINDS, StructuredOperator, spectrum_outside_unit
 from .signal import unit_exponent
 
@@ -32,11 +33,17 @@ __all__ = [
 
 # entries of the (steps, coefficients) block of one batched irfft
 _BLOCK = 1 << 16
-# extended sizes below this take the dense core basis, in blocks of this
+# extended sizes below this take the dense split kernel, in blocks of this
 # many steps and at a multiple of this many columns (see error_propagation)
 _DENSE_MAX_SIZE = 640
-_DENSE_ROWS = 64
+_DENSE_ROWS = 128
 _DENSE_COLS = 8
+# terms of a slow bin's binomial series, (-1)^t C(r, t) for the steps
+# r = 1..R of a block, and the least normal float (smaller powers are flushed)
+_SLOW_TERMS = 13
+_BINOMIALS = np.array([[(-1) ** t * math.comb(r, t) for t in range(_SLOW_TERMS)]
+                       for r in range(1, _DENSE_ROWS + 1)], dtype=float)
+_TINY = np.finfo(float).tiny
 
 
 def error_propagation(s, filt: Filter, steps: int, p: int) -> tuple[np.ndarray, np.ndarray]:
@@ -57,38 +64,51 @@ def error_propagation(s, filt: Filter, steps: int, p: int) -> tuple[np.ndarray, 
     W and u are both reversal-symmetric, so only the first (n + 1) // 2
     core samples are computed and the rest mirrored. Only the map from a
     block's powers to those errors depends on N. Below N = 640 a block of
-    64 steps is one matrix product with the real core basis of
-    :func:`_core_basis`, its width rounded up to a multiple of 8 columns
-    and the product trimmed: at such widths OpenBLAS rounds the product
-    the same under 1 and 2 threads (on 561 sizes below 640; at multiples
-    of 4, or unrounded, about half of them round by the thread count).
-    From N = 640 on a block of 2^16
-    coefficients is one batched irfft of the powers times the
-    coefficients, fast only at lengths without large prime factors. Time
-    of the dense basis over the batched irfft for 300 steps, at every 5th
-    N, for doubled filters of l = 10 (p = 20) and l = 60 (p = 120)
-    (geometric mean and range of the per-size ratios, interleaved medians
-    of 15, on a 2-vCPU x86-64 host, numpy 2.4, OpenBLAS on one thread):
+    R = 128 steps is one matrix product (:func:`_dense_blocks`) with the
+    real core basis of :func:`_core_basis`, its width rounded up to a
+    multiple of 8 columns and the product trimmed. The product splits the
+    bins by rho = R lambda: a fast bin, rho > 1/4 (about 20 of the 146-185
+    bins of the phase sweep), enters by its powers; the slow bins enter by
+    13 moment rows, since the binomial series of z^r = (1 - lambda)^r,
+    r <= R, cut after (-lambda)^12 misses at most rho^13 / 13! <=
+    0.25^13 / 13! = 2.4e-18 of a bin's term. Powers and moments below the
+    least normal float are flushed to zero: a subnormal operand costs
+    about 1 us a product, and a flushed term is below 1e-290 chi.
+    At such widths OpenBLAS rounds the products the same under 1 and 2
+    threads (checked on 1,189 random cases below 768; at multiples of 4,
+    or unrounded, about half of them round by the thread count, and from
+    N = 817, where about 400 slow bins make the moments' inner dimension,
+    some do at any width). From N = 640 on a block of 2^16 coefficients
+    is one batched irfft of the powers times the coefficients, fast only
+    at lengths without large prime factors. Time of the dense product over
+    the batched irfft for 300 steps, at every 5th N, for doubled filters
+    of l = 10 (p = 20) and l = 60 (p = 120) (geometric mean and range of
+    the per-size ratios, interleaved medians of 15, on a 2-vCPU x86-64
+    host, numpy 2.4, OpenBLAS on one thread):
 
     ============  =====  =========  ============
     N             mean   range      dense faster
     ============  =====  =========  ============
-    256-319       0.40   0.16-0.72  26 of 26
-    320-383       0.43   0.12-0.88  26 of 26
-    384-447       0.47   0.17-1.00  26 of 26
-    448-511       0.57   0.21-1.04  24 of 26
-    512-575       0.59   0.20-1.19  20 of 24
-    576-639       0.72   0.33-1.50  18 of 26
-    640-703       0.81   0.38-1.37  12 of 26
-    704-767       0.86   0.44-1.88  16 of 26
-    768-831       0.83   0.35-1.94  16 of 26
-    832-895       1.16   0.42-1.94  7 of 24
+    256-319       0.37   0.14-0.69  26 of 26
+    320-383       0.35   0.13-0.78  26 of 26
+    384-447       0.35   0.11-0.82  26 of 26
+    448-511       0.44   0.12-1.08  23 of 26
+    512-575       0.44   0.12-1.06  22 of 24
+    576-639       0.56   0.21-1.35  21 of 26
+    640-703       0.64   0.20-1.48  18 of 26
+    704-767       0.72   0.26-2.47  19 of 26
+    768-831       0.71   0.21-2.52  17 of 26
+    832-895       0.97   0.20-5.90  14 of 24
+    896-959       0.77   0.23-2.75  18 of 26
+    960-1023      1.00   0.35-2.67  13 of 26
+    1024-1087     1.10   0.46-3.43  14 of 26
     ============  =====  =========  ============
 
-    640 is where the dense basis stops winning on most sizes; it stays
-    faster on average up to about 830, at sizes with large prime factors,
-    while the irfft already wins at 5-smooth sizes from 512 (1.22 at 512,
-    1.74 at 640 for l = 10).
+    The dense product wins on most sizes up to about 1,000, the ones with
+    large prime factors, while at 5-smooth sizes the irfft wins from about
+    480 for l = 10 (1.67 at 640, 2.49 at 720); from N = 817 its products
+    can round by the thread count. The crossover is at 640, well below
+    those sizes.
 
     Returns (last, upper_bound): the step-``steps`` core error and the
     pointwise maximum of |err_j| over j = 1..steps, both arrays of length n.
@@ -114,24 +134,54 @@ def error_propagation(s, filt: Filter, steps: int, p: int) -> tuple[np.ndarray, 
         raise ValueError(problem)
     z, width = 1.0 - lam, (n + 1) // 2
     if size < _DENSE_MAX_SIZE:
-        cols = -(-width // _DENSE_COLS) * _DENSE_COLS
-        rows, basis = _DENSE_ROWS, _core_basis(c, weight, size, p, cols)
+        rows, block = _DENSE_ROWS, _dense_blocks(c, lam, weight, size, p, width)
     else:
-        rows, basis = max(1, _BLOCK // size), None
-    table = z ** np.arange(1, rows + 1)[:, None]
+        rows = max(1, _BLOCK // size)
+        table = z ** np.arange(1, rows + 1)[:, None]
+
+        def block(j0: int, count: int) -> np.ndarray:
+            powers = table[:count] * z ** j0 if j0 else table[:count]
+            return np.fft.irfft(powers * c, size)[:, p: p + width]
     bound = np.zeros(width)
     for j0 in range(0, steps, rows):
-        powers = table * z ** j0 if j0 else table
-        if basis is not None:  # all rows, so no step's error depends on ``steps``
-            err = (powers @ basis)[: steps - j0, :width]
-        else:
-            err = np.fft.irfft(powers[: steps - j0] * c, size)[:, p: p + width]
+        err = block(j0, min(rows, steps - j0))
         if 2 * l * (j0 + 1) < n:
             depth = l * np.arange(j0 + 1, j0 + len(err) + 1)[:, None]
             err[np.arange(width) >= depth] = 0.0
         np.maximum(bound, np.abs(err).max(axis=0), out=bound)
     last, bound = (np.concatenate([v, v[: n // 2][::-1]]) for v in (err[-1], bound))
     return np.ldexp(last, e), np.ldexp(bound, e)
+
+
+def _dense_blocks(c: np.ndarray, lam: np.ndarray, weight: np.ndarray, size: int, p: int,
+                  width: int):
+    """block(j0, count) -> the errors of steps j0 + 1..j0 + count at the
+    first ``width`` core samples, for j0 a multiple of R: the first rows of
+    one product over all R steps, the fast bins' powers and the slow bins'
+    moments times the basis (see :func:`error_propagation`), so no step's
+    error depends on ``count``."""
+    cols = -(-width // _DENSE_COLS) * _DENSE_COLS
+    basis = _core_basis(c, weight, size, p, cols)
+    fast, z = _DENSE_ROWS * lam > 0.25, 1.0 - lam
+    nf, zf, zs = np.count_nonzero(fast), z[fast], z[~fast]
+    table = _flushed(zf ** np.arange(1, _DENSE_ROWS + 1)[:, None])
+    lam_powers, slow = _flushed(lam[~fast] ** np.arange(_SLOW_TERMS)[:, None]), basis[~fast]
+    left = np.empty((_DENSE_ROWS, nf + _SLOW_TERMS))  # [z^(j0 + r) | (-1)^t C(r, t)]
+    right = np.empty((nf + _SLOW_TERMS, cols))        # [A of the fast bins; moment rows]
+    left[:, nf:], right[:nf] = _BINOMIALS, basis[fast]
+
+    def block(j0: int, count: int) -> np.ndarray:
+        _flushed(np.multiply(table, zf ** j0, out=left[:, :nf]))
+        np.matmul(_flushed(lam_powers * zs ** j0), slow, out=right[nf:])
+        return (left @ right)[:count, :width]
+
+    return block
+
+
+def _flushed(x: np.ndarray) -> np.ndarray:
+    """x with its subnormal entries set to zero, in place."""
+    x[np.abs(x) < _TINY] = 0.0
+    return x
 
 
 def _core_basis(c: np.ndarray, weight: np.ndarray, size: int, p: int,
@@ -148,9 +198,9 @@ def _core_basis(c: np.ndarray, weight: np.ndarray, size: int, p: int,
     index = np.multiply.outer(np.arange(c.size, dtype=np.int32),
                               np.arange(p, p + width, dtype=np.int32))
     index %= np.int32(size)
-    basis = np.cos(angle)[index]
+    basis = np.cos(angle).take(index)
     basis *= re[:, None]
-    sine = np.sin(angle)[index]
+    sine = np.sin(angle).take(index)
     sine *= im[:, None]
     basis -= sine
     return basis
@@ -218,9 +268,10 @@ def phase_sweep(generator: Callable, dt: float, span: float,
     """Re-decompose a signal family on growing supports and track errors.
 
     For every endpoint (multiples of dt up to span) the first component is
-    extracted under each boundary kind and compared with the known exact
-    component; the worst-case upper bound is propagated for as many steps as
-    the slowest of those runs actually took. Each sweep point records the
+    extracted under each boundary kind, with :func:`build_filter`'s filter
+    (built again only where its base length changes), and compared with the
+    known exact component; the worst-case upper bound is propagated for as
+    many steps as the slowest of those runs actually took. Each sweep point records the
     relative errors, the relative upper bound and the best-performing kind.
     """
     for name, value in (("dt", dt), ("span", span)):
@@ -231,12 +282,14 @@ def phase_sweep(generator: Callable, dt: float, span: float,
     kinds = [BoundaryKind(k) for k in (TRANSFORM_KINDS if kinds is None else kinds)]
 
     points: list[SweepPoint] = []
+    base = None
     for step in range(1, int(round(span / dt)) + 1):
         endpoint = step * dt
         samples, exact = generator(endpoint, dt)
         samples = np.asarray(samples, dtype=float)
         exact = np.asarray(exact, dtype=float)
-        filt = build_filter(samples, shape, cfg)
+        if (length := filter_length(samples, cfg.xi)) != base:
+            base, filt = length, convolve_self(sample_filter(shape, length))
 
         errs: dict[str, float] = {}
         k_used = 0

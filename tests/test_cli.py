@@ -5,7 +5,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from iterfilt import BoundaryKind, Decomposition, StoppingConfig, dif, load_signal
+from iterfilt import BoundaryKind, Decomposition, StoppingConfig, cli, dif, load_signal
 from iterfilt.cli import (_add_filter_flags, _add_stopping_flags, _stopping_config,
                           _write_decomposition, build_parser, run)
 from conftest import bench_chirp, outputs_by_blas_threads, sine_trend
@@ -386,6 +386,17 @@ class TestNumericFlags:
     def test_stopping_defaults_are_the_library_defaults(self):
         args = build_parser().parse_args(["decompose", "a", "b"])
         assert _stopping_config(args) == StoppingConfig()
+
+    def test_run_builds_its_parser_once(self, tmp_path, monkeypatch):
+        argv = ["spectrum", "--bc", "periodic", "--n", "8", "--length", "1"]
+        assert run([*argv, str(tmp_path / "a.csv")]) == 0
+
+        def rebuilt():
+            raise AssertionError("the parser was built again")
+
+        monkeypatch.setattr(cli, "build_parser", rebuilt)
+        assert run([*argv, str(tmp_path / "b.csv")]) == 0
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
 class TestFlags:

@@ -33,7 +33,9 @@ from iterfilt import (
     convolve_self,
     dif,
     eif,
+    error_analysis,
     error_propagation,
+    filter_length,
     inner_loop,
     make_sine_trend_generator,
     phase_sweep,
@@ -136,9 +138,10 @@ def test_zero_kind_krylov_sift_memory_is_linear(apply_calls):
 
 def test_zero_kind_kept_basis_memory_is_bounded(apply_calls):
     # a 1000-step sift at n = 2,048 ends in a kept basis of 180 vectors,
-    # 2.8 MB: the basis, 16 doubles a sample and six m x m arrays of the
-    # eigensolves; with m <= 400 that is within the budget of 2^20 samples
-    # plus O(n)
+    # 2.8 MB: the basis, 16 doubles a sample and four m x m arrays, which
+    # the coordinates' steps hold at the peak (3.6 m^2 measured; each
+    # eigensolve takes its tridiagonal as one m x m array, not five); with
+    # m <= 400 that is within the budget of 2^20 samples plus O(n)
     n = 2048
     s, cfg = chirp(n), StoppingConfig(delta=1e-12)
     filt = convolve_self(sample_filter(raised_cosine_shape(), 30))
@@ -150,8 +153,8 @@ def test_zero_kind_kept_basis_memory_is_bounded(apply_calls):
         tracemalloc.stop()
     m = len(apply_calls)
     assert imf.shape == (n,) and k == cfg.max_inner and m == 180
-    assert peak < 8 * ((m + 1) * n + 16 * n + 6 * m * m)
-    assert peak < 8 * (2**20 + 17 * n + 6 * 400**2)
+    assert peak < 8 * ((m + 1) * n + 16 * n + 4 * m * m)
+    assert peak < 8 * (2**20 + 17 * n + 4 * 400**2)
 
 
 def test_zero_kind_strip_sift_memory_is_linear(apply_calls):
@@ -194,6 +197,33 @@ def test_doubled_filter_sift_searches_the_stopping_step(stop_rows, kind):
     assert k == cfg.max_inner
     assert len(stop_rows) <= 2 * math.ceil(math.log2(cfg.max_inner)) + 2
     assert len(set(stop_rows)) == len(stop_rows)  # each row evaluated once
+
+
+def test_phase_sweep_search_rows(stop_rows):
+    # the default sweep's 240 sifts search 1,782 rows, probes guided by
+    # each row's margin; galloping and bisection alone took 4,645
+    points = phase_sweep(make_sine_trend_generator(), 0.05, 4.0)
+    assert len(points) == 80
+    assert len(stop_rows) == 1782
+
+
+def test_phase_sweep_builds_a_filter_per_new_base_length(monkeypatch):
+    lengths, built = [], []
+
+    def length(s, xi):
+        lengths.append(filter_length(s, xi))
+        return lengths[-1]
+
+    def sample(shape, l):
+        built.append(l)
+        return sample_filter(shape, l)
+
+    monkeypatch.setattr(error_analysis, "filter_length", length)
+    monkeypatch.setattr(error_analysis, "sample_filter", sample)
+    phase_sweep(make_sine_trend_generator(), 0.05, 4.0)
+    assert len(lengths) == 80
+    assert built == [l for j, l in enumerate(lengths) if j == 0 or l != lengths[j - 1]]
+    assert len(built) < 20
 
 
 def test_phase_sweep_applies_no_operator(apply_calls):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from iterfilt import (
     BoundaryKind,
@@ -846,6 +847,29 @@ def test_first_true(end, first):
 
     assert _first_true(holds, end) == (end if first is None else first)
     assert len(set(calls)) == len(calls)  # no index evaluated twice
+    assert len(calls) <= 2 * math.ceil(math.log2(end)) + 2
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(end=st.integers(1, 5000), first=st.integers(0, 5000), slope=st.floats(-4.0, 4.0),
+       noise=st.lists(st.floats(-1e3, 1e3) | st.just(-math.inf), min_size=1, max_size=40))
+def test_first_true_by_margin(end, first, slope, noise):
+    # margins about a line in log(j + 1) through zero at the first j that
+    # holds, with random noise (-inf among it): the probes they guide find
+    # the plain search's j, with no j twice and no more calls than it allows
+    first, calls = min(first, end), []
+
+    def holds(j):
+        assert 0 <= j < end
+        calls.append(j)
+        return j >= first
+
+    def margin(j):
+        assert calls[-1] == j  # read after holds(j)
+        return slope * (math.log1p(first) - math.log1p(j)) + noise[j % len(noise)]
+
+    assert _first_true(holds, end, margin) == _first_true(lambda j: j >= first, end) == first
+    assert len(set(calls)) == len(calls)
     assert len(calls) <= 2 * math.ceil(math.log2(end)) + 2
 
 

@@ -4,9 +4,12 @@ from hypothesis import assume, given, settings, strategies as st
 
 from iterfilt import (
     BoundaryKind,
+    Filter,
     StoppingConfig,
+    StructuredOperator,
     actual_error,
     convolve_self,
+    error_analysis,
     error_propagation,
     inner_loop,
     make_sine_trend_generator,
@@ -15,7 +18,8 @@ from iterfilt import (
     relative_error,
     sample_filter,
 )
-from conftest import outputs_by_blas_threads, random_doubled_filter, random_filter, sine_trend
+from conftest import (bench_chirp, outputs_by_blas_threads, random_doubled_filter, random_filter,
+                      sine_trend)
 from oracles import dense_propagation, dominant_period
 from test_decompose import null_tuned_filter
 
@@ -88,6 +92,48 @@ class TestErrorPropagation:
         assert np.abs(last - oracle_last).max() <= 1e-13 * chi
         assert np.abs(bound - oracle_bound).max() <= 1e-13 * chi
 
+    # the dense kernel splits the bins of its blocks of 128 steps at
+    # 128 lambda = 1/4: a sweep-like case with both kinds of bin, one whose
+    # bins are all fast (lambda >= 0.36) and one whose bins past DC are all
+    # slow (uniform taps over the whole period, lambda = 0 there)
+    SPLIT_CASES = {
+        "split": (200, convolve_self(sample_filter(raised_cosine_shape(), 16)), 64),
+        "all_fast": (150, convolve_self(Filter([0.8, 0.1])), 10),
+        "slow_past_dc": (31, Filter(np.full(21, 1.0 / 41)), 5),
+    }
+
+    @pytest.mark.parametrize("case", list(SPLIT_CASES))
+    @pytest.mark.parametrize("steps", [127, 128, 129, 257])
+    def test_split_kernel_matches_dense_oracle(self, rng, case, steps):
+        n, filt, p = self.SPLIT_CASES[case]
+        size = n + 2 * p
+        op = StructuredOperator(filt, BoundaryKind.PERIODIC, size)
+        fast = 128 * op.to_real_eigenbasis(np.zeros(size))[1] > 0.25
+        assert fast[0] and {"split": fast[1:].any() and not fast[1:].all(),
+                            "all_fast": fast.all(), "slow_past_dc": not fast[1:].any()}[case]
+        s = rng.standard_normal(n) + 0.5
+        chi = float(np.abs(s).max())
+        last, bound = error_propagation(s, filt, steps, p)
+        oracle_last, oracle_bound = dense_propagation(s, filt, steps, p)
+        assert np.abs(last - oracle_last).max() <= 1e-13 * chi
+        assert np.abs(bound - oracle_bound).max() <= 1e-13 * chi
+
+    def test_flushed_powers_write_the_same_bytes(self, monkeypatch):
+        # a short filter: the powers of the low bins, z from 0.001, fall
+        # below the least normal float within 300 steps (146 of them are
+        # flushed to zero); left in, they write the same bytes
+        n, filt, p = 200, convolve_self(sample_filter(raised_cosine_shape(), 2)), 8
+        size = n + 2 * p
+        z = 1.0 - StructuredOperator(filt, BoundaryKind.PERIODIC, size).to_real_eigenbasis(
+            np.zeros(size))[1]
+        powers = z ** np.arange(1, 301)[:, None]
+        assert ((powers > 0.0) & (powers < np.finfo(float).tiny)).any()
+        s = bench_chirp(3, n)
+        flushed = error_propagation(s, filt, 300, p)
+        monkeypatch.setattr(error_analysis, "_TINY", 0.0)
+        kept = error_propagation(s, filt, 300, p)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(flushed, kept))
+
     # (extended size N, kernel) from the table in error_propagation's docstring
     @pytest.mark.parametrize("size,kernel", [
         (9, "dense"), (293, "dense"), (512, "dense"), (639, "dense"), (640, "irfft"),
@@ -112,11 +158,14 @@ class TestErrorPropagation:
             assert batches == [min(rows, 100 - j0) for j0 in range(0, 100, rows)]
 
     def test_dense_kernel_does_not_depend_on_blas_threads(self):
-        # (n, base length, pad) of six chirps whose core widths 99-155 are
-        # rounded up to 8 columns; rounded to 4, or not at all, each of them
-        # rounds by the OpenBLAS thread count
+        # (n, base length, pad) of chirps: six whose core widths 99-155 are
+        # rounded up to 8 columns (a product over every bin at widths
+        # rounded to 4, or not at all, rounds by the OpenBLAS thread count
+        # on each of them), and five more splits, of 5-122 fast bins among
+        # 87-318
         cases = [(198, 18, 72), (216, 13, 52), (231, 5, 20), (264, 6, 24), (273, 1, 4),
-                 (309, 2, 8)]
+                 (309, 2, 8), (241, 16, 64), (60, 14, 56), (150, 37, 30), (395, 30, 120),
+                 (500, 3, 12)]
         code = ("import hashlib; from conftest import bench_chirp; from iterfilt import *\n"
                 f"for n, l, p in {cases}:\n"
                 "    f = convolve_self(sample_filter(raised_cosine_shape(), l))\n"
