@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache, partial
+from functools import cache
 
 import numpy as np
 
@@ -184,9 +184,9 @@ def _sift_spectral(op: StructuredOperator, values: np.ndarray,
     the search for the stopping step, since a step scales each coefficient
     c by z = 1 - lambda and changes the iterate by ||lambda c||.
 
-    The periodic kind takes the real transform
-    (:meth:`StructuredOperator.to_real_eigenbasis`): half the bins, each
-    weighted by its share of the norm. Step 1 runs in signal space: the
+    The transform is :meth:`StructuredOperator.to_eigenbasis`, whose
+    weights give each coefficient its share of the norm (the periodic kind
+    takes half the bins). Step 1 runs in signal space: the
     anti-reflective transform is not orthogonal, but its ramp coefficients
     (eigenvalue one) vanish in that step, after which coefficient norms
     equal signal norms for every kind. Row j of the later steps holds the
@@ -197,12 +197,7 @@ def _sift_spectral(op: StructuredOperator, values: np.ndarray,
     delta above the iterate's round-off (about 1e-15), below which the
     loop's step change is rounding noise.
     """
-    if op.kind is BoundaryKind.PERIODIC:
-        c, lam, weight = op.to_real_eigenbasis(values)
-        inverse = partial(np.fft.irfft, n=op.n)
-    else:
-        c, lam = op.to_eigenbasis(values)
-        weight, inverse = 1.0, op.from_eigenbasis
+    c, lam, weight = op.to_eigenbasis(values)
     if problem := spectrum_outside_unit(lam):
         raise ValueError(problem)
     norm_cur = l2_norm(values)
@@ -211,11 +206,11 @@ def _sift_spectral(op: StructuredOperator, values: np.ndarray,
         return values.copy(), 0, None
     z = 1.0 - lam
     c = z * c
-    cur = inverse(c)
+    cur = op.from_eigenbasis(c)
     k, d = 1, l2_norm(cur - values) / norm_cur
     k, d = _search_stop(_decay_rows(weight * np.abs(c) ** 2, z, lam), k, d, tiny, cfg)
     if k > 1:
-        cur = inverse(z ** (k - 1) * c)
+        cur = op.from_eigenbasis(z ** (k - 1) * c)
     return cur, k, d
 
 
@@ -228,7 +223,7 @@ def _sift_strips(op: StructuredOperator, values: np.ndarray,
     l samples of the ends, and each step carries a difference l samples
     further in, so after m steps the two iterates agree deeper than m*l
     from both ends. For m up to a depth D, the periodic iterate comes from
-    the real transform (:meth:`StructuredOperator.to_real_eigenbasis`), the
+    the periodic eigenbasis (:meth:`StructuredOperator.to_eigenbasis`), the
     strips of w = D*l samples at each end from the loop on a window of 8w
     (:func:`_strip_sums`), and the norms of the zero iterate and of its
     step are the periodic rows of :func:`_decay_rows` corrected on the
@@ -276,7 +271,7 @@ def _sift_strips(op: StructuredOperator, values: np.ndarray,
     if norm == 0.0:
         return None
     periodic = StructuredOperator(op.filter, BoundaryKind.PERIODIC, n)
-    c, lam, weight = periodic.to_real_eigenbasis(values)
+    c, lam, weight = periodic.to_eigenbasis(values)
     if spectrum_outside_unit(lam):
         return None
     z, tiny = 1.0 - lam, _ZERO_ITERATE * norm
@@ -292,7 +287,7 @@ def _sift_strips(op: StructuredOperator, values: np.ndarray,
 
         if (found := _search_stop(fixed, 0, math.inf, tiny, cfg, depth)) is not None:
             k, d = found
-            imf = np.fft.irfft(z ** k * c, n)
+            imf = periodic.from_eigenbasis(z ** k * c)
             strips = _strip_vector(values, k * l)[: 4 * k * l]  # the two zero-rule windows
             window = StructuredOperator(op.filter, BoundaryKind.ZERO, strips.size)
             for _ in range(k):
@@ -415,6 +410,7 @@ def _sift_krylov(op: StructuredOperator, values: np.ndarray,
         last_k = k
     else:
         return None
+    del u  # the last eigenvectors, m x m, would outlive their use through the steps
     y, d = _tridiagonal_steps(np.array(alpha), np.array(beta[:-1]), norm_s, k)
     imf, scaled = np.zeros_like(values), np.empty_like(values)
     # y first: zip then stops before asking the basis for a vector beyond v_m
@@ -539,19 +535,17 @@ def _search_stop(rows, k: int, d: float, tiny: float, cfg: StoppingConfig,
     return k + j + 1, change
 
 
-def _first_true(holds, end: int, margin=None) -> int:
+def _first_true(holds, end: int, margin) -> int:
     """The least j in [0, end) with ``holds(j)``, or end if there is none,
     for a ``holds`` that stays true once it is true, in O(log end) calls
     with no j evaluated twice.
 
-    Without ``margin``: galloping over j = 0, 1, 3, 7, ... and then
-    bisection. With it, a number that falls through zero about where
-    ``holds`` starts (read after ``holds(j)``), each probe after the
-    first two goes where the line through the last two probes' margins
-    over log(j + 1) crosses zero, kept inside the bracket of j not yet
-    decided; a probe that leaves more than half of that bracket is
-    followed by a bisection, so at most 2 ceil(log2(end + 1)) calls are
-    made, whatever the margins.
+    ``margin(j)``, read after ``holds(j)``, is a number that falls through
+    zero about where ``holds`` starts. Each probe after the first two goes
+    where the line through the last two probes' margins over log(j + 1)
+    crosses zero, kept inside the bracket of j not yet decided; a probe
+    that leaves more than half of that bracket is followed by a bisection,
+    so at most 2 ceil(log2(end + 1)) calls are made, whatever the margins.
     """
     lo, hi, j, last = -1, end, 0, None  # holds(lo) false (-1: before j = 0), holds(hi) true
     while hi - lo > 1:
@@ -560,9 +554,6 @@ def _first_true(holds, end: int, margin=None) -> int:
             hi = j
         else:
             lo = j
-        if margin is None:
-            j = min(2 * j + 1, end - 1) if hi == end else (lo + hi) // 2
-            continue
         point, j = (math.log1p(j), margin(j)), (lo + hi) // 2
         if 2 * (hi - lo) <= size and (guess := _crossing(last, point)) is not None:
             j = min(max(guess, lo + 1), hi - 1)
@@ -685,29 +676,40 @@ def stopping_bound_k0(delta: float, op: StructuredOperator, s) -> int:
 
         k0^k0 / (k0+1)^(k0+1) < delta / (alpha * c * sqrt(n - beta - zeta))
 
-    where c is the max-norm of the signal's eigenbasis coefficients. The
-    left side is evaluated in logarithms and the minimum located by
-    galloping and bisection (:func:`_first_true`), so very small thresholds
-    are handled without overflow.
+    where c is the max-norm of the signal's coefficients in the unitary
+    eigenbasis (max|rfft(s)| / sqrt(n) for the periodic kind). The two
+    sides' logarithms are compared at 50 digits, since doubles stop telling
+    k0 from k0 - 1 from about k0 = 10^12, and :func:`_first_true` finds k0
+    guided by their difference, about linear in log(k0). Raises ValueError
+    past k0 = 2^62.
     Requires a doubled (self-convolved) filter for the guarantee to be
     meaningful, since the bound rests on a spectrum inside [0, 1].
     """
     if delta <= 0.0:
         raise ValueError("delta must be positive")
     consts = ConvergenceConstants.for_operator(op)
-    s = np.asarray(s, dtype=float)
-    coeffs, _ = op.to_eigenbasis(s)
+    coeffs, _, _ = op.to_eigenbasis(s)
     c_inf = float(np.abs(coeffs).max())
     m = op.n - consts.beta - consts.zeta
     if m <= 0 or c_inf == 0.0:
         return 1  # every step change is already zero
 
-    log_rhs = math.log(delta) - math.log(consts.alpha * c_inf) - 0.5 * math.log(m)
+    # decimal is loaded here, not with the module: no command reads the bound
+    from decimal import Decimal, localcontext
 
-    def log_lhs(k: int) -> float:
-        return k * math.log(k) - (k + 1) * math.log(k + 1)
+    with localcontext(prec=50):
+        # the periodic c is max|rfft(s)| / sqrt(n)
+        scale = Decimal(op.n if op.kind is BoundaryKind.PERIODIC else 1).sqrt()
+        log_rhs = (Decimal(delta) * scale
+                   / (Decimal(consts.alpha) * Decimal(c_inf) * Decimal(m).sqrt())).ln()
 
-    k0 = 1 + _first_true(lambda j: log_lhs(j + 1) < log_rhs, 1 << 62)
+        @cache
+        def margin(j: int) -> float:
+            """log(k^k / (k+1)^(k+1)) - log(rhs) at k = j + 1."""
+            k = Decimal(j + 1)
+            return float(k * k.ln() - (k + 1) * (k + 1).ln() - log_rhs)
+
+        k0 = 1 + _first_true(lambda j: margin(j) < 0.0, 1 << 62, margin)
     if k0 > 1 << 62:
         raise ValueError("stopping bound out of range")
     return k0

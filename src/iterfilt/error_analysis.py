@@ -53,7 +53,7 @@ def error_propagation(s, filt: Filter, steps: int, p: int) -> tuple[np.ndarray, 
     array of N = n + 2p samples that holds chi = max |s| at the p outer
     ones on each side and zero at the n core ones, and W is the periodic
     operator of ``filt`` of size N. All steps come from one real DFT of u
-    (:meth:`StructuredOperator.to_real_eigenbasis`), whose coefficient k
+    (:meth:`StructuredOperator.to_eigenbasis`), whose coefficient k
     scales by z_k^j at step j, z = 1 - lambda. One loop runs over
     blocks of steps, whose powers are z^j0 times one table z^1..z^rows
     (each within a few ulps whatever j), and folds each block into the
@@ -129,7 +129,7 @@ def error_propagation(s, filt: Filter, steps: int, p: int) -> tuple[np.ndarray, 
     op = StructuredOperator(filt, BoundaryKind.PERIODIC, size)
     if steps < 1:
         raise ValueError("steps must be at least 1")
-    c, lam, weight = op.to_real_eigenbasis(u)
+    c, lam, weight = op.to_eigenbasis(u)
     if problem := spectrum_outside_unit(lam):
         raise ValueError(problem)
     z, width = 1.0 - lam, (n + 1) // 2
@@ -188,8 +188,8 @@ def _core_basis(c: np.ndarray, weight: np.ndarray, size: int, p: int,
                 width: int) -> np.ndarray:
     """Real (size//2 + 1, width) matrix A with irfft(c * z^j)[p + i] =
     sum_k z_k^j A[k, i] for i < width, c being the rfft of a real vector:
-    the irfft's weights, which are the norm weights of
-    :meth:`StructuredOperator.to_real_eigenbasis` (1/N at DC and Nyquist,
+    the irfft's weights, which are the periodic norm weights of
+    :meth:`StructuredOperator.to_eigenbasis` (1/N at DC and Nyquist,
     whose c is real, and 2/N between), times Re(c_k e^{2 pi i k m / N}),
     m = p + i, from one cos/sin table of length N indexed by (k m) mod N."""
     re, im = c.real * weight, c.imag * weight

@@ -101,7 +101,7 @@ class StructuredOperator:
         rfft/irfft round trip with the cached tap spectrum for long ones.
         """
         if self.kind is not BoundaryKind.ZERO:
-            c, lam = self.to_eigenbasis(x)
+            c, lam, _ = self.to_eigenbasis(x)
             return self.from_eigenbasis(lam * c)
         x = _as_vector(x, self.n)
         if self.kernel == "convolve":
@@ -237,6 +237,9 @@ class StructuredOperator:
         spectrum; it is materialized and solved densely, O(n^3) time and
         O(n^2) memory, so n is limited to 4096 there.
         """
+        if self.kind is BoundaryKind.PERIODIC:
+            half = self._transform_eigenvalues()  # the symbol is even: bin n - i mirrors bin i
+            return Spectrum.from_values(np.concatenate([half, half[1: (self.n + 1) // 2]]))
         if self.kind is not BoundaryKind.ZERO:
             return Spectrum.from_values(self._transform_eigenvalues())
         if self.n > DENSE_GUARD:
@@ -246,41 +249,35 @@ class StructuredOperator:
         i = np.arange(self.n)
         return Spectrum.from_values(np.linalg.eigvalsh(w[np.abs(i[:, None] - i)]))
 
-    def to_eigenbasis(self, s) -> tuple[np.ndarray, np.ndarray]:
-        """Coefficients of s in the diagonalizing basis, with the eigenvalue
-        belonging to each coefficient.
+    def to_eigenbasis(self, x) -> tuple[np.ndarray, np.ndarray, np.ndarray | float]:
+        """Coefficients c of x in the diagonalizing basis, the eigenvalue of
+        each coefficient and its weight in ||x||^2 = sum weight |c|^2.
 
-        The basis is the unitary DFT (periodic), the orthonormal DCT-II
-        (reflective) or the anti-reflective transform: two ramps around a
-        DST-I of the interior. Raises ValueError for the zero kind.
+        The basis is the real DFT (periodic): c = rfft(x) at bins 0..n//2,
+        weight 2/n but 1/n at DC and, for even n, at Nyquist (the bins that
+        have no mirror image); the orthonormal DCT-II (reflective), weight 1;
+        or the anti-reflective transform, two ramps around a DST-I of the
+        interior, weight 1 once the ramp coefficients vanish. Raises
+        ValueError for the zero kind.
         """
         lam = self._transform_eigenvalues()
-        s = _as_vector(s, self.n)
+        x = _as_vector(x, self.n)
         if self.kind is BoundaryKind.PERIODIC:
-            return np.fft.fft(s) / np.sqrt(self.n), lam
+            n = self.n
+            weight = np.full(n // 2 + 1, 2.0 / n)
+            weight[[0, -1] if n % 2 == 0 else [0]] = 1.0 / n
+            return np.fft.rfft(x), lam, weight
         if self.kind is BoundaryKind.REFLECTIVE:
-            return _dct2(s), lam
-        return _art_inverse_apply(s), lam
-
-    def to_real_eigenbasis(self, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The periodic kind's real transform of x: the coefficients
-        rfft(x) at bins 0..n//2, the eigenvalue of each bin and its weight
-        in ||x||^2 = sum weight |c|^2, which is 2/n but 1/n at DC and, for
-        even n, at Nyquist (the bins that have no mirror image).
-        ``np.fft.irfft(c, n)`` inverts it. Raises ValueError for the other
-        kinds."""
-        if self.kind is not BoundaryKind.PERIODIC:
-            raise ValueError("the real transform diagonalizes the periodic kind only")
-        n = self.n
-        weight = np.full(n // 2 + 1, 2.0 / n)
-        weight[[0, -1] if n % 2 == 0 else [0]] = 1.0 / n
-        return np.fft.rfft(_as_vector(x, n)), self._symbol(n), weight
+            return _dct2(x), lam, 1.0
+        return _art_inverse_apply(x), lam, 1.0
 
     def from_eigenbasis(self, c) -> np.ndarray:
-        """Signal with eigenbasis coefficients c, the inverse of :meth:`to_eigenbasis`."""
-        c = _as_vector(c, self.n, dtype=None)
+        """Signal with eigenbasis coefficients c, the inverse of
+        :meth:`to_eigenbasis`: irfft(c, n) of n//2 + 1 bins for the periodic
+        kind."""
         if self.kind is BoundaryKind.PERIODIC:
-            return (np.fft.ifft(c) * np.sqrt(self.n)).real
+            return np.fft.irfft(_as_vector(c, self.n // 2 + 1, dtype=None), self.n)
+        c = _as_vector(c, self.n, dtype=None)
         if self.kind is BoundaryKind.REFLECTIVE:
             return _dct3(c)
         if self.kind is BoundaryKind.ANTIREFLECTIVE:
@@ -296,11 +293,10 @@ class StructuredOperator:
         return 2.0 * np.fft.rfft(w, m).real - w[0]
 
     def _transform_eigenvalues(self) -> np.ndarray:
-        """Eigenvalues ordered to match the diagonalizing transform's basis."""
+        """Eigenvalues ordered to match the coefficients of :meth:`to_eigenbasis`."""
         n = self.n
         if self.kind is BoundaryKind.PERIODIC:
-            half = self._symbol(n)  # the symbol is even: bin n - i mirrors bin i
-            return np.concatenate([half, half[1: (n + 1) // 2][::-1]])
+            return self._symbol(n)
         if self.kind is BoundaryKind.REFLECTIVE:
             return self._symbol(2 * n)[:n]
         if self.kind is BoundaryKind.ANTIREFLECTIVE:
@@ -428,13 +424,6 @@ def diagonalized_power_apply(op: StructuredOperator, s, k: int) -> np.ndarray:
     One FFT-based transform round trip regardless of k, O(n log n). Only
     the kinds with a diagonalizing transform are supported (periodic,
     reflective, anti-reflective).
-
-    Notes
-    -----
-    The cosine-transform matrix of the reflective algebra has the
-    eigenvectors as rows, so that round trip is Q^T diag(...) Q; for
-    periodic and anti-reflective the transforms' columns are the
-    eigenvectors and the round trip is Q diag(...) Q^{-1}.
     """
     if op.kind not in TRANSFORM_KINDS:
         raise ValueError(f"no diagonalizing transform for kind {op.kind.value!r}")
@@ -442,5 +431,5 @@ def diagonalized_power_apply(op: StructuredOperator, s, k: int) -> np.ndarray:
         raise ValueError("power must be nonnegative")
     if k == 0:
         return _as_vector(s, op.n).copy()
-    c, lam = op.to_eigenbasis(s)
+    c, lam, _ = op.to_eigenbasis(s)
     return op.from_eigenbasis((1.0 - lam) ** k * c)

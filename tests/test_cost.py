@@ -138,10 +138,11 @@ def test_zero_kind_krylov_sift_memory_is_linear(apply_calls):
 
 def test_zero_kind_kept_basis_memory_is_bounded(apply_calls):
     # a 1000-step sift at n = 2,048 ends in a kept basis of 180 vectors,
-    # 2.8 MB: the basis, 16 doubles a sample and four m x m arrays, which
-    # the coordinates' steps hold at the peak (3.6 m^2 measured; each
-    # eigensolve takes its tridiagonal as one m x m array, not five); with
-    # m <= 400 that is within the budget of 2^20 samples plus O(n)
+    # 2.8 MB: the basis, 16 doubles a sample and three m x m arrays, which
+    # the coordinates' steps hold at the peak (2.6 m^2 measured; each
+    # eigensolve takes its tridiagonal as one m x m array, not five, and
+    # the last one's vectors are released before the steps); with m <= 400
+    # that is within the budget of 2^20 samples plus O(n)
     n = 2048
     s, cfg = chirp(n), StoppingConfig(delta=1e-12)
     filt = convolve_self(sample_filter(raised_cosine_shape(), 30))
@@ -153,8 +154,8 @@ def test_zero_kind_kept_basis_memory_is_bounded(apply_calls):
         tracemalloc.stop()
     m = len(apply_calls)
     assert imf.shape == (n,) and k == cfg.max_inner and m == 180
-    assert peak < 8 * ((m + 1) * n + 16 * n + 4 * m * m)
-    assert peak < 8 * (2**20 + 17 * n + 4 * 400**2)
+    assert peak < 8 * ((m + 1) * n + 16 * n + 3 * m * m)
+    assert peak < 8 * (2**20 + 17 * n + 3 * 400**2)
 
 
 def test_zero_kind_strip_sift_memory_is_linear(apply_calls):

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -371,6 +372,33 @@ class TestStoppingBound:
                 for k in (k0, k0 + 10):
                     diff = diagonalized_power_apply(op, s, k) - diagonalized_power_apply(op, s, k + 1)
                     assert np.linalg.norm(diff) < delta
+
+    @pytest.mark.parametrize("kind", TRANSFORM_KINDS, ids=lambda k: k.value)
+    @pytest.mark.parametrize("delta", [1e-8, 1e-12, 1e-15])
+    def test_least_k0_at_50_digits(self, kind, delta):
+        # k0 meets k^k / (k+1)^(k+1) < delta / (alpha c sqrt(n - beta - zeta))
+        # and k0 - 1 does not, both sides at 50 digits; c from the transform
+        # the bound reads, over sqrt(n) for the periodic rfft. k0 reaches
+        # 5e15 to 2e16 at delta = 1e-15, where doubles no longer tell k0
+        # from k0 - 1
+        rng = np.random.default_rng(11)
+        n = 64
+        op = StructuredOperator(random_doubled_filter(rng, n), kind, n)
+        s = rng.standard_normal(n)
+        consts = ConvergenceConstants.for_operator(op)
+        k0 = stopping_bound_k0(delta, op, s)
+        with localcontext(prec=50):
+            c = Decimal(float(np.abs(op.to_eigenbasis(s)[0]).max()))
+            if kind is BoundaryKind.PERIODIC:
+                c /= Decimal(n).sqrt()
+            m = n - consts.beta - consts.zeta
+            rhs = Decimal(delta) / (Decimal(consts.alpha) * c * Decimal(m).sqrt())
+
+            def holds(k):
+                k = Decimal(k)
+                return (k / (k + 1)) ** k / (k + 1) < rhs
+
+            assert holds(k0) and (k0 == 1 or not holds(k0 - 1))
 
     def test_invalid_delta(self, rng):
         op = StructuredOperator(random_doubled_filter(rng, 16), BoundaryKind.PERIODIC, 16)
@@ -838,16 +866,20 @@ FIRST_TRUE_CASES = [(1, None), (1, 0), (1000, None), (1000, 0), (4096, 1), (4096
 
 @pytest.mark.parametrize("end,first", FIRST_TRUE_CASES)
 def test_first_true(end, first):
-    calls = []
+    # guided by a line in log(j + 1) through zero at the first j that holds,
+    # and by a flat margin, which leaves plain bisection
+    least = end if first is None else first
+    for margin in (lambda j: math.log1p(least) - math.log1p(j), lambda j: 1.0):
+        calls = []
 
-    def holds(j):
-        assert 0 <= j < end
-        calls.append(j)
-        return first is not None and j >= first
+        def holds(j):
+            assert 0 <= j < end
+            calls.append(j)
+            return j >= least
 
-    assert _first_true(holds, end) == (end if first is None else first)
-    assert len(set(calls)) == len(calls)  # no index evaluated twice
-    assert len(calls) <= 2 * math.ceil(math.log2(end)) + 2
+        assert _first_true(holds, end, margin) == least
+        assert len(set(calls)) == len(calls)  # no index evaluated twice
+        assert len(calls) <= 2 * math.ceil(math.log2(end)) + 2
 
 
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
@@ -868,7 +900,8 @@ def test_first_true_by_margin(end, first, slope, noise):
         assert calls[-1] == j  # read after holds(j)
         return slope * (math.log1p(first) - math.log1p(j)) + noise[j % len(noise)]
 
-    assert _first_true(holds, end, margin) == _first_true(lambda j: j >= first, end) == first
+    assert _first_true(holds, end, margin) == min((j for j in range(end) if j >= first),
+                                                  default=end) == first
     assert len(set(calls)) == len(calls)
     assert len(calls) <= 2 * math.ceil(math.log2(end)) + 2
 

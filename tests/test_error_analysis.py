@@ -108,7 +108,7 @@ class TestErrorPropagation:
         n, filt, p = self.SPLIT_CASES[case]
         size = n + 2 * p
         op = StructuredOperator(filt, BoundaryKind.PERIODIC, size)
-        fast = 128 * op.to_real_eigenbasis(np.zeros(size))[1] > 0.25
+        fast = 128 * op.to_eigenbasis(np.zeros(size))[1] > 0.25
         assert fast[0] and {"split": fast[1:].any() and not fast[1:].all(),
                             "all_fast": fast.all(), "slow_past_dc": not fast[1:].any()}[case]
         s = rng.standard_normal(n) + 0.5
@@ -124,7 +124,7 @@ class TestErrorPropagation:
         # flushed to zero); left in, they write the same bytes
         n, filt, p = 200, convolve_self(sample_filter(raised_cosine_shape(), 2)), 8
         size = n + 2 * p
-        z = 1.0 - StructuredOperator(filt, BoundaryKind.PERIODIC, size).to_real_eigenbasis(
+        z = 1.0 - StructuredOperator(filt, BoundaryKind.PERIODIC, size).to_eigenbasis(
             np.zeros(size))[1]
         powers = z ** np.arange(1, 301)[:, None]
         assert ((powers > 0.0) & (powers < np.finfo(float).tiny)).any()

@@ -1,7 +1,8 @@
 """Module layout: no iterfilt module imports another one's private names,
 every exported name exists and is exported by one module only, the public
-names are a pinned list, and every hook of the benchmark's tracer exists
-and receives the arguments it reads."""
+names and the operator's public attributes are pinned lists, and every
+hook of the benchmark's tracer exists and receives the arguments it
+reads."""
 
 import ast
 import inspect
@@ -84,6 +85,21 @@ PUBLIC_NAMES = [
 def test_public_surface_is_pinned():
     # a change to the public API shows up as a diff of this list
     assert sorted(importlib.import_module("iterfilt").__all__) == PUBLIC_NAMES
+
+
+OPERATOR_NAMES = [
+    "apply", "eigenvalues", "fft_length", "filter", "from_eigenbasis", "kernel", "kind", "n",
+    "to_eigenbasis",
+]
+
+
+def test_operator_surface_is_pinned():
+    # one eigenbasis pair serves every kind: a second transform method
+    # shows up as a diff of this list
+    from iterfilt import BoundaryKind, Filter, StructuredOperator
+
+    op = StructuredOperator(Filter([0.5, 0.25]), BoundaryKind.PERIODIC, 8)
+    assert sorted(name for name in dir(op) if not name.startswith("_")) == OPERATOR_NAMES
 
 
 def test_traced_propagation_steps_argument():

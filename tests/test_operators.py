@@ -42,16 +42,28 @@ def iterate_direct(op, s, k):
 
 
 def forward(kind, x):
-    """Coefficients of x in the eigenbasis of a ``kind`` operator: the DFT
-    for periodic, the orthonormal DCT-II for reflective. The transforms do
-    not depend on the filter."""
+    """Coefficients of x in the eigenbasis of a ``kind`` operator: the real
+    DFT for periodic (bins 0..n//2), the orthonormal DCT-II for reflective.
+    The transforms do not depend on the filter."""
     x = np.asarray(x, dtype=float)
     return StructuredOperator(W3, kind, x.size).to_eigenbasis(x)[0]
 
 
-def inverse(kind, c):
-    """The signal with eigenbasis coefficients c of a ``kind`` operator."""
-    return StructuredOperator(W3, kind, len(c)).from_eigenbasis(c)
+def inverse(kind, c, n=None):
+    """The signal of n samples (default len(c)) with eigenbasis
+    coefficients c of a ``kind`` operator."""
+    return StructuredOperator(W3, kind, n or len(c)).from_eigenbasis(c)
+
+
+def unitary_half(x):
+    """Bins 0..n//2 of the unitary DFT of x, from the dense oracle."""
+    n = len(x)
+    return (np.conj(dft_matrix(n)) @ x)[: n // 2 + 1]
+
+
+def hermitian(c, n):
+    """The n DFT bins of a real signal whose bins 0..n//2 are c."""
+    return np.concatenate([c, np.conj(c[1: (n + 1) // 2][::-1])])
 
 
 def dst1(x):
@@ -89,10 +101,13 @@ class TestApply:
 
     @pytest.mark.parametrize("kind", TRANSFORM_KINDS, ids=lambda k: k.value)
     def test_eigenbasis_rejects_wrong_length(self, kind):
+        # the periodic coefficients are the n // 2 + 1 = 5 bins of the rfft
         op = StructuredOperator(W5, kind, 8)
-        for method in (op.apply, op.to_eigenbasis, op.from_eigenbasis):
-            for bad in (np.ones(9), np.ones(11), np.ones(7), np.ones((8, 1))):
-                with pytest.raises(ValueError, match="length 8"):
+        bins = 5 if kind is BoundaryKind.PERIODIC else 8
+        for method, size in ((op.apply, 8), (op.to_eigenbasis, 8), (op.from_eigenbasis, bins)):
+            for bad in (np.ones(size + 1), np.ones(size + 3), np.ones(size - 1),
+                        np.ones((size, 1))):
+                with pytest.raises(ValueError, match=f"length {size}"):
                     method(bad)
 
     def test_inadmissible_filter_length(self, rng):
@@ -307,7 +322,9 @@ class TestEigenvalues:
                 l = int(rng.integers(1, (n - 1) // 2 + 1))
                 op = StructuredOperator(random_filter(rng, l), kind, n)
                 table = closed_form_eigenvalues(op)
-                assert np.abs(op._transform_eigenvalues() - table).max() <= 1e-13
+                lam = op.to_eigenbasis(np.zeros(n))[1]  # periodic: bins 0..n//2
+                assert np.abs(lam - table[: lam.size]).max() <= 1e-13
+                assert np.abs(op.eigenvalues().eigenvalues - np.sort(table)[::-1]).max() <= 1e-13
 
     def test_zero_kind_matches_scipy_toeplitz(self, rng):
         # the zero rule's spectrum is a dense eigensolve of w_|i-j|; scipy
@@ -389,9 +406,11 @@ class TestTransforms:
         assert abs(np.linalg.norm(dst1(x)) - np.linalg.norm(x)) <= 1e-12
 
     def test_dft_unitary(self, rng):
+        # the bins and their mirror images: 1/16 of |c|^2 at DC and Nyquist, 2/16 between
         x = rng.standard_normal(16)
         out = forward(BoundaryKind.PERIODIC, x)
-        assert abs(np.linalg.norm(out) - np.linalg.norm(x)) <= 1e-12
+        weight = np.r_[1.0, np.full(7, 2.0), 1.0] / 16
+        assert abs(np.sqrt(weight @ np.abs(out) ** 2) - np.linalg.norm(x)) <= 1e-12
 
     def test_dct3_against_scipy(self, rng):
         # this cosine matrix coincides with scipy's orthonormal DCT-II
@@ -411,10 +430,12 @@ class TestTransforms:
             x = rng.standard_normal(n)
             assert np.abs(forward(BoundaryKind.REFLECTIVE, x) - dct3_matrix(n) @ x).max() <= 1e-12
             assert np.abs(dst1(x) - dst1_matrix(n) @ x).max() <= 1e-12
-            q = dft_matrix(n)
-            assert np.abs(forward(BoundaryKind.PERIODIC, x) - np.conj(q) @ x).max() <= 1e-12
-            z = x + 1j * rng.standard_normal(n)
-            assert np.abs(inverse(BoundaryKind.PERIODIC, z) - (q @ z).real).max() <= 1e-12
+            scale = np.sqrt(n)
+            assert np.abs(forward(BoundaryKind.PERIODIC, x) / scale - unitary_half(x)).max() <= 1e-12
+            # bins of a real signal: DC, and Nyquist for even n, are real
+            z = forward(BoundaryKind.PERIODIC, rng.standard_normal(n)) / scale
+            dense = (dft_matrix(n) @ hermitian(z, n)).real
+            assert np.abs(inverse(BoundaryKind.PERIODIC, z * scale, n) - dense).max() <= 1e-12
 
     def test_dst1_self_inverse(self, rng):
         x = rng.standard_normal(12)
@@ -422,9 +443,8 @@ class TestTransforms:
 
     def test_dft_fast_path_matches_direct(self, rng):
         x = rng.standard_normal(33)
-        direct = np.conj(dft_matrix(33)) @ x
-        fast = forward(BoundaryKind.PERIODIC, x)
-        assert np.abs(direct - fast).max() <= 1e-11
+        fast = forward(BoundaryKind.PERIODIC, x) / np.sqrt(33)
+        assert np.abs(unitary_half(x) - fast).max() <= 1e-11
 
     def test_art_first_column_normalized(self):
         n = 9
@@ -450,20 +470,21 @@ class TestDiagonalization:
         n = 14
         filt = random_filter(rng, 4)
 
+        zeros = np.zeros(n)
         op = StructuredOperator(filt, BoundaryKind.PERIODIC, n)
         Q = dft_matrix(n)
-        lam = op._transform_eigenvalues()
+        lam = hermitian(op.to_eigenbasis(zeros)[1], n)  # bin n - i mirrors bin i
         rebuilt = (Q @ np.diag(lam) @ np.conj(Q)).real
         assert np.abs(rebuilt - dense_matrix(op)).max() <= 1e-10
 
         op = StructuredOperator(filt, BoundaryKind.REFLECTIVE, n)
         Q = dct3_matrix(n)
-        lam = op._transform_eigenvalues()
+        lam = op.to_eigenbasis(zeros)[1]
         rebuilt = Q.T @ np.diag(lam) @ Q
         assert np.abs(rebuilt - dense_matrix(op)).max() <= 1e-10
 
         op = StructuredOperator(filt, BoundaryKind.ANTIREFLECTIVE, n)
-        lam = op._transform_eigenvalues()
+        lam = op.to_eigenbasis(zeros)[1]
         cols = [op.from_eigenbasis(col) for col in np.eye(n)]
         Q = np.column_stack(cols)
         rebuilt = Q @ np.diag(lam) @ np.linalg.inv(Q)
@@ -486,26 +507,29 @@ class TestDiagonalization:
                 op = StructuredOperator(random_filter(rng, l), kind, n)
                 q, q_inv = dense_eigenbasis(op)
                 s = rng.standard_normal(n)
-                c, _ = op.to_eigenbasis(s)
-                assert np.abs(c - q_inv @ s).max() <= 1e-12
+                c, _, _ = op.to_eigenbasis(s)
+                # the periodic kind: the rfft, bins 0..n//2 of sqrt(n) times the unitary DFT
+                scale = np.sqrt(n) if kind is BoundaryKind.PERIODIC else 1.0
+                assert np.abs(c / scale - (q_inv @ s)[: c.size]).max() <= 1e-12
                 assert np.abs(op.from_eigenbasis(c) - s).max() <= 1e-12
 
     def test_real_eigenbasis_matches_closed_form(self, rng):
         # the periodic kind's real transform: the rfft with the cosine-table
-        # eigenvalue of each bin, and weights that give back ||x||^2
+        # eigenvalue of each bin, and weights that give back ||x||^2; the
+        # orthonormal kinds weigh every coefficient by one
         for n in (3, 4, 5, 16, 33, 301, 1024):
             l = int(rng.integers(1, (n - 1) // 2 + 1))
             op = StructuredOperator(random_filter(rng, l), BoundaryKind.PERIODIC, n)
             s = rng.standard_normal(n)
-            c, lam, weight = op.to_real_eigenbasis(s)
+            c, lam, weight = op.to_eigenbasis(s)
             assert c.shape == lam.shape == weight.shape == (n // 2 + 1,)
             assert np.abs(c - np.fft.fft(s)[: n // 2 + 1]).max() <= 1e-12 * n
             assert np.abs(lam - closed_form_eigenvalues(op)[: n // 2 + 1]).max() <= 1e-13
             assert abs(weight @ np.abs(c) ** 2 - s @ s) <= 1e-12 * (s @ s)
-            assert np.abs(np.fft.irfft(c, n) - s).max() <= 1e-12
-        for kind in (BoundaryKind.REFLECTIVE, BoundaryKind.ANTIREFLECTIVE, BoundaryKind.ZERO):
-            with pytest.raises(ValueError, match="periodic kind only"):
-                StructuredOperator(random_filter(rng, 2), kind, 10).to_real_eigenbasis(np.ones(10))
+            assert np.abs(op.from_eigenbasis(c) - s).max() <= 1e-12
+        for kind in (BoundaryKind.REFLECTIVE, BoundaryKind.ANTIREFLECTIVE):
+            assert StructuredOperator(random_filter(rng, 2), kind, 10).to_eigenbasis(
+                np.ones(10))[2] == 1.0
 
     def test_zero_kind_has_no_eigenbasis(self, rng):
         op = StructuredOperator(random_filter(rng, 2), BoundaryKind.ZERO, 10)

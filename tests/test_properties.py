@@ -1,4 +1,5 @@
-"""Properties of `dif`, `eif` and `inner_loop` on any finite input.
+"""Properties of `dif`, `eif` and `inner_loop` on any finite input, and
+the eigenbasis contract of `StructuredOperator`.
 
 hypothesis draws the signals, derandomized and with no example database, so
 every run sees the same cases: 3 to 40 samples of any finite double up to
@@ -101,6 +102,27 @@ def test_periodic_roll(data, s):
     rolled, k_rolled, _ = inner_loop(np.roll(s, shift), filt, BoundaryKind.PERIODIC, CFG)
     assert k_rolled == k
     assert close(rolled, np.roll(imf, shift), s)
+
+
+@SETTINGS
+@given(data=st.data(), x=st.lists(st.floats(-1e3, 1e3), min_size=3, max_size=64).map(np.array),
+       kind=st.sampled_from([BoundaryKind.PERIODIC, BoundaryKind.REFLECTIVE,
+                             BoundaryKind.ANTIREFLECTIVE]))
+def test_eigenbasis_contract(data, x, kind):
+    # to_eigenbasis gives (c, lam, weight): from_eigenbasis inverts it, W x
+    # is from_eigenbasis(lam c), and ||x||^2 = sum weight |c|^2, which holds
+    # for the anti-reflective kind once its ramp coefficients vanish
+    n = x.size
+    filt = sample_filter(raised_cosine_shape(), data.draw(st.integers(1, (n - 1) // 2)))
+    op = StructuredOperator(filt, kind, n)
+    c, lam, weight = op.to_eigenbasis(x)
+    tol = 1e-12 * max(1.0, np.abs(x).max())
+    assert np.abs(op.from_eigenbasis(c) - x).max() <= tol
+    assert np.abs(op.apply(x) - op.from_eigenbasis(lam * c)).max() <= tol
+    if kind is BoundaryKind.ANTIREFLECTIVE:
+        c[[0, -1]] = 0.0
+        x = op.from_eigenbasis(c)
+    assert abs(np.sum(weight * np.abs(c) ** 2) - x @ x) <= 1e-12 * max(1.0, x @ x)
 
 
 # -- the fast paths, on 320 to 5,000 samples --------------------------------
