@@ -1,4 +1,4 @@
-"""Inner/outer decomposition loops and the iteration-count bound.
+"""Inner/outer decomposition loops.
 
 The direct method re-imposes boundary conditions at every inner step; the
 extended variant pads the signal once, iterates a circulant operator on the
@@ -17,19 +17,17 @@ import numpy as np
 from .boundary import BoundaryKind, extend
 from .filters import (Filter, FilterShape, convolve_self, filter_length, raised_cosine_shape,
                       sample_filter)
-from .operators import StructuredOperator, spectrum_outside_unit, unit_eigenvectors
+from .operators import StructuredOperator, spectrum_outside_unit
 from .signal import dot, l2_norm, unit_exponent
 
 __all__ = [
     "StoppingConfig",
     "ImfDiagnostics",
     "Decomposition",
-    "ConvergenceConstants",
     "inner_loop",
     "build_filter",
     "dif",
     "eif",
-    "stopping_bound_k0",
 ]
 
 # below this fraction of the input's norm an iterate counts as zero: its
@@ -97,28 +95,6 @@ class Decomposition:
     def reconstruction(self) -> np.ndarray:
         """Sum of all components; telescopes back to the decomposed input."""
         return np.sum(self.imfs, axis=0)
-
-
-@dataclass(frozen=True)
-class ConvergenceConstants:
-    """Boundary-dependent constants of the iteration-count bound.
-
-    alpha bounds the Euclidean norm of the diagonalizing transform (1 for
-    the orthogonal/unitary kinds, 3 for anti-reflective whose transform
-    splits into three unit-norm pieces), beta is the multiplicity of
-    eigenvalue one, zeta the number of zero eigenvalues.
-    """
-
-    alpha: float
-    beta: int
-    zeta: int
-
-    @classmethod
-    def for_operator(cls, op: StructuredOperator) -> "ConvergenceConstants":
-        """Raises ValueError for the zero kind, which has no unit eigenvalue."""
-        beta = len(unit_eigenvectors(op.kind, op.n))
-        alpha = 3.0 if op.kind is BoundaryKind.ANTIREFLECTIVE else 1.0
-        return cls(alpha=alpha, beta=beta, zeta=op.eigenvalues().zero_multiplicity)
 
 
 def inner_loop(s, filt: Filter, kind: BoundaryKind,
@@ -667,49 +643,3 @@ def eif(s, shape: FilterShape | None = None,
                                   BoundaryKind.PERIODIC, cfg)
     imfs = [np.ldexp(f[p: p + values.size], e) for f in imfs_ext]
     return Decomposition(imfs=imfs, diagnostics=diags, pad=p)
-
-
-def stopping_bound_k0(delta: float, op: StructuredOperator, s) -> int:
-    """Smallest k0 guaranteeing step changes below delta from k0 onwards.
-
-    Returns the minimum natural k0 with
-
-        k0^k0 / (k0+1)^(k0+1) < delta / (alpha * c * sqrt(n - beta - zeta))
-
-    where c is the max-norm of the signal's coefficients in the unitary
-    eigenbasis (max|rfft(s)| / sqrt(n) for the periodic kind). The two
-    sides' logarithms are compared at 50 digits, since doubles stop telling
-    k0 from k0 - 1 from about k0 = 10^12, and :func:`_first_true` finds k0
-    guided by their difference, about linear in log(k0). Raises ValueError
-    past k0 = 2^62.
-    Requires a doubled (self-convolved) filter for the guarantee to be
-    meaningful, since the bound rests on a spectrum inside [0, 1].
-    """
-    if delta <= 0.0:
-        raise ValueError("delta must be positive")
-    consts = ConvergenceConstants.for_operator(op)
-    coeffs, _, _ = op.to_eigenbasis(s)
-    c_inf = float(np.abs(coeffs).max())
-    m = op.n - consts.beta - consts.zeta
-    if m <= 0 or c_inf == 0.0:
-        return 1  # every step change is already zero
-
-    # decimal is loaded here, not with the module: no command reads the bound
-    from decimal import Decimal, localcontext
-
-    with localcontext(prec=50):
-        # the periodic c is max|rfft(s)| / sqrt(n)
-        scale = Decimal(op.n if op.kind is BoundaryKind.PERIODIC else 1).sqrt()
-        log_rhs = (Decimal(delta) * scale
-                   / (Decimal(consts.alpha) * Decimal(c_inf) * Decimal(m).sqrt())).ln()
-
-        @cache
-        def margin(j: int) -> float:
-            """log(k^k / (k+1)^(k+1)) - log(rhs) at k = j + 1."""
-            k = Decimal(j + 1)
-            return float(k * k.ln() - (k + 1) * (k + 1).ln() - log_rhs)
-
-        k0 = 1 + _first_true(lambda j: margin(j) < 0.0, 1 << 62, margin)
-    if k0 > 1 << 62:
-        raise ValueError("stopping bound out of range")
-    return k0

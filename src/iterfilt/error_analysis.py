@@ -9,6 +9,8 @@ a pointwise upper bound to compare against measured errors.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
@@ -16,9 +18,8 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .boundary import BoundaryKind
-from .decompose import StoppingConfig, inner_loop
-from .filters import (Filter, FilterShape, convolve_self, filter_length, raised_cosine_shape,
-                      sample_filter)
+from .decompose import StoppingConfig, build_filter, inner_loop
+from .filters import Filter, FilterShape, filter_length, raised_cosine_shape
 from .operators import TRANSFORM_KINDS, StructuredOperator, spectrum_outside_unit
 from .signal import unit_exponent
 
@@ -281,6 +282,12 @@ def phase_sweep(generator: Callable, dt: float, span: float,
     shape = shape or raised_cosine_shape()
     kinds = [BoundaryKind(k) for k in (TRANSFORM_KINDS if kinds is None else kinds)]
 
+    # glibc keeps 1 MiB free at the heap top (M_TOP_PAD) from here on, or
+    # whether error_propagation's 410-670 kB of temporaries a call are
+    # trimmed and faulted back in hangs on the heap's layout, which any edit
+    # moves (0 to about 5,000 minor faults, 4-9 % of a default sweep)
+    with contextlib.suppress(AttributeError, OSError, TypeError):
+        ctypes.CDLL(None).mallopt(-2, 1 << 20)
     points: list[SweepPoint] = []
     base = None
     for step in range(1, int(round(span / dt)) + 1):
@@ -289,7 +296,7 @@ def phase_sweep(generator: Callable, dt: float, span: float,
         samples = np.asarray(samples, dtype=float)
         exact = np.asarray(exact, dtype=float)
         if (length := filter_length(samples, cfg.xi)) != base:
-            base, filt = length, convolve_self(sample_filter(shape, length))
+            base, filt = length, build_filter(samples, shape, cfg)
 
         errs: dict[str, float] = {}
         k_used = 0

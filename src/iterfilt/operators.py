@@ -8,8 +8,9 @@ eigenvalues and is applied in that eigenbasis; the zero rule's Toeplitz
 operator is applied by convolving directly, as a blocked Toeplitz product
 or by FFT, whichever costs least, and its spectrum takes a dense
 eigensolve. The spectra, the eigenvectors of eigenvalue one, the
-diagonalizing transforms and a k-step power application through the
-eigenbasis live here; the dense matrices are test oracles only.
+diagonalizing transforms, a k-step power application through the
+eigenbasis and the iteration-count bound they give live here; the dense
+matrices are test oracles only.
 """
 
 from __future__ import annotations
@@ -26,8 +27,10 @@ from .filters import Filter
 __all__ = [
     "StructuredOperator",
     "Spectrum",
+    "ConvergenceConstants",
     "unit_eigenvectors",
     "diagonalized_power_apply",
+    "stopping_bound_k0",
 ]
 
 DENSE_GUARD = 4096
@@ -318,6 +321,73 @@ def unit_eigenvectors(kind: BoundaryKind, n: int) -> list[np.ndarray]:
         ramp = np.arange(n, dtype=float)
         return [ramp, ramp[::-1].copy()]
     raise ValueError("zero boundary conditions have no unit eigenvalue")
+
+
+@dataclass(frozen=True)
+class ConvergenceConstants:
+    """Boundary-dependent constants of the iteration-count bound.
+
+    alpha bounds the Euclidean norm of the diagonalizing transform (1 for
+    the orthogonal/unitary kinds, 3 for anti-reflective whose transform
+    splits into three unit-norm pieces), beta is the multiplicity of
+    eigenvalue one, zeta the number of zero eigenvalues.
+    """
+
+    alpha: float
+    beta: int
+    zeta: int
+
+    @classmethod
+    def for_operator(cls, op: StructuredOperator) -> "ConvergenceConstants":
+        """Raises ValueError for the zero kind, which has no unit eigenvalue."""
+        beta = len(unit_eigenvectors(op.kind, op.n))
+        alpha = 3.0 if op.kind is BoundaryKind.ANTIREFLECTIVE else 1.0
+        return cls(alpha=alpha, beta=beta, zeta=op.eigenvalues().zero_multiplicity)
+
+
+def stopping_bound_k0(delta: float, op: StructuredOperator, s) -> int:
+    """Smallest k0 guaranteeing step changes below delta from k0 onwards.
+
+    Returns the minimum natural k0 with
+
+        k0^k0 / (k0+1)^(k0+1) < rhs = delta / (alpha * c * sqrt(n - beta - zeta))
+
+    where c is the max-norm of the signal's coefficients in the unitary
+    eigenbasis (max|rfft(s)| / sqrt(n) for the periodic kind). As
+    (1 + 1/k)^k < e < (1 + 1/k)^(k+1), the left side lies strictly between
+    1/(e (k+1)) and 1/(e k): every k >= x = 1/(e rhs) meets the bound and
+    no k <= x - 1 does, so k0 is max(1, floor(x)) or the next integer. One
+    comparison of the two sides' logarithms at 50 digits tells which, since
+    doubles stop telling k0 from k0 - 1 from about k0 = 10^12. Raises
+    ValueError for non-finite input, delta <= 0 and past k0 = 2^62.
+    Requires a doubled (self-convolved) filter for the guarantee to be
+    meaningful, since the bound rests on a spectrum inside [0, 1].
+    """
+    if not (math.isfinite(delta) and delta > 0.0):
+        raise ValueError("delta must be finite and positive")
+    if not np.isfinite(s := _as_vector(s, op.n)).all():
+        raise ValueError("s must be finite")
+    consts = ConvergenceConstants.for_operator(op)
+    c_inf = float(np.abs(op.to_eigenbasis(s)[0]).max())
+    m = op.n - consts.beta - consts.zeta
+    if m <= 0 or c_inf == 0.0:
+        return 1  # every step change is already zero
+
+    # decimal is loaded here, not with the module: no command reads the bound
+    from decimal import Decimal, localcontext
+
+    with localcontext(prec=50):
+        scale = Decimal(op.n if op.kind is BoundaryKind.PERIODIC else 1).sqrt()
+        log_rhs = (Decimal(delta) * scale
+                   / (Decimal(consts.alpha) * Decimal(c_inf) * Decimal(m).sqrt())).ln()
+        # floor(x) for x = 1/(e rhs), capped at 2^62: past it no k0 is returned
+        k0 = max(1, int(min((-1 - log_rhs).exp(), Decimal(1 << 62))))
+        k = Decimal(k0)
+        if k * k.ln() - (k + 1) * (k + 1).ln() >= log_rhs:
+            k0 += 1
+    if k0 > 1 << 62:
+        raise ValueError("stopping bound out of range")
+    return k0
 
 
 def spectrum_outside_unit(lam: np.ndarray) -> str | None:

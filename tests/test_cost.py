@@ -15,6 +15,7 @@ its step count.
 
 import math
 import os
+import platform
 import subprocess
 import sys
 import tracemalloc
@@ -31,6 +32,7 @@ from iterfilt import (
     StructuredOperator,
     build_filter,
     convolve_self,
+    decompose,
     dif,
     eif,
     error_analysis,
@@ -219,8 +221,9 @@ def test_phase_sweep_builds_a_filter_per_new_base_length(monkeypatch):
         built.append(l)
         return sample_filter(shape, l)
 
+    # the sweep reads the base length itself and takes the filter from build_filter
     monkeypatch.setattr(error_analysis, "filter_length", length)
-    monkeypatch.setattr(error_analysis, "sample_filter", sample)
+    monkeypatch.setattr(decompose, "sample_filter", sample)
     phase_sweep(make_sine_trend_generator(), 0.05, 4.0)
     assert len(lengths) == 80
     assert built == [l for j, l in enumerate(lengths) if j == 0 or l != lengths[j - 1]]
@@ -250,8 +253,27 @@ def test_error_propagation_memory_is_linear():
 
 
 def test_cli_import_leaves_scipy_unloaded():
+    # nor decimal, which only stopping_bound_k0 reads, importing it when called
     env = dict(os.environ, PYTHONPATH=str(Path(iterfilt.__file__).resolve().parents[1]))
-    code = "import sys, iterfilt.cli; print('scipy' in sys.modules)"
+    code = "import sys, iterfilt.cli; print('scipy' in sys.modules, 'decimal' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=60)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "False False"
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc heap trimming")
+def test_phase_sweep_keeps_its_pages_between_sweeps():
+    # the sweep's temporaries stay in the heap instead of being trimmed and
+    # faulted back in, whatever the heap's layout (phase_sweep's M_TOP_PAD)
+    env = dict(os.environ, PYTHONPATH=str(Path(iterfilt.__file__).resolve().parents[1]))
+    code = ("import resource\n"
+            "from iterfilt import make_sine_trend_generator, phase_sweep\n"
+            "faults = []\n"
+            "for _ in range(3):\n"
+            "    r = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "    phase_sweep(make_sine_trend_generator(), 0.05, 4.0)\n"
+            "    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - r)\n"
+            "print(max(faults[1:]))\n")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert int(out.stdout) < 100

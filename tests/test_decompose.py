@@ -1,4 +1,5 @@
 import math
+import warnings
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -374,13 +375,14 @@ class TestStoppingBound:
                     assert np.linalg.norm(diff) < delta
 
     @pytest.mark.parametrize("kind", TRANSFORM_KINDS, ids=lambda k: k.value)
-    @pytest.mark.parametrize("delta", [1e-8, 1e-12, 1e-15])
+    @pytest.mark.parametrize("delta", [1e-1, 1e-3, 1e-8, 1e-12, 1e-15])
     def test_least_k0_at_50_digits(self, kind, delta):
         # k0 meets k^k / (k+1)^(k+1) < delta / (alpha c sqrt(n - beta - zeta))
         # and k0 - 1 does not, both sides at 50 digits; c from the transform
-        # the bound reads, over sqrt(n) for the periodic rfft. k0 reaches
-        # 5e15 to 2e16 at delta = 1e-15, where doubles no longer tell k0
-        # from k0 - 1
+        # the bound reads, over sqrt(n) for the periodic rfft. k0 runs from
+        # about 50 at delta = 1e-1 to 5e15-2e16 at 1e-15, where doubles no
+        # longer tell k0 from k0 - 1; the cases take both floor(1/(e rhs))
+        # and the next integer
         rng = np.random.default_rng(11)
         n = 64
         op = StructuredOperator(random_doubled_filter(rng, n), kind, n)
@@ -404,6 +406,28 @@ class TestStoppingBound:
         op = StructuredOperator(random_doubled_filter(rng, 16), BoundaryKind.PERIODIC, 16)
         with pytest.raises(ValueError):
             stopping_bound_k0(0.0, op, np.ones(16))
+
+    @pytest.mark.parametrize("delta,sample", [(math.nan, 0.0), (math.inf, 0.0), (1e-3, math.nan),
+                                              (1e-3, math.inf), (1e-3, -math.inf)])
+    def test_non_finite_input_rejected(self, rng, delta, sample):
+        # rejected before any transform, so numpy warns of nothing
+        op = StructuredOperator(random_doubled_filter(rng, 16), BoundaryKind.PERIODIC, 16)
+        s = rng.standard_normal(16)
+        s[3] = sample
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite"):
+                stopping_bound_k0(delta, op, s)
+
+    def test_bracket_at_50_digits(self):
+        # 1/(e (k+1)) < k^k / (k+1)^(k+1) < 1/(e k), in logarithms as the
+        # bound compares them: every k >= 1/(e rhs) meets the bound and no
+        # k <= 1/(e rhs) - 1 does, which leaves two candidates for k0
+        with localcontext(prec=50):
+            for k in [*range(1, 2001), *(1 << j for j in range(1, 63))]:
+                k = Decimal(k)
+                log_f = k * k.ln() - (k + 1) * (k + 1).ln()
+                assert -1 - (k + 1).ln() < log_f < -1 - k.ln()
 
 
 class TestLimitBehavior:
