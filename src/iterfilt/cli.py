@@ -25,9 +25,10 @@ import numpy as np
 
 from . import __version__
 from .boundary import BoundaryKind
-from .decompose import Decomposition, StoppingConfig, build_filter, dif, eif, inner_loop
+from .decompose import StoppingConfig, build_filter, dif, eif, inner_loop
 from .error_analysis import error_propagation, make_sine_trend_generator, phase_sweep
-from .filters import SHAPE_NAMES, convolve_self, get_shape, raised_cosine_shape, sample_filter
+from .filters import (SHAPE_NAMES, convolve_self, filter_length, get_shape, raised_cosine_shape,
+                      sample_filter)
 from .operators import TRANSFORM_KINDS, StructuredOperator
 from .signal import ParseError, load_signal, normalize
 
@@ -152,17 +153,11 @@ def _cmd_decompose(args) -> int:
     result = (dif(signal, shape, kind, cfg) if args.mode == "dif"
               else eif(signal, shape, kind, args.pad, cfg))
 
-    _write_decomposition(args.output, result)
+    header = ",".join(f"imf_{j + 1}" for j in range(len(result)))
+    _write_columns(args.output, header, result.imfs, [_FLOAT] * len(result))
     diagnostics = [{"imf": m + 1, **asdict(d)} for m, d in enumerate(result.diagnostics)]
     _write_meta(args, {"pad": result.pad}, {"imfs": diagnostics})
     return 0
-
-
-def _write_decomposition(output: str, result: Decomposition):
-    """Components as CSV columns imf_1..imf_M."""
-    m = len(result)
-    header = ",".join(f"imf_{j + 1}" for j in range(m))
-    _write_columns(output, header, result.imfs, [_FLOAT] * m)
 
 
 def _write_columns(output: str, header: str, columns: list, formats: list[str]):
@@ -203,7 +198,8 @@ def _cmd_spectrum(args) -> int:
 def _cmd_errorbound(args) -> int:
     signal = load_signal(args.input)
     cfg = _stopping_config(args)
-    filt = build_filter(signal, get_shape(args.shape), cfg)
+    if (filt := build_filter(signal, get_shape(args.shape), cfg)) is None:
+        filter_length(signal, cfg.xi)  # raises ValueError: why there is no filter
     steps = args.steps
     if steps is None:
         steps = max(inner_loop(signal, filt, BoundaryKind(args.bc), cfg)[1], 1)

@@ -18,7 +18,7 @@ from .boundary import BoundaryKind, extend
 from .filters import (Filter, FilterShape, convolve_self, filter_length, raised_cosine_shape,
                       sample_filter)
 from .operators import StructuredOperator, spectrum_outside_unit
-from .signal import dot, l2_norm, unit_exponent
+from .signal import dot, l2_norm, scale_back, unit_exponent
 
 __all__ = [
     "StoppingConfig",
@@ -121,7 +121,8 @@ def inner_loop(s, filt: Filter, kind: BoundaryKind,
 
     All run on s scaled by the power of two that brings max|s| into
     [0.5, 1), so ``inner_loop(c*s)`` is ``c`` times ``inner_loop(s)`` for
-    any power of two c that keeps the samples normal.
+    any power of two c that keeps the samples normal; a component past the
+    largest float raises ValueError.
     """
     cfg = cfg or StoppingConfig()
     values = np.asarray(s, dtype=float)
@@ -133,7 +134,7 @@ def inner_loop(s, filt: Filter, kind: BoundaryKind,
     else:
         imf, k, d = (_sift_strips(op, cur, cfg) or _sift_krylov(op, cur, cfg)
                      or _sift_loop(op, cur, cfg))
-    return np.ldexp(imf, e, out=imf), k, d
+    return scale_back(imf, e, "the component"), k, d
 
 
 def _sift_loop(op: StructuredOperator, cur: np.ndarray,
@@ -545,28 +546,22 @@ def _crossing(a, b) -> int | None:
     return round(math.expm1(min(x, 64.0))) if math.isfinite(x) else None
 
 
-def build_filter(values, shape: FilterShape, cfg: StoppingConfig) -> Filter:
-    """The filter an outer step uses on ``values``: the self-convolved
-    filter of the base length that the extrema count and ``cfg.xi`` give."""
-    return convolve_self(sample_filter(shape, filter_length(values, cfg.xi)))
-
-
-def _next_filter(values: np.ndarray, shape: FilterShape, cfg: StoppingConfig,
+def build_filter(values, shape: FilterShape, cfg: StoppingConfig,
                  last: Filter | None = None) -> Filter | None:
-    """The filter of the outer step on ``values`` after the filter ``last``,
-    or None where the outer loop ends: :func:`filter_length` finds fewer
-    than two extrema or no admissible filter length, counting the extrema
-    once. Each filter is longer than the last (Lin, Wang and Zhou 2009):
-    where the extrema give a base length b no longer than the last one's,
-    b_last, the base length is max(b_last + 1, ceil(1.1 b_last)), and the
-    loop ends where that exceeds the largest admissible (n - 1) // 4."""
+    """The self-convolved filter of the outer step on ``values`` after the
+    filter ``last``, or None where the outer loop ends. Its base length is
+    :func:`filter_length`'s (one extrema count), None where that raises:
+    fewer than two extrema or 5 samples. Each filter is longer than the
+    last (Lin, Wang and Zhou 2009): a base length b <= b_last, the last
+    one's, becomes max(b_last + 1, ceil(1.1 b_last)), and there is none past
+    the largest admissible (n - 1) // 4."""
     try:
         b = filter_length(values, cfg.xi)
     except ValueError:
         return None
     if last is not None and b <= (b_last := last.length // 2):
         b = max(b_last + 1, -(-11 * b_last // 10))
-        if b > (values.size - 1) // 4:
+        if b > (np.size(values) - 1) // 4:
             return None
     return convolve_self(sample_filter(shape, b))
 
@@ -578,7 +573,7 @@ def _outer_loop(values: np.ndarray, shape: FilterShape, kind: BoundaryKind,
     e = unit_exponent(values)
     residual, filt = np.ldexp(values, -e), None
     while (len(imfs) < cfg.max_imfs - 1
-           and (filt := _next_filter(residual, shape, cfg, filt)) is not None):
+           and (filt := build_filter(residual, shape, cfg, filt)) is not None):
         imf, k, d = inner_loop(residual, filt, kind, cfg)
         if l2_norm(imf) <= _ZERO_ITERATE * l2_norm(residual):
             break  # the extraction removed nothing: the residual is the trend
@@ -587,7 +582,7 @@ def _outer_loop(values: np.ndarray, shape: FilterShape, kind: BoundaryKind,
         residual = residual - imf
     imfs.append(residual)
     diags.append(ImfDiagnostics(0, 0, None))
-    return [np.ldexp(f, e, out=f) for f in imfs], diags
+    return [scale_back(f, e, f"component {j}") for j, f in enumerate(imfs, 1)], diags
 
 
 def dif(s, shape: FilterShape | None = None,
@@ -595,21 +590,18 @@ def dif(s, shape: FilterShape | None = None,
         cfg: StoppingConfig | None = None) -> Decomposition:
     """Decompose a signal by direct iterative filtering.
 
-    Each outer step picks a filter length from the residual's extrema
-    count, extracts one component with :func:`inner_loop` (re-imposing the
-    chosen boundary conditions every iteration) and subtracts it. Each
-    filter is longer than the last (see :func:`_next_filter`). The loop
-    ends when fewer than two extrema remain, no admissible filter longer
-    than the last one is left (base length above (n - 1) // 4), max_imfs is
-    reached or a component is numerically zero (at most 1e-14 times the
-    residual's norm, and then dropped); the final residual is appended as
-    the trend, so the components always sum back to the input. A signal too
-    short for any admissible filter length (fewer than 5 samples) is
-    returned as its trend. The loops run on s scaled by a power of two
-    (see :func:`inner_loop`), so ``dif(c*s)`` is exactly ``c`` times
-    ``dif(s)`` for powers of two c that keep the samples normal. ``s`` has
-    at least 3 samples, ``shape`` defaults to the raised cosine and
-    ``kind`` is the rule imposed inside the inner loop.
+    Each outer step extracts one component of the residual with
+    :func:`inner_loop` (re-imposing the chosen boundary conditions every
+    iteration) and :func:`build_filter`'s filter, and subtracts it. The
+    loop ends where there is no filter, at max_imfs, or at a component that
+    is numerically zero (at most 1e-14 times the residual's norm, and then
+    dropped); the final residual is appended as the trend, so the
+    components always sum back to the input. The loops run on s scaled by
+    a power of two (see :func:`inner_loop`), so ``dif(c*s)`` is exactly
+    ``c`` times ``dif(s)`` for powers of two c that keep the samples
+    normal, and a component past the largest float raises ValueError.
+    ``s`` has at least 3 samples, ``shape`` defaults to the raised cosine
+    and ``kind`` is the rule imposed inside the inner loop.
     """
     imfs, diags = _outer_loop(np.asarray(s, dtype=float), shape or raised_cosine_shape(),
                               BoundaryKind(kind), cfg or StoppingConfig())
@@ -625,8 +617,7 @@ def eif(s, shape: FilterShape | None = None,
     inner and outer iteration then runs a periodic (circulant) operator of
     size n + 2p on the extended vector, and the components are restricted
     back to the central n samples on output. The outer loop is
-    :func:`dif`'s: each filter longer than the last, up to the base length
-    (n + 2p - 1) // 4 of the extended vector. By default p is twice the
+    :func:`dif`'s, on the extended vector. By default p is twice the
     length of the filter that :func:`dif` would take first, and 0 when
     there is none (then the signal is its own trend). The result's ``pad``
     records p. The signal is scaled by a power of two before it is
@@ -636,10 +627,11 @@ def eif(s, shape: FilterShape | None = None,
     values = np.asarray(s, dtype=float)
     shape, cfg = shape or raised_cosine_shape(), cfg or StoppingConfig()
     if p is None:
-        first = _next_filter(values, shape, cfg)
+        first = build_filter(values, shape, cfg)
         p = 0 if first is None else 2 * first.length
     e = unit_exponent(values)
     imfs_ext, diags = _outer_loop(extend(np.ldexp(values, -e), kind, p), shape,
                                   BoundaryKind.PERIODIC, cfg)
-    imfs = [np.ldexp(f[p: p + values.size], e) for f in imfs_ext]
+    imfs = [scale_back(f[p: p + values.size].copy(), e, f"component {j}")
+            for j, f in enumerate(imfs_ext, 1)]
     return Decomposition(imfs=imfs, diagnostics=diags, pad=p)

@@ -18,10 +18,11 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .boundary import BoundaryKind
-from .decompose import StoppingConfig, build_filter, inner_loop
-from .filters import Filter, FilterShape, filter_length, raised_cosine_shape
+from .decompose import StoppingConfig, inner_loop
+from .filters import (Filter, FilterShape, convolve_self, filter_length, raised_cosine_shape,
+                      sample_filter)
 from .operators import TRANSFORM_KINDS, StructuredOperator, spectrum_outside_unit
-from .signal import unit_exponent
+from .signal import scale_back, unit_exponent
 
 __all__ = [
     "error_propagation",
@@ -115,9 +116,10 @@ def error_propagation(s, filt: Filter, steps: int, p: int) -> tuple[np.ndarray, 
     pointwise maximum of |err_j| over j = 1..steps, both arrays of length n.
     With p = 0 both are zero. They are computed for chi scaled by the power
     of two that brings it into [0.5, 1) and scaled back, exactly, so no sum
-    of the DFT overflows on finite samples. Raises ValueError, as
-    :func:`inner_loop` does, for a spectrum outside [0, 1], where some
-    |z_k| > 1 would grow the error without bound.
+    of the DFT overflows on finite samples. Raises ValueError where the
+    bound exceeds the largest float and, as :func:`inner_loop` does, for a
+    spectrum outside [0, 1], where some |z_k| > 1 would grow the error
+    without bound.
     """
     if p < 0:
         raise ValueError("pad must be nonnegative")
@@ -151,7 +153,7 @@ def error_propagation(s, filt: Filter, steps: int, p: int) -> tuple[np.ndarray, 
             err[np.arange(width) >= depth] = 0.0
         np.maximum(bound, np.abs(err).max(axis=0), out=bound)
     last, bound = (np.concatenate([v, v[: n // 2][::-1]]) for v in (err[-1], bound))
-    return np.ldexp(last, e), np.ldexp(bound, e)
+    return scale_back(last, e, "the last step's error"), scale_back(bound, e, "the error bound")
 
 
 def _dense_blocks(c: np.ndarray, lam: np.ndarray, weight: np.ndarray, size: int, p: int,
@@ -217,9 +219,12 @@ def actual_error(f1, f1_exact) -> np.ndarray:
 
 
 def relative_error(f1, f1_exact) -> float:
-    """Max-norm relative error ||f1 - f1_exact||_inf / ||f1_exact||_inf."""
-    err = actual_error(f1, f1_exact)
-    denom = float(np.abs(np.asarray(f1_exact, dtype=float)).max())
+    """Max-norm relative error ||f1 - f1_exact||_inf / ||f1_exact||_inf, at
+    the unit scale of f1_exact (:func:`unit_exponent`), where nothing overflows."""
+    e = unit_exponent(np.asarray(f1_exact, dtype=float))
+    a, b = (np.ldexp(np.asarray(v, dtype=float), -e) for v in (f1, f1_exact))
+    err = actual_error(a, b)
+    denom = float(np.abs(b).max())
     if denom == 0.0:
         raise ValueError("relative error undefined for a zero reference component")
     return float(err.max()) / denom
@@ -293,10 +298,8 @@ def phase_sweep(generator: Callable, dt: float, span: float,
     for step in range(1, int(round(span / dt)) + 1):
         endpoint = step * dt
         samples, exact = generator(endpoint, dt)
-        samples = np.asarray(samples, dtype=float)
-        exact = np.asarray(exact, dtype=float)
         if (length := filter_length(samples, cfg.xi)) != base:
-            base, filt = length, build_filter(samples, shape, cfg)
+            base, filt = length, convolve_self(sample_filter(shape, length))
 
         errs: dict[str, float] = {}
         k_used = 0

@@ -81,6 +81,14 @@ def unit_exponent(values: np.ndarray) -> int:
     return math.frexp(float(np.max(np.abs(values), initial=0.0)))[1]
 
 
+def scale_back(x: np.ndarray, e: int, what: str) -> np.ndarray:
+    """x 2^e in place; ValueError naming ``what`` where max|x| 2^e would
+    exceed the largest float, decided from exponents, so nothing overflows."""
+    if unit_exponent(x) + e > np.finfo(float).maxexp:
+        raise ValueError(f"{what} exceeds the largest float at the input's scale")
+    return np.ldexp(x, e, out=x)
+
+
 def dot(x: np.ndarray, y: np.ndarray) -> float:
     """x . y summed by numpy, not BLAS: OpenBLAS splits dot products of
     more than 10,000 samples among its threads, which would round every

@@ -5,9 +5,9 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from iterfilt import BoundaryKind, Decomposition, StoppingConfig, cli, dif, load_signal
-from iterfilt.cli import (_add_filter_flags, _add_stopping_flags, _stopping_config,
-                          _write_decomposition, build_parser, run)
+from iterfilt import BoundaryKind, StoppingConfig, cli, dif, load_signal
+from iterfilt.cli import (_FLOAT, _add_filter_flags, _add_stopping_flags, _stopping_config,
+                          _write_columns, build_parser, run)
 from conftest import bench_chirp, outputs_by_blas_threads, sine_trend
 
 
@@ -104,6 +104,18 @@ class TestDecomposeCommand:
         expected = np.array([1.0, -3.0, 2.0]) / np.sqrt(14.0)
         assert np.abs(np.array(rows, dtype=float)[:, 0] - expected).max() <= 1e-15
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bc", ["periodic", "reflective", "antireflective"])
+    def test_component_past_the_float_range_domain_error(self, tmp_path, bc, capsys):
+        # a first component of these finite samples exceeds the largest
+        # float: no float64 CSV can hold it, so nothing is written
+        big = float(np.finfo(float).max)
+        inp, out = tmp_path / "big.csv", tmp_path / "out.csv"
+        inp.write_text("\n".join(repr(x) for x in [big, -big] * 5 + [big]) + "\n")
+        assert run(["decompose", "--bc", bc, str(inp), str(out)]) == 4
+        assert "component 1 exceeds the largest float" in capsys.readouterr().err
+        assert not out.exists() and not (tmp_path / "out.csv.meta.json").exists()
+
     def test_sidecar_contract(self, tmp_path, signal_file):
         out = tmp_path / "out.csv"
         assert run(["decompose", "--mode", "eif", "--max-inner", "30", "--max-imfs", "4",
@@ -142,7 +154,7 @@ class TestDecomposeCommand:
         imfs = [rng.choice(special, 7001), rng.choice(special, 7001),
                 rng.choice(special, 7001) * rng.standard_normal(7001)]
         out = tmp_path / "d.csv"
-        _write_decomposition(str(out), Decomposition(imfs=imfs))
+        _write_columns(str(out), "imf_1,imf_2,imf_3", imfs, [_FLOAT] * 3)
         rows = [",".join(f"{x:.17g}" for x in row) for row in np.column_stack(imfs)]
         expected = "\n".join(["imf_1,imf_2,imf_3", *rows]) + "\n"
         assert out.read_bytes() == expected.encode("utf-8")

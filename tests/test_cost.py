@@ -32,19 +32,20 @@ from iterfilt import (
     StructuredOperator,
     build_filter,
     convolve_self,
-    decompose,
+    count_extrema,
     dif,
     eif,
     error_analysis,
     error_propagation,
     filter_length,
+    filters,
     inner_loop,
     make_sine_trend_generator,
     phase_sweep,
     raised_cosine_shape,
     sample_filter,
 )
-from conftest import noise_trend
+from conftest import bench_chirp, noise_trend
 from test_decompose import chirp
 
 TRANSFORM_KINDS = [BoundaryKind.PERIODIC, BoundaryKind.REFLECTIVE, BoundaryKind.ANTIREFLECTIVE]
@@ -210,7 +211,22 @@ def test_phase_sweep_search_rows(stop_rows):
     assert len(stop_rows) == 1782
 
 
-def test_phase_sweep_builds_a_filter_per_new_base_length(monkeypatch):
+@pytest.fixture
+def extrema_counts(monkeypatch):
+    """One entry per extrema count that :func:`filter_length` makes."""
+    counts = []
+
+    def counted(s):
+        counts.append(len(s))
+        return count_extrema(s)
+
+    monkeypatch.setattr(filters, "count_extrema", counted)
+    return counts
+
+
+def test_phase_sweep_builds_a_filter_per_new_base_length(monkeypatch, extrema_counts):
+    # the sweep reads each support's base length once, and builds a filter
+    # only where it changes: 9 base lengths over 80 supports
     lengths, built = [], []
 
     def length(s, xi):
@@ -221,13 +237,21 @@ def test_phase_sweep_builds_a_filter_per_new_base_length(monkeypatch):
         built.append(l)
         return sample_filter(shape, l)
 
-    # the sweep reads the base length itself and takes the filter from build_filter
     monkeypatch.setattr(error_analysis, "filter_length", length)
-    monkeypatch.setattr(decompose, "sample_filter", sample)
+    monkeypatch.setattr(error_analysis, "sample_filter", sample)
     phase_sweep(make_sine_trend_generator(), 0.05, 4.0)
-    assert len(lengths) == 80
+    assert len(lengths) == len(extrema_counts) == 80
     assert built == [l for j, l in enumerate(lengths) if j == 0 or l != lengths[j - 1]]
-    assert len(built) < 20
+    assert len(built) == 9
+
+
+@pytest.mark.parametrize("kind", list(BoundaryKind), ids=lambda k: k.value)
+def test_dif_counts_extrema_once_per_component(extrema_counts, kind):
+    # one count picks each sifted component's filter, and one more finds
+    # that no filter is left for the trend
+    d = dif(bench_chirp(7, 2048), kind=kind)
+    assert len(d) < StoppingConfig().max_imfs
+    assert len(extrema_counts) == len(d)
 
 
 def test_phase_sweep_applies_no_operator(apply_calls):

@@ -10,8 +10,10 @@ from iterfilt import (
     BoundaryKind,
     ConvergenceConstants,
     Filter,
+    FilterShape,
     StoppingConfig,
     StructuredOperator,
+    build_filter,
     convolve_self,
     count_extrema,
     diagonalized_power_apply,
@@ -176,6 +178,33 @@ class TestDif:
         # (with repeated lengths it took 16 components of 1,000 steps)
         d = dif([0.0, 1.0, 0.0, 1.0, 0.0], kind=kind)
         assert [g.filter_length for g in d.diagnostics] == [2, 0]
+
+    def test_each_filter_longer_than_the_last(self):
+        # after base length b_last, one of at most b_last becomes
+        # max(b_last + 1, ceil(1.1 b_last)), and none is past (n - 1) // 4
+        shape, cfg = raised_cosine_shape(), StoppingConfig()
+        zigzag = np.tile([0.0, 1.0], 50)  # 98 extrema: base length 1, cap 24
+        sine, _ = sine_trend(200, 20)     # 19 extrema: base length 16
+
+        def base(s, last):
+            prev = None if last is None else convolve_self(sample_filter(shape, last))
+            filt = build_filter(s, shape, cfg, prev)
+            return None if filt is None else filt.length // 2
+
+        assert [base(zigzag, b) for b in (None, 1, 10, 20, 21, 22)] == [1, 2, 11, 22, 24, None]
+        assert [base(sine, b) for b in (None, 5, 16)] == [16, 16, 18]
+        grown = build_filter(zigzag, shape, cfg, convolve_self(sample_filter(shape, 20)))
+        assert np.array_equal(grown.half_weights,
+                              convolve_self(sample_filter(shape, 22)).half_weights)
+
+    @pytest.mark.parametrize("kind", list(BoundaryKind), ids=lambda k: k.value)
+    def test_shape_that_vanishes_at_a_tap_raises(self, kind):
+        # only a missing filter ends the loop: a filter the shape cannot
+        # give is an error
+        clipped = FilterShape("clip", lambda t: np.maximum(1.0 - 2.0 * np.abs(t), 0.0))
+        for decompose in (dif, eif):
+            with pytest.raises(ValueError, match="vanishes"):
+                decompose(chirp(256), clipped, kind)
 
     @pytest.mark.parametrize("kind", list(BoundaryKind), ids=lambda k: k.value)
     def test_benchmark_chirp_tone_recovered(self, kind):

@@ -2,22 +2,28 @@
 the eigenbasis contract of `StructuredOperator`.
 
 hypothesis draws the signals, derandomized and with no example database, so
-every run sees the same cases: 3 to 40 samples of any finite double up to
-1e308 in magnitude, subnormals and zeros among them, and constants; and, for
+every run sees the same cases: 3 to 40 samples of any finite double,
+subnormals, zeros and the largest float among them, and constants; and, for
 the zero kind's kernels and Lanczos sift and the propagation's two kernels,
 a few seeded chirps of 300 to 5,000 samples.
 """
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from iterfilt import (BoundaryKind, StoppingConfig, StructuredOperator, convolve_self, dif, eif,
-                      error_propagation, inner_loop, raised_cosine_shape, sample_filter)
+                      error_propagation, inner_loop, make_sine_trend_generator, phase_sweep,
+                      raised_cosine_shape, sample_filter)
 from iterfilt.signal import unit_exponent
 from conftest import kept_and_regenerated, same_sift
 
 CFG = StoppingConfig(max_inner=200)
-EDGES = [0.0, 1.0, -1.0, 1e308, -1e308, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310]
+MAX = float(np.finfo(float).max)
+EDGES = [0.0, 1.0, -1.0, 1e308, -1e308, MAX, -MAX, 5e-324, -5e-324, 2.2250738585072014e-308,
+         -1e-310]
+# a first component of this input exceeds MAX under the three transform kinds
+PAST_MAX = np.array([MAX, -MAX] * 5 + [MAX])
 
 
 def signals(bound: float):
@@ -38,23 +44,77 @@ MODES = st.sampled_from(["dif", "eif"])
 SETTINGS = settings(derandomize=True, database=None, max_examples=150, deadline=None)
 
 
+@pytest.mark.filterwarnings("error")
 @SETTINGS
-@given(s=signals(1e308), kind=KINDS, mode=MODES)
+@given(s=signals(MAX), kind=KINDS, mode=MODES)
 @example(s=np.array([0.0, 1.0, 0.0, 1.0, 0.0]), kind=BoundaryKind.ZERO, mode="dif")
 @example(s=np.array([1e308, -1e308] * 3), kind=BoundaryKind.ANTIREFLECTIVE, mode="eif")
 @example(s=np.array([5e-324, 0.0, -5e-324, 0.0]), kind=BoundaryKind.REFLECTIVE, mode="dif")
 @example(s=np.full(5, -1e-310), kind=BoundaryKind.PERIODIC, mode="eif")
+@example(s=PAST_MAX, kind=BoundaryKind.PERIODIC, mode="dif")
+@example(s=PAST_MAX, kind=BoundaryKind.ANTIREFLECTIVE, mode="eif")
 def test_decomposition_invariants(s, kind, mode):
     # each filter longer than the last, the trend last, finite components
-    # that sum back to the input
-    d = decompose(s, kind, mode)
+    # that sum back to the input; or, where a component exceeds the largest
+    # float, a ValueError that names it, never inf, NaN or a warning
+    try:
+        d = decompose(s, kind, mode)
+    except ValueError as exc:
+        assert "exceeds the largest float" in str(exc)
+        return
     lengths = [g.filter_length for g in d.diagnostics]
     assert all(a < b for a, b in zip(lengths[:-2], lengths[1:-1]))
     assert lengths[-1] == 0 and d.diagnostics[-1].inner_steps == 0
     assert 1 <= len(d) <= CFG.max_imfs
     assert all(f.shape == s.shape and np.isfinite(f).all() for f in d.imfs)
-    tol = 1e-10 * np.abs(s).max() + len(d) * np.finfo(float).smallest_subnormal
-    assert np.abs(d.reconstruction() - s).max() <= tol
+    # summed at the input's unit scale, where no partial sum overflows
+    e = unit_exponent(s)
+    tol = 1e-10 * np.abs(np.ldexp(s, -e)).max() + len(d) * np.finfo(float).smallest_subnormal
+    rebuilt = np.sum([np.ldexp(f, -e) for f in d.imfs], axis=0)
+    assert np.abs(rebuilt - np.ldexp(s, -e)).max() <= tol
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("kind", [BoundaryKind.PERIODIC, BoundaryKind.REFLECTIVE,
+                                  BoundaryKind.ANTIREFLECTIVE], ids=lambda k: k.value)
+def test_component_past_the_float_range_raises(kind):
+    with pytest.raises(ValueError, match="component 1 exceeds the largest float"):
+        dif(PAST_MAX, kind=kind)
+    assert all(np.isfinite(f).all() for f in dif(PAST_MAX, kind=BoundaryKind.ZERO).imfs)
+
+
+@pytest.mark.filterwarnings("error")
+@SETTINGS
+@given(data=st.data(), s=signals(MAX).filter(lambda v: v.size >= 5), steps=st.integers(1, 300))
+def test_propagation_at_the_top_of_the_float_range(data, s, steps):
+    # the bound and the last error are finite, or a ValueError names them
+    n = s.size
+    filt = convolve_self(sample_filter(raised_cosine_shape(),
+                                       data.draw(st.integers(1, (n - 1) // 4))))
+    pad = data.draw(st.integers(0, 3 * n))
+    try:
+        last, bound = error_propagation(s, filt, steps, pad)
+    except ValueError as exc:
+        assert "exceeds the largest float" in str(exc)
+        return
+    assert np.isfinite(last).all() and np.isfinite(bound).all()
+    assert np.all(bound >= np.abs(last))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("amplitude, trend", [(MAX, 0.0), (0.9 * MAX, 0.0), (MAX / 2, MAX / 4),
+                                              (MAX / 4, -MAX / 2)])
+def test_phase_sweep_at_the_top_of_the_float_range(amplitude, trend):
+    # finite relative errors and bounds, or a ValueError that names the
+    # component or bound past the float range
+    generator = make_sine_trend_generator(amplitude=amplitude, trend=trend)
+    try:
+        points = phase_sweep(generator, 0.05, 0.2)
+    except ValueError as exc:
+        assert "exceeds the largest float" in str(exc)
+        return
+    assert len(points) == 4
+    assert all(np.isfinite([p.ub_rel, *p.err_rel.values()]).all() for p in points)
 
 
 @SETTINGS
