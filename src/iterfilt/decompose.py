@@ -128,12 +128,12 @@ def inner_loop(s, filt: Filter, kind: BoundaryKind,
     values = np.asarray(s, dtype=float)
     op = StructuredOperator(filt, BoundaryKind(kind), values.size)
     e = unit_exponent(values)
-    cur = np.ldexp(values, -e)
+    cur = np.ldexp(values, -e) if e else values  # no copy at scale 1: only the loop writes
     if op.kind is not BoundaryKind.ZERO:
         imf, k, d = _sift_spectral(op, cur, cfg)
     else:
         imf, k, d = (_sift_strips(op, cur, cfg) or _sift_krylov(op, cur, cfg)
-                     or _sift_loop(op, cur, cfg))
+                     or _sift_loop(op, cur.copy() if cur is values else cur, cfg))
     return scale_back(imf, e, "the component"), k, d
 
 
@@ -253,6 +253,7 @@ def _sift_strips(op: StructuredOperator, values: np.ndarray,
         return None
     z, tiny = 1.0 - lam, _ZERO_ITERATE * norm
     rows = _decay_rows(weight * np.abs(c) ** 2, z, lam)
+    del lam, weight  # the rows keep what they read of these
     estimate, _ = _search_stop(rows, 0, math.inf, tiny, cfg)
     depth = min(estimate + estimate // 4 + 8, cfg.max_inner)
     while _strips_pay(n, l, depth):
@@ -264,7 +265,9 @@ def _sift_strips(op: StructuredOperator, values: np.ndarray,
 
         if (found := _search_stop(fixed, 0, math.inf, tiny, cfg, depth)) is not None:
             k, d = found
-            imf = periodic.from_eigenbasis(z ** k * c)
+            del rows, fixed  # their spectra, before the component's transform
+            c *= z ** k
+            imf = periodic.from_eigenbasis(c)
             strips = _strip_vector(values, k * l)[: 4 * k * l]  # the two zero-rule windows
             window = StructuredOperator(op.filter, BoundaryKind.ZERO, strips.size)
             for _ in range(k):
@@ -579,7 +582,7 @@ def _outer_loop(values: np.ndarray, shape: FilterShape, kind: BoundaryKind,
             break  # the extraction removed nothing: the residual is the trend
         imfs.append(imf)
         diags.append(ImfDiagnostics(k, filt.length, d))
-        residual = residual - imf
+        residual -= imf
     imfs.append(residual)
     diags.append(ImfDiagnostics(0, 0, None))
     return [scale_back(f, e, f"component {j}") for j, f in enumerate(imfs, 1)], diags

@@ -210,12 +210,16 @@ def _core_basis(c: np.ndarray, weight: np.ndarray, size: int, p: int,
 
 
 def actual_error(f1, f1_exact) -> np.ndarray:
-    """Pointwise absolute difference |f1 - f1_exact|."""
+    """Pointwise absolute difference |f1 - f1_exact|; ValueError past the largest float."""
     a = np.asarray(f1, dtype=float)
     b = np.asarray(f1_exact, dtype=float)
     if a.shape != b.shape:
         raise ValueError(f"length mismatch: {a.shape} vs {b.shape}")
-    return np.abs(a - b)
+    try:
+        with np.errstate(over="raise"):
+            return np.abs(a - b)
+    except FloatingPointError:
+        raise ValueError("the pointwise error exceeds the largest float") from None
 
 
 def relative_error(f1, f1_exact) -> float:
@@ -257,6 +261,8 @@ def make_sine_trend_generator(amplitude: float = 1.0, period: float = 1.0,
             raise ValueError(f"{name} must be finite")
     if period <= 0.0 or amplitude <= 0.0:
         raise ValueError("amplitude and period must be positive")
+    if not math.isfinite(amplitude + abs(trend)):  # the largest |sample|
+        raise ValueError("amplitude + |trend| must be finite")
 
     def generator(endpoint: float, dt: float):
         t = np.arange(start, endpoint + 0.5 * dt, dt)

@@ -4,14 +4,16 @@ census used by the outer loop. Signals are plain float arrays."""
 from __future__ import annotations
 
 import math
-from itertools import islice
+from itertools import chain, islice
 from pathlib import Path
+from typing import Iterable, Iterator
 
 import numpy as np
 
 __all__ = ["ParseError", "load_signal", "normalize", "count_extrema"]
 
 MIN_SAMPLES = 3
+_CHUNK = 1 << 18  # characters of the text split into lines at a time (see _lines)
 
 
 class ParseError(ValueError):
@@ -30,36 +32,42 @@ def load_signal(path) -> np.ndarray:
     notation is accepted, line endings may be LF or CRLF, and a leading
     UTF-8 byte-order mark is dropped. Malformed rows, fewer than three
     samples and non-finite values are rejected with the 1-based row number.
+    The text is split into lines a chunk at a time (:func:`_lines`).
     """
-    text = Path(path).read_text(encoding="utf-8-sig")
-    lines = text.splitlines()
-    while lines and lines[-1].strip() == "":
-        lines.pop()
-
+    text = Path(path).read_text(encoding="utf-8-sig").rstrip()  # no trailing blank lines
     header = 0
-    if lines:
+    for first in islice(_lines(text), 1):
         try:
-            float(lines[0].strip())
+            float(first.strip())
         except ValueError:
             header = 1  # a header line
     try:
-        values = np.fromiter(map(float, islice(lines, header, None)), float,
-                             count=len(lines) - header)
+        values = np.fromiter(map(float, islice(_lines(text), header, None)), float)
     except ValueError:
         values = None
     if values is None or not np.isfinite(values).all():
-        values = np.array(_parse_rows(lines, header))
+        values = np.array(_parse_rows(_lines(text), header))
     if values.size < MIN_SAMPLES:
         raise ParseError(f"need at least {MIN_SAMPLES} samples, found {values.size}")
     return values
 
 
-def _parse_rows(lines: list[str], header: int) -> list[float]:
+def _lines(text: str) -> Iterator[str]:
+    """``text.splitlines()``, split from chunks of about _CHUNK characters
+    that each end just after a "\\n", which ends a line there too, so no
+    list of all the lines is built."""
+    cuts = [0]
+    while cuts[-1] < len(text):
+        cuts.append(text.find("\n", cuts[-1] + _CHUNK) + 1 or len(text))
+    return chain.from_iterable(text[a:b].splitlines() for a, b in zip(cuts, cuts[1:]))
+
+
+def _parse_rows(lines: Iterable[str], header: int) -> list[float]:
     """The samples row by row, each line stripped as ``str.strip`` does
     (float() keeps the separators U+001C-U+001F); raises ParseError with
     the 1-based row of the first row that is not a finite number."""
     values = []
-    for idx, line in enumerate(lines[header:], start=header + 1):
+    for idx, line in enumerate(islice(lines, header, None), start=header + 1):
         token = line.strip()
         try:
             x = float(token)

@@ -12,13 +12,19 @@ step; the stop scan is the row-by-row stopping rule that the sift's search
 for the stopping step replaces; the dense propagation is the step-by-step iteration of the periodic
 operator that both kernels of the boundary-error propagation replace; the
 dominant period reads the period of a boundary-error curve off its
-spectrum peak.
+spectrum peak; the whole-file parse is the CSV reader that lists all of a
+file's lines at once, which the chunked reader replaces.
 """
+
+import math
+from itertools import islice
+from pathlib import Path
 
 import numpy as np
 
-from iterfilt import BoundaryKind, Spectrum, StructuredOperator, extend
+from iterfilt import BoundaryKind, ParseError, Spectrum, StructuredOperator, extend
 from iterfilt.operators import DENSE_GUARD
+from iterfilt.signal import MIN_SAMPLES
 
 # below this fraction of the input's norm an iterate counts as zero
 ZERO_ITERATE = 1e-14
@@ -217,3 +223,39 @@ def dominant_period(values, step: float) -> float:
     spectrum = np.abs(np.fft.rfft(v))
     peak = 1 + int(np.argmax(spectrum[1:]))
     return v.size * step / peak
+
+
+def whole_file_parse(path) -> np.ndarray:
+    """``load_signal`` by the list of all of the file's lines: its header
+    rule, trailing blank lines, fast path and row-by-row fallback, with the
+    same values, exception types and messages."""
+    text = Path(path).read_text(encoding="utf-8-sig")
+    lines = text.splitlines()
+    while lines and lines[-1].strip() == "":
+        lines.pop()
+    header = 0
+    if lines:
+        try:
+            float(lines[0].strip())
+        except ValueError:
+            header = 1
+    try:
+        values = np.fromiter(map(float, islice(lines, header, None)), float,
+                             count=len(lines) - header)
+    except ValueError:
+        values = None
+    if values is None or not np.isfinite(values).all():
+        rows = []
+        for idx, line in enumerate(lines[header:], start=header + 1):
+            token = line.strip()
+            try:
+                x = float(token)
+            except ValueError:
+                raise ParseError(f"could not parse {token!r} as a number", row=idx) from None
+            if not math.isfinite(x):
+                raise ParseError(f"non-finite value {token!r}", row=idx)
+            rows.append(x)
+        values = np.array(rows)
+    if values.size < MIN_SAMPLES:
+        raise ParseError(f"need at least {MIN_SAMPLES} samples, found {values.size}")
+    return values

@@ -377,8 +377,8 @@ class TestTopLevel:
 
 
 class TestNumericFlags:
-    # each non-finite numeric flag is a domain error naming its field, and
-    # no CSV is written
+    # each non-finite numeric flag, or phasesweep's amplitude + |trend|, is
+    # a domain error naming its fields, and no CSV is written
     @pytest.mark.parametrize("argv,field", [
         (["decompose", "--delta", "nan", "IN"], "delta"),
         (["decompose", "--xi", "inf", "IN"], "xi"),
@@ -386,7 +386,9 @@ class TestNumericFlags:
         (["phasesweep", "--span", "inf"], "span"),
         (["phasesweep", "--dt", "nan"], "dt"),
         (["phasesweep", "--period", "nan"], "period"),
-    ], ids=["delta-nan", "xi-inf", "xi-nan", "span-inf", "dt-nan", "period-nan"])
+        (["phasesweep", "--amplitude", "1.7e308", "--trend", "1.7e308"], "amplitude + |trend|"),
+    ], ids=["delta-nan", "xi-inf", "xi-nan", "span-inf", "dt-nan", "period-nan",
+            "amplitude-plus-trend-past-max"])
     def test_non_finite_flag_rejected(self, tmp_path, signal_file, capsys, argv, field):
         out = tmp_path / "out.csv"
         argv = [str(signal_file) if a == "IN" else a for a in argv]

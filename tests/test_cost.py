@@ -40,6 +40,7 @@ from iterfilt import (
     filter_length,
     filters,
     inner_loop,
+    load_signal,
     make_sine_trend_generator,
     phase_sweep,
     raised_cosine_shape,
@@ -175,7 +176,29 @@ def test_zero_kind_strip_sift_memory_is_linear(apply_calls):
         tracemalloc.stop()
     assert imf.shape == (n,) and k == 468
     assert max(op.n for op in apply_calls) == 8 * 593 * 6  # no product of full length
-    assert peak < 80 * n  # ten doubles a sample
+    assert peak < 48 * n  # six doubles a sample: the spectra go before the last transform
+
+
+def write_record(path, n):
+    """The ``io-200k`` input of n samples as the benchmark writes it, by repr."""
+    path.write_text("\n".join(map(repr, noise_trend(7, n).tolist())) + "\n")
+    return path
+
+
+def test_load_signal_memory_is_the_text_and_one_chunk(tmp_path):
+    # reading holds the file's bytes and its text, parsing the text, one
+    # chunk's lines and the samples; a list of all the lines took about 100
+    # bytes a sample
+    n = 200_000
+    f = write_record(tmp_path / "s.csv", n)
+    tracemalloc.start()
+    try:
+        values = load_signal(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert values.size == n
+    assert peak < 2 * f.stat().st_size + 16 * n
 
 
 @pytest.fixture
@@ -301,3 +324,26 @@ def test_phase_sweep_keeps_its_pages_between_sweeps():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
     assert int(out.stdout) < 100
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc heap trimming")
+def test_decompose_faults_back_only_its_transients(tmp_path):
+    # glibc returns each call's freed heap to the system (its trim threshold
+    # is twice the largest freed mmapped block, here the 3.9 MB text), so the
+    # next call faults its transients back in: 4,300-5,700 pages at
+    # n = 200,000, about 10,000 while the parse listed every line
+    csv = write_record(tmp_path / "s.csv", 200_000)
+    env = dict(os.environ, PYTHONPATH=str(Path(iterfilt.__file__).resolve().parents[1]),
+               OPENBLAS_NUM_THREADS="1")
+    code = ("import resource, sys\n"
+            "from iterfilt import cli\n"
+            "argv = ['decompose', '--bc', 'zero', '--max-imfs', '3', *sys.argv[1:]]\n"
+            "faults = []\n"
+            "for _ in range(2):\n"
+            "    r = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "    assert cli.run(argv) == 0\n"
+            "    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - r)\n"
+            "print(faults[1])\n")
+    out = subprocess.run([sys.executable, "-c", code, str(csv), str(tmp_path / "o.csv")],
+                         env=env, capture_output=True, text=True, check=True, timeout=120)
+    assert int(out.stdout) < 7_000

@@ -116,6 +116,23 @@ class TestInnerLoop:
         assert np.abs(imf - ref).max() <= 1e-12 * np.abs(s).max()
         assert abs(d - d_ref) <= 1e-12
 
+    @pytest.mark.parametrize("kind, n, half", [
+        *[(kind, 256, 6) for kind in TRANSFORM_KINDS],
+        (BoundaryKind.ZERO, 256, 2),      # the loop
+        (BoundaryKind.ZERO, 2048, 30),    # a Lanczos basis
+        (BoundaryKind.ZERO, 50_000, 2),   # strips
+    ], ids=lambda v: getattr(v, "value", v))
+    def test_unit_scale_input_is_left_as_it_was(self, kind, n, half, apply_calls):
+        # with max|s| in [0.5, 1) the sift reads s itself, unscaled
+        s = chirp(n)
+        s *= 0.75 / np.abs(s).max()
+        before = s.copy()
+        _, k, _ = inner_loop(s, plain_or_doubled(half, True), kind, StoppingConfig())
+        assert k > 1 and np.array_equal(s, before)
+        if kind is BoundaryKind.ZERO:
+            assert (len(apply_calls) == k) == (n == 256)
+            assert (max(op.n for op in apply_calls) < n) == (n == 50_000)
+
 
 class TestDif:
     def test_constant_signal_single_residual(self):

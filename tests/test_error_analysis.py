@@ -261,6 +261,13 @@ class TestActualError:
         with pytest.raises(ValueError):
             actual_error(np.ones(3), np.ones(4))
 
+    @pytest.mark.filterwarnings("error")
+    def test_difference_past_the_float_range_raises(self):
+        big = np.finfo(float).max
+        with pytest.raises(ValueError, match="exceeds the largest float"):
+            actual_error([big], [-big])
+        assert np.array_equal(actual_error([big, -big], [big / 2, -big / 2]), [big / 2] * 2)
+
     def test_bound_dominates_on_periodic_integer_grid(self):
         # full pipeline: known sine plus trend, filter tuned to its period,
         # exact periodic wrap; the propagated bound covers the measured error

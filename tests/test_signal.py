@@ -1,10 +1,47 @@
+import operator
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from iterfilt import ParseError, count_extrema, load_signal, normalize
+from iterfilt import ParseError, count_extrema, load_signal, normalize, signal
 from conftest import outputs_by_blas_threads
+from oracles import whole_file_parse
+
+
+def outcome(parse, path):
+    """What ``parse`` makes of a file: its samples' bytes, or the type and
+    message of its error."""
+    try:
+        return parse(path).tobytes()
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+# files parsed with a chunk boundary after every character
+CHUNK_FILES = {
+    "crlf": b"value\r\n1.5e-3\r\n-2E+1\r\n0.0\r\n",
+    "header": "\ufeffvalue\n1.5\n2\n3\n".encode(),
+    "trailing-blank-run": b"1\n2\n3\n\n  \n\t\n\n",
+    "separators": "1\x1c2\n3\x854\u2028 5\n\x1c6\x1f\n7\n".encode(),
+    "bad-row": b"x\n" + b"1\n" * 12 + b"abc\n2\n",
+    "non-finite-row": b"1\n" * 12 + b"1e400\n2\n",
+}
+# tokens and line ends of the files the parse is checked on against the oracle
+TOKENS = st.floats().map(repr) | st.sampled_from(
+    ["value", "abc", "", " ", "\t7\t", "\x1f3", "3\x1f", "1e400", "-inf", "1_0", "\u0663"])
+ENDS = st.sampled_from(["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+                        "\u2028", "\u2029"])
+FILES = st.builds(lambda bom, rows, last: ("\ufeff" if bom else "") + "".join(rows) + last,
+                  st.booleans(), st.lists(st.builds(operator.add, TOKENS, ENDS), max_size=30),
+                  TOKENS | ENDS)
+
+
+@pytest.fixture(scope="module")
+def temp_csv(tmp_path_factory):
+    return tmp_path_factory.mktemp("parse") / "s.csv"
 
 
 class TestLoadSignal:
@@ -83,6 +120,40 @@ class TestLoadSignal:
         f = tmp_path / "s.csv"
         f.write_text("1.5\x1f\n2\n\x1f3\n")
         assert np.array_equal(load_signal(f), [1.5, 2.0, 3.0])
+
+    def test_chunks_list_the_lines_of_the_text(self, monkeypatch):
+        # a chunk ends just after a "\n", never between "\r" and "\n"
+        text = "a\r\nb\rc\n\nd\x1ce\x85f\u2028g\r\n\r\nh"
+        for chunk in range(len(text) + 1):
+            monkeypatch.setattr(signal, "_CHUNK", chunk)
+            assert list(signal._lines(text)) == text.splitlines()
+
+    @pytest.mark.parametrize("content", CHUNK_FILES.values(), ids=CHUNK_FILES)
+    def test_chunk_boundaries(self, tmp_path, monkeypatch, content):
+        f = tmp_path / "s.csv"
+        f.write_bytes(content)
+        expected = outcome(whole_file_parse, f)
+        for chunk in range(len(content) + 1):
+            monkeypatch.setattr(signal, "_CHUNK", chunk)
+            assert outcome(load_signal, f) == expected
+
+    def test_bad_row_past_the_first_chunk(self, tmp_path, monkeypatch):
+        f = tmp_path / "s.csv"
+        f.write_text("x\n" + "1\n" * 40 + "abc\n2\n")
+        monkeypatch.setattr(signal, "_CHUNK", 8)
+        with pytest.raises(ParseError, match=r"^row 42: could not parse 'abc' as a number$") as exc:
+            load_signal(f)
+        assert exc.value.row == 42
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(content=FILES, chunk=st.integers(0, 64))
+def test_load_signal_matches_the_whole_file_parse(temp_csv, content, chunk):
+    # values, exception types and messages, at any chunk size
+    temp_csv.write_bytes(content.encode("utf-8"))
+    with mock.patch.object(signal, "_CHUNK", chunk):
+        assert outcome(load_signal, temp_csv) == outcome(whole_file_parse, temp_csv)
+
 
 class TestNormalize:
     def test_three_four_five(self):
