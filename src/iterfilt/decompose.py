@@ -161,10 +161,10 @@ def _sift_spectral(op: StructuredOperator, values: np.ndarray,
     the search for the stopping step, since a step scales each coefficient
     c by z = 1 - lambda and changes the iterate by ||lambda c||.
 
-    The transform is :meth:`StructuredOperator.to_eigenbasis`, whose
-    weights give each coefficient its share of the norm (the periodic kind
-    takes half the bins). Step 1 runs in signal space: the
-    anti-reflective transform is not orthogonal, but its ramp coefficients
+    The transform is :meth:`StructuredOperator.to_eigenbasis`, the real FFT
+    of one period of the kind's extension, whose weights give each bin its
+    share of the norm. Step 1 runs in signal space: the
+    anti-reflective basis is not orthogonal, but its ramp coefficients
     (eigenvalue one) vanish in that step, after which coefficient norms
     equal signal norms for every kind. Row j of the later steps holds the
     weighted squared coefficients before step k + j + 1. On a spectrum in

@@ -224,14 +224,18 @@ def actual_error(f1, f1_exact) -> np.ndarray:
 
 def relative_error(f1, f1_exact) -> float:
     """Max-norm relative error ||f1 - f1_exact||_inf / ||f1_exact||_inf, at
-    the unit scale of f1_exact (:func:`unit_exponent`), where nothing overflows."""
+    the unit scale of f1_exact (:func:`unit_exponent`); ValueError where f1
+    at that scale, or the error, exceeds the largest float."""
     e = unit_exponent(np.asarray(f1_exact, dtype=float))
-    a, b = (np.ldexp(np.asarray(v, dtype=float), -e) for v in (f1, f1_exact))
-    err = actual_error(a, b)
-    denom = float(np.abs(b).max())
-    if denom == 0.0:
-        raise ValueError("relative error undefined for a zero reference component")
-    return float(err.max()) / denom
+    try:
+        with np.errstate(over="raise"):
+            a, b = (np.ldexp(np.asarray(v, dtype=float), -e) for v in (f1, f1_exact))
+            err, denom = actual_error(a, b).max(), np.abs(b).max()
+            if denom == 0.0:
+                raise ValueError("relative error undefined for a zero reference component")
+            return float(err / denom)
+    except FloatingPointError:
+        raise ValueError("the relative error exceeds the largest float") from None
 
 
 @dataclass(frozen=True)

@@ -3,14 +3,16 @@
 A symmetric filter plus a boundary rule induces an n x n operator: Toeplitz
 for zero, circulant for periodic, Toeplitz-plus-Hankel for reflective and
 the anti-reflective algebra for anti-reflective extension. Each but the
-zero rule's is diagonalized by a fast transform, has closed-form
-eigenvalues and is applied in that eigenbasis; the zero rule's Toeplitz
-operator is applied by convolving directly, as a blocked Toeplitz product
-or by FFT, whichever costs least, and its spectrum takes a dense
+zero rule's is a circulant acting on one period of the rule's own
+extension of the signal (n, 2n or 2(n - 1) samples) and read on its first
+n, so it is diagonalized by that period's real FFT, one each way, has
+closed-form eigenvalues and is applied in that eigenbasis; the zero rule's
+Toeplitz operator is applied by convolving directly, as a blocked Toeplitz
+product or by FFT, whichever costs least, and its spectrum takes a dense
 eigensolve. The spectra, the eigenvectors of eigenvalue one, the
-diagonalizing transforms, a k-step power application through the
-eigenbasis and the iteration-count bound they give live here; the dense
-matrices are test oracles only.
+eigenbasis, a k-step power application through it and the
+iteration-count bound they give live here; the dense matrices are test
+oracles only.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .boundary import BoundaryKind
+from .boundary import BoundaryKind, extend
 from .filters import Filter
 
 __all__ = [
@@ -252,42 +254,61 @@ class StructuredOperator:
         i = np.arange(self.n)
         return Spectrum.from_values(np.linalg.eigvalsh(w[np.abs(i[:, None] - i)]))
 
-    def to_eigenbasis(self, x) -> tuple[np.ndarray, np.ndarray, np.ndarray | float]:
+    def to_eigenbasis(self, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Coefficients c of x in the diagonalizing basis, the eigenvalue of
         each coefficient and its weight in ||x||^2 = sum weight |c|^2.
 
-        The basis is the real DFT (periodic): c = rfft(x) at bins 0..n//2,
-        weight 2/n but 1/n at DC and, for even n, at Nyquist (the bins that
-        have no mirror image); the orthonormal DCT-II (reflective), weight 1;
-        or the anti-reflective transform, two ramps around a DST-I of the
-        interior, weight 1 once the ramp coefficients vanish. Raises
-        ValueError for the zero kind.
+        Each kind's operator acts on x as the filter's circulant on one
+        period of the kind's own extension of x
+        (:func:`~iterfilt.boundary.extend`), read on its first n samples, so
+        c is the rfft of that period, of N samples: x itself (periodic, N = n, bins 0..n//2); x and its mirror
+        image (reflective, N = 2n, bins 0..n-1, bin n of the even period
+        being zero); or x less the line through its end samples and the odd
+        reflection of that difference (anti-reflective, N = 2(n - 1), bins
+        0..n-1). Bins 0 and n-1 of the odd period are zero, so there they
+        hold the coefficients of the two ramps, ||ramp|| / (n - 1) times
+        the end sample, of weight 1. The other weights are those of the
+        period's real DFT, 2/N and 1/N at DC and Nyquist (the bins without
+        a mirror image), halved for the extended kinds, whose period holds
+        x twice; the identity holds for anti-reflective once the ramp
+        coefficients vanish. Raises ValueError for the zero kind.
         """
-        lam = self._transform_eigenvalues()
-        x = _as_vector(x, self.n)
-        if self.kind is BoundaryKind.PERIODIC:
-            n = self.n
-            weight = np.full(n // 2 + 1, 2.0 / n)
-            weight[[0, -1] if n % 2 == 0 else [0]] = 1.0 / n
-            return np.fft.rfft(x), lam, weight
-        if self.kind is BoundaryKind.REFLECTIVE:
-            return _dct2(x), lam, 1.0
-        return _art_inverse_apply(x), lam, 1.0
+        n, p = self.n, self._extension()
+        lam, size = self._transform_eigenvalues(), n + p
+        weight = np.full(lam.size, (1.0 if p else 2.0) / size)
+        weight[[0, -1] if 2 * (lam.size - 1) == size else [0]] /= 2  # DC and Nyquist
+        x = _as_vector(x, n)
+        if self.kind is BoundaryKind.ANTIREFLECTIVE:
+            ends = x[[0, -1]]
+            x = x - np.linspace(ends[0], ends[1], n)
+        c = np.fft.rfft(extend(x, self.kind, p)[p:] if p else x)[: lam.size]
+        if self.kind is BoundaryKind.ANTIREFLECTIVE:
+            c[[0, -1]], weight[[0, -1]] = ends * (_ramp_norm(n) / (n - 1)), 1.0
+        return c, lam, weight
 
     def from_eigenbasis(self, c) -> np.ndarray:
         """Signal with eigenbasis coefficients c, the inverse of
-        :meth:`to_eigenbasis`: irfft(c, n) of n//2 + 1 bins for the periodic
-        kind."""
-        if self.kind is BoundaryKind.PERIODIC:
-            return np.fft.irfft(_as_vector(c, self.n // 2 + 1, dtype=None), self.n)
-        c = _as_vector(c, self.n, dtype=None)
-        if self.kind is BoundaryKind.REFLECTIVE:
-            return _dct3(c)
-        if self.kind is BoundaryKind.ANTIREFLECTIVE:
-            return _art_apply(c)
-        raise ValueError("no diagonalizing transform for kind 'zero'")
+        :meth:`to_eigenbasis`: the first n samples of the period
+        irfft(c, N), plus the two ramps for the anti-reflective kind."""
+        n, p = self.n, self._extension()
+        c = _as_vector(c, n if p else n // 2 + 1, dtype=None)
+        if self.kind is not BoundaryKind.ANTIREFLECTIVE:
+            y = np.fft.irfft(c, n + p)
+            return y[:n].copy() if p else y
+        y = np.fft.irfft(np.concatenate([[0.0], c[1:-1], [0.0]]), n + p)[:n]
+        return y + np.linspace(*(c[[0, -1]].real * ((n - 1) / _ramp_norm(n))), n)
 
     # -- internal ---------------------------------------------------------
+
+    def _extension(self) -> int:
+        """The samples p on each side of the kind's extension whose last
+        n + p hold one period: 0 (periodic), n (reflective) or n - 2
+        (anti-reflective, whose extension repeats with period 2(n - 1)
+        once its ends are zero)."""
+        if self.kind is BoundaryKind.ZERO:
+            raise ValueError("no diagonalizing transform for kind 'zero'")
+        return {BoundaryKind.PERIODIC: 0, BoundaryKind.REFLECTIVE: self.n,
+                BoundaryKind.ANTIREFLECTIVE: self.n - 2}[self.kind]
 
     def _symbol(self, m: int) -> np.ndarray:
         """Filter frequency response w_0 + 2 sum_j w_j cos(2 pi i j / m),
@@ -296,16 +317,13 @@ class StructuredOperator:
         return 2.0 * np.fft.rfft(w, m).real - w[0]
 
     def _transform_eigenvalues(self) -> np.ndarray:
-        """Eigenvalues ordered to match the coefficients of :meth:`to_eigenbasis`."""
-        n = self.n
-        if self.kind is BoundaryKind.PERIODIC:
-            return self._symbol(n)
-        if self.kind is BoundaryKind.REFLECTIVE:
-            return self._symbol(2 * n)[:n]
+        """Eigenvalues ordered to match the coefficients of
+        :meth:`to_eigenbasis`: the symbol at the period's bins, 1 at the
+        anti-reflective ramps."""
+        lam = self._symbol(self.n + self._extension())[: self.n]
         if self.kind is BoundaryKind.ANTIREFLECTIVE:
-            inner = self._symbol(2 * (n - 1))[1: n - 1]
-            return np.concatenate([[1.0], inner, [1.0]])
-        raise ValueError("no closed-form eigenvalues for zero boundary conditions")
+            lam[[0, -1]] = 1.0
+        return lam
 
 
 def unit_eigenvectors(kind: BoundaryKind, n: int) -> list[np.ndarray]:
@@ -327,10 +345,11 @@ def unit_eigenvectors(kind: BoundaryKind, n: int) -> list[np.ndarray]:
 class ConvergenceConstants:
     """Boundary-dependent constants of the iteration-count bound.
 
-    alpha bounds the Euclidean norm of the diagonalizing transform (1 for
-    the orthogonal/unitary kinds, 3 for anti-reflective whose transform
-    splits into three unit-norm pieces), beta is the multiplicity of
-    eigenvalue one, zeta the number of zero eigenvalues.
+    alpha bounds the Euclidean norm of the unitary eigenbasis transform (1
+    for the periodic DFT and the reflective DCT-II, 3 for anti-reflective,
+    whose transform splits into two unit-norm ramps and a DST-I), beta is
+    the multiplicity of eigenvalue one, zeta the number of zero
+    eigenvalues.
     """
 
     alpha: float
@@ -353,7 +372,11 @@ def stopping_bound_k0(delta: float, op: StructuredOperator, s) -> int:
         k0^k0 / (k0+1)^(k0+1) < rhs = delta / (alpha * c * sqrt(n - beta - zeta))
 
     where c is the max-norm of the signal's coefficients in the unitary
-    eigenbasis (max|rfft(s)| / sqrt(n) for the periodic kind). As
+    eigenbasis, read off :meth:`StructuredOperator.to_eigenbasis`'s bins c:
+    max|c| / sqrt(n) for the periodic kind, whose unitary DFT scales the
+    rfft by 1 / sqrt(n), and max sqrt(weight) |c| for the extended kinds,
+    which gives the orthonormal DCT-II and DST-I coefficients and the two
+    ramp coefficients (weight 1) as they are. As
     (1 + 1/k)^k < e < (1 + 1/k)^(k+1), the left side lies strictly between
     1/(e (k+1)) and 1/(e k): every k >= x = 1/(e rhs) meets the bound and
     no k <= x - 1 does, so k0 is max(1, floor(x)) or the next integer. One
@@ -368,7 +391,9 @@ def stopping_bound_k0(delta: float, op: StructuredOperator, s) -> int:
     if not np.isfinite(s := _as_vector(s, op.n)).all():
         raise ValueError("s must be finite")
     consts = ConvergenceConstants.for_operator(op)
-    c_inf = float(np.abs(op.to_eigenbasis(s)[0]).max())
+    c, _, weight = op.to_eigenbasis(s)
+    c = np.abs(c) if op.kind is BoundaryKind.PERIODIC else np.sqrt(weight) * np.abs(c)
+    c_inf = float(c.max())
     m = op.n - consts.beta - consts.zeta
     if m <= 0 or c_inf == 0.0:
         return 1  # every step change is already zero
@@ -431,61 +456,9 @@ def _fast_len(target: int) -> int:
     return best
 
 
-# -- trigonometric transforms ------------------------------------------------
-
-
-def _dct2(x: np.ndarray) -> np.ndarray:
-    """Orthonormal DCT-II sqrt((2 - delta_i0)/n) sum_j x_j cos(i (2j+1) pi / (2n)),
-    by an FFT of the even extension."""
-    n = x.size
-    y = np.fft.rfft(np.concatenate([x, x[::-1]]))[:n] * np.exp(-0.5j * np.pi * np.arange(n) / n)
-    return 0.5 * np.sqrt((2.0 - (np.arange(n) == 0)) / n) * y.real
-
-
-def _dct3(c: np.ndarray) -> np.ndarray:
-    """Orthonormal DCT-III, the transpose (and inverse) of :func:`_dct2`."""
-    n = c.size
-    b = np.sqrt((2.0 - (np.arange(n) == 0)) / n) * np.exp(0.5j * np.pi * np.arange(n) / n) * c
-    return (2 * n) * np.fft.ifft(b, 2 * n)[:n].real
-
-
-def _dst1(x: np.ndarray) -> np.ndarray:
-    """Self-inverse DST-I sqrt(2/(m+1)) sum_j x_j sin((i+1)(j+1) pi / (m+1)),
-    by an FFT of the odd extension."""
-    m = x.size
-    odd = np.concatenate([[0.0], x, [0.0], -x[::-1]])
-    return -np.sqrt(0.5 / (m + 1)) * np.fft.rfft(odd)[1: m + 1].imag
-
-
-def _ramps(n: int) -> tuple[np.ndarray, np.ndarray, float]:
-    eta = float(np.sqrt(np.sum(np.arange(n, dtype=float) ** 2)))
-    up = np.arange(n, dtype=float)
-    return up[::-1].copy(), up, eta
-
-
-def _art_apply(c: np.ndarray) -> np.ndarray:
-    """Anti-reflective transform: two normalized ramp columns around an
-    embedded sine-transform block."""
-    down, up, eta = _ramps(c.size)
-    y = (c[0] * down + c[-1] * up) / eta
-    y[1:-1] += _dst1(c[1:-1])
-    return y
-
-
-def _art_inverse_apply(y: np.ndarray) -> np.ndarray:
-    """Invert the anti-reflective transform.
-
-    The first and last rows have a single nonzero entry, which pins the two
-    ramp coefficients; subtracting the ramp contribution from the interior
-    leaves a plain sine-transform problem, and that transform is its own
-    inverse.
-    """
-    n = y.size
-    down, up, eta = _ramps(n)
-    c = np.empty(n)
-    c[0], c[-1] = eta * y[0] / (n - 1), eta * y[-1] / (n - 1)
-    c[1:-1] = _dst1(y[1:-1] - (c[0] * down[1:-1] + c[-1] * up[1:-1]) / eta)
-    return c
+def _ramp_norm(n: int) -> float:
+    """||(0, 1, ..., n - 1)||, the norm of each anti-reflective ramp."""
+    return math.sqrt((n - 1) * n * (2 * n - 1) // 6)
 
 
 def diagonalized_power_apply(op: StructuredOperator, s, k: int) -> np.ndarray:

@@ -30,9 +30,16 @@ from iterfilt.decompose import (_decay_rows, _first_true, _search_stop, _strip_s
                                 _strips_pay)
 from conftest import (bench_chirp, kept_and_regenerated, noise_trend, outputs_by_blas_threads,
                       random_doubled_filter, same_sift, sine_trend)
-from oracles import dense_matrix, direct_apply, reference_sift, scan_stop
+from oracles import dense_eigenbasis, dense_matrix, direct_apply, reference_sift, scan_stop
 
 TRANSFORM_KINDS = [BoundaryKind.PERIODIC, BoundaryKind.REFLECTIVE, BoundaryKind.ANTIREFLECTIVE]
+# stopping_bound_k0 at delta = 1e-1, 1e-3, 1e-8 and 1e-12 for the n = 64
+# case of TestStoppingBound.test_least_k0_at_50_digits
+K0_AT_SEED_11 = {
+    BoundaryKind.PERIODIC: [49, 4915, 491524419, 4915244191133],
+    BoundaryKind.REFLECTIVE: [54, 5357, 535729092, 5357290915176],
+    BoundaryKind.ANTIREFLECTIVE: [213, 21252, 2125179774, 21251797739175],
+}
 
 
 def null_tuned_filter(period):
@@ -424,21 +431,31 @@ class TestStoppingBound:
     @pytest.mark.parametrize("delta", [1e-1, 1e-3, 1e-8, 1e-12, 1e-15])
     def test_least_k0_at_50_digits(self, kind, delta):
         # k0 meets k^k / (k+1)^(k+1) < delta / (alpha c sqrt(n - beta - zeta))
-        # and k0 - 1 does not, both sides at 50 digits; c from the transform
-        # the bound reads, over sqrt(n) for the periodic rfft. k0 runs from
-        # about 50 at delta = 1e-1 to 5e15-2e16 at 1e-15, where doubles no
-        # longer tell k0 from k0 - 1; the cases take both floor(1/(e rhs))
-        # and the next integer
+        # and k0 - 1 does not, both sides at 50 digits; c read off the bins
+        # as the bound reads it, |c| / sqrt(n) for the periodic rfft and
+        # sqrt(weight) |c| for the extended kinds, and within 1e-12 of the
+        # dense unitary eigenbasis's max-norm. k0 runs from about 50 at
+        # delta = 1e-1 to 5e15-2e16 at 1e-15, where doubles no longer tell
+        # k0 from k0 - 1 (one ulp of c moves it by a few); the cases take
+        # both floor(1/(e rhs)) and the next integer. Down to 1e-12, k0 is
+        # pinned to the values of the DCT-II and DST-I transforms that the
+        # bins replaced
         rng = np.random.default_rng(11)
         n = 64
         op = StructuredOperator(random_doubled_filter(rng, n), kind, n)
         s = rng.standard_normal(n)
         consts = ConvergenceConstants.for_operator(op)
         k0 = stopping_bound_k0(delta, op, s)
+        if delta >= 1e-12:
+            assert k0 == K0_AT_SEED_11[kind][[1e-1, 1e-3, 1e-8, 1e-12].index(delta)]
+        c, _, weight = op.to_eigenbasis(s)
+        c_dense = float(np.abs(dense_eigenbasis(op)[1] @ s).max())
         with localcontext(prec=50):
-            c = Decimal(float(np.abs(op.to_eigenbasis(s)[0]).max()))
             if kind is BoundaryKind.PERIODIC:
-                c /= Decimal(n).sqrt()
+                c = Decimal(float(np.abs(c).max())) / Decimal(n).sqrt()
+            else:
+                c = Decimal(float((np.sqrt(weight) * np.abs(c)).max()))
+            assert abs(float(c) - c_dense) <= 1e-12 * c_dense
             m = n - consts.beta - consts.zeta
             rhs = Decimal(delta) / (Decimal(consts.alpha) * c * Decimal(m).sqrt())
 

@@ -300,6 +300,16 @@ class TestRelativeError:
         with pytest.raises(ValueError):
             relative_error(np.ones(4), np.zeros(4))
 
+    @pytest.mark.filterwarnings("error")
+    def test_error_past_the_float_range_raises(self):
+        # f1 past the float range at the reference's unit scale, and an
+        # error that fits it but whose ratio does not
+        big = np.finfo(float).max
+        for f1, exact in (([big, 0.0], [1e-300, 0.0]), ([big], [0.5])):
+            with pytest.raises(ValueError, match="exceeds the largest float"):
+                relative_error(f1, exact)
+        assert relative_error([big], [1.0]) == pytest.approx(big, rel=1e-15)
+
 
 class TestBoundaryErrorEstimate:
     def test_fields(self, rng):

@@ -1,8 +1,8 @@
 """Module layout: no iterfilt module imports another one's private names,
 every exported name exists and is exported by one module only, the public
-names and the operator's public attributes are pinned lists, and every
-hook of the benchmark's tracer exists and receives the arguments it
-reads."""
+names and the operator's public attributes are pinned lists, no module
+runs a complex FFT, and every hook of the benchmark's tracer exists and
+receives the arguments it reads."""
 
 import ast
 import inspect
@@ -100,6 +100,36 @@ def test_operator_surface_is_pinned():
 
     op = StructuredOperator(Filter([0.5, 0.25]), BoundaryKind.PERIODIC, 8)
     assert sorted(name for name in dir(op) if not name.startswith("_")) == OPERATOR_NAMES
+
+
+COMPLEX_FFTS = {"fft", "ifft", "fftn", "ifftn", "hfft"}
+
+
+def complex_fft_uses(path):
+    """(line, name) of each complex FFT an iterfilt module reaches: an
+    attribute ``<...>.fft.<name>`` or a name imported from an fft module."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if (isinstance(node, ast.Attribute) and node.attr in COMPLEX_FFTS
+                and isinstance(node.value, ast.Attribute) and node.value.attr == "fft"):
+            found.append((node.lineno, ast.unparse(node)))
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").endswith("fft"):
+            found += [(node.lineno, a.name) for a in node.names if a.name in COMPLEX_FFTS]
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_only_real_ffts(path):
+    # every eigenbasis is the real FFT of one period of a real extension,
+    # so no module needs the complex transform
+    assert complex_fft_uses(path) == []
+
+
+def test_complex_fft_check_sees_calls(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("import numpy as np\nfrom numpy.fft import ifftn\n"
+                     "y = np.fft.ifft(np.fft.rfft(x))\nz = np.fft.irfft(x)\n")
+    assert complex_fft_uses(probe) == [(2, "ifftn"), (3, "np.fft.ifft")]
 
 
 def test_traced_propagation_steps_argument():

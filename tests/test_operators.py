@@ -42,9 +42,10 @@ def iterate_direct(op, s, k):
 
 
 def forward(kind, x):
-    """Coefficients of x in the eigenbasis of a ``kind`` operator: the real
-    DFT for periodic (bins 0..n//2), the orthonormal DCT-II for reflective.
-    The transforms do not depend on the filter."""
+    """Coefficients of x in the eigenbasis of a ``kind`` operator: the rfft
+    bins of one period of the kind's extension (0..n//2 for periodic,
+    0..n-1 for the other kinds). The transforms do not depend on the
+    filter."""
     x = np.asarray(x, dtype=float)
     return StructuredOperator(W3, kind, x.size).to_eigenbasis(x)[0]
 
@@ -66,10 +67,38 @@ def hermitian(c, n):
     return np.concatenate([c, np.conj(c[1: (n + 1) // 2][::-1])])
 
 
+def dct2_of_bins(c):
+    """The orthonormal DCT-II coefficients that the reflective bins c of
+    n = len(c) samples hold: 1/2 sqrt((2 - delta_k0)/n) Re(e^{-i pi k/(2n)} c_k)."""
+    n = len(c)
+    k = np.arange(n)
+    return 0.5 * np.sqrt((2.0 - (k == 0)) / n) * (np.exp(-0.5j * np.pi * k / n) * c).real
+
+
+def art_of_bins(c):
+    """The anti-reflective transform that the bins c of n = len(c) samples
+    hold: the two ramp coefficients as they are, and between them the DST-I
+    coefficients -Im(c_k) / sqrt(N) of the period of N = 2(n - 1)."""
+    n = len(c)
+    return np.r_[c[0].real, -c[1:-1].imag / np.sqrt(2 * (n - 1)), c[-1].real]
+
+
+def art_inverse(d):
+    """The signal whose anti-reflective transform (:func:`art_of_bins`) is d."""
+    n = len(d)
+    c = np.r_[d[0], -1j * np.sqrt(2 * (n - 1)) * np.asarray(d[1:-1]), d[-1]]
+    return inverse(BoundaryKind.ANTIREFLECTIVE, c)
+
+
+def dct2(x):
+    """Orthonormal DCT-II of x, from the reflective bins."""
+    return dct2_of_bins(forward(BoundaryKind.REFLECTIVE, x))
+
+
 def dst1(x):
-    """DST-I of x: the interior of the anti-reflective forward transform of
-    x with a zero sample added at each end."""
-    return forward(BoundaryKind.ANTIREFLECTIVE, np.pad(x, 1))[1:-1]
+    """DST-I of x: the interior of the anti-reflective transform of x with
+    a zero sample added at each end."""
+    return art_of_bins(forward(BoundaryKind.ANTIREFLECTIVE, np.pad(x, 1)))[1:-1]
 
 
 class TestApply:
@@ -398,7 +427,7 @@ class TestTransforms:
     def test_dct3_norm_preservation(self, rng):
         for _ in range(5):
             x = rng.standard_normal(17)
-            out = forward(BoundaryKind.REFLECTIVE, x)
+            out = dct2(x)
             assert abs(np.linalg.norm(out) - np.linalg.norm(x)) <= 1e-12
 
     def test_dst1_norm_preservation(self, rng):
@@ -417,7 +446,7 @@ class TestTransforms:
         for n in SIZES:
             x = rng.standard_normal(n)
             ref = scipy.fft.dct(x, type=2, norm="ortho")
-            assert np.abs(forward(BoundaryKind.REFLECTIVE, x) - ref).max() <= 1e-12
+            assert np.abs(dct2(x) - ref).max() <= 1e-12
 
     def test_dst1_against_scipy(self, rng):
         for m in (1, 2) + SIZES + (19,):
@@ -428,7 +457,7 @@ class TestTransforms:
     def test_fft_transforms_match_dense(self, rng):
         for n in SIZES:
             x = rng.standard_normal(n)
-            assert np.abs(forward(BoundaryKind.REFLECTIVE, x) - dct3_matrix(n) @ x).max() <= 1e-12
+            assert np.abs(dct2(x) - dct3_matrix(n) @ x).max() <= 1e-12
             assert np.abs(dst1(x) - dst1_matrix(n) @ x).max() <= 1e-12
             scale = np.sqrt(n)
             assert np.abs(forward(BoundaryKind.PERIODIC, x) / scale - unitary_half(x)).max() <= 1e-12
@@ -455,13 +484,13 @@ class TestTransforms:
 
     def test_art_not_orthogonal(self, rng):
         x = rng.standard_normal(10)
-        out = inverse(BoundaryKind.ANTIREFLECTIVE, x)
+        out = art_inverse(x)
         assert abs(np.linalg.norm(out) - np.linalg.norm(x)) > 1e-6
 
     def test_art_inverse_round_trip(self, rng):
         x = rng.standard_normal(15)
         kind = BoundaryKind.ANTIREFLECTIVE
-        assert np.abs(forward(kind, inverse(kind, x)) - x).max() <= 1e-11
+        assert np.abs(art_of_bins(forward(kind, art_inverse(x))) - x).max() <= 1e-11
 
 
 class TestDiagonalization:
@@ -485,7 +514,7 @@ class TestDiagonalization:
 
         op = StructuredOperator(filt, BoundaryKind.ANTIREFLECTIVE, n)
         lam = op.to_eigenbasis(zeros)[1]
-        cols = [op.from_eigenbasis(col) for col in np.eye(n)]
+        cols = [art_inverse(col) for col in np.eye(n)]
         Q = np.column_stack(cols)
         rebuilt = Q @ np.diag(lam) @ np.linalg.inv(Q)
         assert np.abs(rebuilt - dense_matrix(op)).max() <= 1e-10
@@ -508,15 +537,19 @@ class TestDiagonalization:
                 q, q_inv = dense_eigenbasis(op)
                 s = rng.standard_normal(n)
                 c, _, _ = op.to_eigenbasis(s)
-                # the periodic kind: the rfft, bins 0..n//2 of sqrt(n) times the unitary DFT
-                scale = np.sqrt(n) if kind is BoundaryKind.PERIODIC else 1.0
-                assert np.abs(c / scale - (q_inv @ s)[: c.size]).max() <= 1e-12
+                # the periodic kind: the rfft, bins 0..n//2 of sqrt(n) times
+                # the unitary DFT; the others: the bins' DCT-II or ramps and DST-I
+                unit = {BoundaryKind.PERIODIC: c / np.sqrt(n),
+                        BoundaryKind.REFLECTIVE: dct2_of_bins(c),
+                        BoundaryKind.ANTIREFLECTIVE: art_of_bins(c)}[kind]
+                assert np.abs(unit - (q_inv @ s)[: c.size]).max() <= 1e-12
                 assert np.abs(op.from_eigenbasis(c) - s).max() <= 1e-12
 
     def test_real_eigenbasis_matches_closed_form(self, rng):
         # the periodic kind's real transform: the rfft with the cosine-table
-        # eigenvalue of each bin, and weights that give back ||x||^2; the
-        # orthonormal kinds weigh every coefficient by one
+        # eigenvalue of each bin, and weights that give back ||x||^2, as do
+        # the extended kinds' (anti-reflective: once the ramps vanish), whose
+        # ramp coefficients weigh one
         for n in (3, 4, 5, 16, 33, 301, 1024):
             l = int(rng.integers(1, (n - 1) // 2 + 1))
             op = StructuredOperator(random_filter(rng, l), BoundaryKind.PERIODIC, n)
@@ -528,8 +561,12 @@ class TestDiagonalization:
             assert abs(weight @ np.abs(c) ** 2 - s @ s) <= 1e-12 * (s @ s)
             assert np.abs(op.from_eigenbasis(c) - s).max() <= 1e-12
         for kind in (BoundaryKind.REFLECTIVE, BoundaryKind.ANTIREFLECTIVE):
-            assert StructuredOperator(random_filter(rng, 2), kind, 10).to_eigenbasis(
-                np.ones(10))[2] == 1.0
+            s = np.pad(rng.standard_normal(8), 1)  # no ramp component
+            c, _, weight = StructuredOperator(random_filter(rng, 2), kind, 10).to_eigenbasis(s)
+            assert c.shape == weight.shape == (10,)
+            assert abs(weight @ np.abs(c) ** 2 - s @ s) <= 1e-12 * (s @ s)
+            if kind is BoundaryKind.ANTIREFLECTIVE:
+                assert np.array_equal(weight[[0, -1]], [1.0, 1.0])
 
     def test_zero_kind_has_no_eigenbasis(self, rng):
         op = StructuredOperator(random_filter(rng, 2), BoundaryKind.ZERO, 10)
