@@ -1,8 +1,9 @@
 """Signal extension rules outside the field of view.
 
 Four named rules (zero, periodic, reflective, anti-reflective), each one of
-numpy's pad modes: :func:`extend` returns the n + 2p samples of the
-extended signal as one array, the original samples at positions p..p+n-1.
+numpy's pad modes (constant, wrap, symmetric and odd reflect):
+:func:`extend` returns the n + 2p samples of the extended signal as one
+array, the original samples at positions p..p+n-1.
 """
 
 from __future__ import annotations
@@ -21,15 +22,6 @@ class BoundaryKind(str, Enum):
     ANTIREFLECTIVE = "antireflective"
 
 
-# np.pad's keyword arguments for each rule
-_PAD_MODES = {
-    BoundaryKind.ZERO: {"mode": "constant"},
-    BoundaryKind.PERIODIC: {"mode": "wrap"},
-    BoundaryKind.REFLECTIVE: {"mode": "symmetric"},
-    BoundaryKind.ANTIREFLECTIVE: {"mode": "reflect", "reflect_type": "odd"},
-}
-
-
 def extend(s, kind: BoundaryKind, p: int) -> np.ndarray:
     """The n + 2p samples of a signal extended by p per side under a rule.
 
@@ -42,6 +34,8 @@ def extend(s, kind: BoundaryKind, p: int) -> np.ndarray:
 
     Element p + i of the result is s_i. Periodic and reflective need
     p <= n; anti-reflective needs p <= n-1 because it indexes sample j = p.
+    The result is joined from slices, with np.pad's bits: its odd
+    reflection is 2 edge - sample too.
     """
     v = np.asarray(s, dtype=float)
     n = v.size
@@ -54,4 +48,15 @@ def extend(s, kind: BoundaryKind, p: int) -> np.ndarray:
         raise ValueError(f"reflective extension needs p <= n, got p={p}, n={n}")
     if kind is BoundaryKind.ANTIREFLECTIVE and p > n - 1:
         raise ValueError(f"anti-reflective extension needs p <= n-1, got p={p}, n={n}")
-    return np.pad(v, p, **_PAD_MODES[kind])
+    if kind is BoundaryKind.ZERO:
+        left = right = np.zeros(p)
+    elif kind is BoundaryKind.PERIODIC:
+        left, right = v[n - p:], v[:p]
+    else:
+        # the p samples next to each end, the end sample itself only for
+        # reflective; slicing the reversed v keeps right whole at p = n
+        skip = int(kind is BoundaryKind.ANTIREFLECTIVE)
+        left, right = v[skip: p + skip][::-1], v[::-1][skip: p + skip]
+        if skip:
+            left, right = 2.0 * v[0] - left, 2.0 * v[-1] - right
+    return np.concatenate([left, v, right])

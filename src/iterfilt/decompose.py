@@ -18,7 +18,7 @@ from .boundary import BoundaryKind, extend
 from .filters import (Filter, FilterShape, convolve_self, filter_length, raised_cosine_shape,
                       sample_filter)
 from .operators import StructuredOperator, spectrum_outside_unit
-from .signal import dot, l2_norm, scale_back, unit_exponent
+from .signal import dot, l2_norm, scale_back, scale_back_parts, unit_exponent
 
 __all__ = [
     "StoppingConfig",
@@ -585,7 +585,7 @@ def _outer_loop(values: np.ndarray, shape: FilterShape, kind: BoundaryKind,
         residual -= imf
     imfs.append(residual)
     diags.append(ImfDiagnostics(0, 0, None))
-    return [scale_back(f, e, f"component {j}") for j, f in enumerate(imfs, 1)], diags
+    return scale_back_parts(imfs, e, values), diags
 
 
 def dif(s, shape: FilterShape | None = None,
@@ -635,6 +635,5 @@ def eif(s, shape: FilterShape | None = None,
     e = unit_exponent(values)
     imfs_ext, diags = _outer_loop(extend(np.ldexp(values, -e), kind, p), shape,
                                   BoundaryKind.PERIODIC, cfg)
-    imfs = [scale_back(f[p: p + values.size].copy(), e, f"component {j}")
-            for j, f in enumerate(imfs_ext, 1)]
+    imfs = scale_back_parts([f[p: p + values.size].copy() for f in imfs_ext], e, values)
     return Decomposition(imfs=imfs, diagnostics=diags, pad=p)

@@ -289,6 +289,12 @@ def phase_sweep(generator: Callable, dt: float, span: float,
     known exact component; the worst-case upper bound is propagated for as
     many steps as the slowest of those runs actually took. Each sweep point records the
     relative errors, the relative upper bound and the best-performing kind.
+
+    Under glibc the sweep keeps 1 MiB free at the heap top (``mallopt``,
+    M_TOP_PAD) for the rest of the process, not just for the sweep, and
+    that also switches off glibc's dynamic mmap threshold: after one sweep,
+    each ``decompose`` of n = 200,000 noise on a trend in the same process
+    took 17,100-19,000 minor page faults, against 5,300-5,700 without it.
     """
     for name, value in (("dt", dt), ("span", span)):
         if not (math.isfinite(value) and value > 0.0):

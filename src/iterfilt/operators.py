@@ -9,10 +9,9 @@ n, so it is diagonalized by that period's real FFT, one each way, has
 closed-form eigenvalues and is applied in that eigenbasis; the zero rule's
 Toeplitz operator is applied by convolving directly, as a blocked Toeplitz
 product or by FFT, whichever costs least, and its spectrum takes a dense
-eigensolve. The spectra, the eigenvectors of eigenvalue one, the
-eigenbasis, a k-step power application through it and the
-iteration-count bound they give live here; the dense matrices are test
-oracles only.
+eigensolve. The spectra, the eigenbasis, a k-step power application
+through it and the iteration-count bound it gives live here; the dense
+matrices and the eigenvectors of eigenvalue one are test oracles only.
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ __all__ = [
     "StructuredOperator",
     "Spectrum",
     "ConvergenceConstants",
-    "unit_eigenvectors",
     "diagonalized_power_apply",
     "stopping_bound_k0",
 ]
@@ -326,21 +324,6 @@ class StructuredOperator:
         return lam
 
 
-def unit_eigenvectors(kind: BoundaryKind, n: int) -> list[np.ndarray]:
-    """Eigenvectors of eigenvalue one, valid for every admissible filter.
-
-    Periodic and reflective share the constant vector; anti-reflective has
-    the two boundary ramps. The zero kind has no unit eigenvalue.
-    """
-    kind = BoundaryKind(kind)
-    if kind in (BoundaryKind.PERIODIC, BoundaryKind.REFLECTIVE):
-        return [np.ones(n)]
-    if kind is BoundaryKind.ANTIREFLECTIVE:
-        ramp = np.arange(n, dtype=float)
-        return [ramp, ramp[::-1].copy()]
-    raise ValueError("zero boundary conditions have no unit eigenvalue")
-
-
 @dataclass(frozen=True)
 class ConvergenceConstants:
     """Boundary-dependent constants of the iteration-count bound.
@@ -348,8 +331,9 @@ class ConvergenceConstants:
     alpha bounds the Euclidean norm of the unitary eigenbasis transform (1
     for the periodic DFT and the reflective DCT-II, 3 for anti-reflective,
     whose transform splits into two unit-norm ramps and a DST-I), beta is
-    the multiplicity of eigenvalue one, zeta the number of zero
-    eigenvalues.
+    the multiplicity of eigenvalue one (the constant vector, or the two
+    anti-reflective ramps, whatever the filter), zeta the number of zero
+    eigenvalues, |lambda| <= 1e-10.
     """
 
     alpha: float
@@ -359,9 +343,17 @@ class ConvergenceConstants:
     @classmethod
     def for_operator(cls, op: StructuredOperator) -> "ConvergenceConstants":
         """Raises ValueError for the zero kind, which has no unit eigenvalue."""
-        beta = len(unit_eigenvectors(op.kind, op.n))
-        alpha = 3.0 if op.kind is BoundaryKind.ANTIREFLECTIVE else 1.0
-        return cls(alpha=alpha, beta=beta, zeta=op.eigenvalues().zero_multiplicity)
+        return cls._of(op, op._transform_eigenvalues())
+
+    @classmethod
+    def _of(cls, op: StructuredOperator, lam: np.ndarray) -> "ConvergenceConstants":
+        """The constants from ``lam``, the eigenvalues of the bins of
+        :meth:`StructuredOperator.to_eigenbasis`, whose periodic bins
+        1..(n - 1)//2 stand for their mirror images too."""
+        zero = np.abs(lam) <= _MULT_TOL
+        mirrored = zero[1: (op.n + 1) // 2] if op.kind is BoundaryKind.PERIODIC else []
+        alpha, beta = (3.0, 2) if op.kind is BoundaryKind.ANTIREFLECTIVE else (1.0, 1)
+        return cls(alpha, beta, int(np.count_nonzero(zero) + np.count_nonzero(mirrored)))
 
 
 def stopping_bound_k0(delta: float, op: StructuredOperator, s) -> int:
@@ -371,12 +363,13 @@ def stopping_bound_k0(delta: float, op: StructuredOperator, s) -> int:
 
         k0^k0 / (k0+1)^(k0+1) < rhs = delta / (alpha * c * sqrt(n - beta - zeta))
 
-    where c is the max-norm of the signal's coefficients in the unitary
-    eigenbasis, read off :meth:`StructuredOperator.to_eigenbasis`'s bins c:
-    max|c| / sqrt(n) for the periodic kind, whose unitary DFT scales the
-    rfft by 1 / sqrt(n), and max sqrt(weight) |c| for the extended kinds,
-    which gives the orthonormal DCT-II and DST-I coefficients and the two
-    ramp coefficients (weight 1) as they are. As
+    (:class:`ConvergenceConstants`, zeta from the eigenvalues of the same
+    transform) where c is the max-norm of the signal's coefficients in the
+    unitary eigenbasis, read off :meth:`StructuredOperator.to_eigenbasis`'s
+    bins c: max|c| / sqrt(n) for the periodic kind, whose unitary DFT
+    scales the rfft by 1 / sqrt(n), and max sqrt(weight) |c| for the
+    extended kinds, which gives the orthonormal DCT-II and DST-I
+    coefficients and the two ramp coefficients (weight 1) as they are. As
     (1 + 1/k)^k < e < (1 + 1/k)^(k+1), the left side lies strictly between
     1/(e (k+1)) and 1/(e k): every k >= x = 1/(e rhs) meets the bound and
     no k <= x - 1 does, so k0 is max(1, floor(x)) or the next integer. One
@@ -390,8 +383,8 @@ def stopping_bound_k0(delta: float, op: StructuredOperator, s) -> int:
         raise ValueError("delta must be finite and positive")
     if not np.isfinite(s := _as_vector(s, op.n)).all():
         raise ValueError("s must be finite")
-    consts = ConvergenceConstants.for_operator(op)
-    c, _, weight = op.to_eigenbasis(s)
+    c, lam, weight = op.to_eigenbasis(s)
+    consts = ConvergenceConstants._of(op, lam)
     c = np.abs(c) if op.kind is BoundaryKind.PERIODIC else np.sqrt(weight) * np.abs(c)
     c_inf = float(c.max())
     m = op.n - consts.beta - consts.zeta

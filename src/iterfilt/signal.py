@@ -97,6 +97,21 @@ def scale_back(x: np.ndarray, e: int, what: str) -> np.ndarray:
     return np.ldexp(x, e, out=x)
 
 
+def scale_back_parts(parts: list[np.ndarray], e: int, s: np.ndarray) -> list[np.ndarray]:
+    """Parts computed on s 2^-e whose sum is s, the last one the remainder,
+    each scaled back by :func:`scale_back` as "component j". Below scale 1
+    the last is s less the others in turn, at s's scale: the bits of the
+    scaled-back remainder wherever the others scale back exactly, and where
+    they round to subnormals, a sum back to an all-subnormal s that is
+    exact, as every sum of subnormals is."""
+    parts = [scale_back(f, e, f"component {j}") for j, f in enumerate(parts, 1)]
+    if e < 0:
+        np.copyto(rest := parts[-1], s)
+        for f in parts[:-1]:
+            rest -= f
+    return parts
+
+
 def dot(x: np.ndarray, y: np.ndarray) -> float:
     """x . y summed by numpy, not BLAS: OpenBLAS splits dot products of
     more than 10,000 samples among its threads, which would round every

@@ -3,17 +3,19 @@
 The dense operator matrices, built from the Toeplitz / circulant /
 Toeplitz-plus-Hankel / anti-reflective templates, and their numerical
 spectra are what the matrix-free products and the closed-form eigenvalues
-must reproduce; the dense transform matrices and the cosine-sum eigenvalue table are the
-O(n^2) and O(n l) definitions the FFT-based code replaces; the direct
-product is the extend-then-convolve definition of W x that the operator's
-eigenbasis product replaces; the reference sift is the
-per-step loop of direct products that every sift must reproduce step for
-step; the stop scan is the row-by-row stopping rule that the sift's search
-for the stopping step replaces; the dense propagation is the step-by-step iteration of the periodic
-operator that both kernels of the boundary-error propagation replace; the
-dominant period reads the period of a boundary-error curve off its
-spectrum peak; the whole-file parse is the CSV reader that lists all of a
-file's lines at once, which the chunked reader replaces.
+must reproduce; the unit eigenvectors are the constant vector and the
+anti-reflective ramps, which the bound's beta counts; the dense transform
+matrices and the cosine-sum eigenvalue table are the O(n^2) and O(n l)
+definitions the FFT-based code replaces; the direct product is the
+extend-then-convolve definition of W x that the operator's eigenbasis
+product replaces; the reference sift is the per-step loop of direct
+products that every sift must reproduce step for step; the stop scan is
+the row-by-row stopping rule that the sift's search for the stopping step
+replaces; the dense propagation is the step-by-step iteration of the
+periodic operator that both kernels of the boundary-error propagation
+replace; the dominant period reads the period of a boundary-error curve
+off its spectrum peak; the whole-file parse is the CSV reader that lists
+all of a file's lines at once, which the chunked reader replaces.
 """
 
 import math
@@ -71,6 +73,21 @@ def dense_matrix(op):
     jj = j[: n - 2, : n - 2]
     W[1: n - 1, 1: n - 1] = w[np.abs(ii - jj)] - w[ii + jj + 2] - w[2 * n - 4 - ii - jj]
     return W
+
+
+def unit_eigenvectors(kind, n):
+    """Eigenvectors of eigenvalue one, valid for every admissible filter.
+
+    Periodic and reflective share the constant vector; anti-reflective has
+    the two boundary ramps. The zero kind has no unit eigenvalue.
+    """
+    kind = BoundaryKind(kind)
+    if kind in (BoundaryKind.PERIODIC, BoundaryKind.REFLECTIVE):
+        return [np.ones(n)]
+    if kind is BoundaryKind.ANTIREFLECTIVE:
+        ramp = np.arange(n, dtype=float)
+        return [ramp, ramp[::-1].copy()]
+    raise ValueError("zero boundary conditions have no unit eigenvalue")
 
 
 def dense_spectrum(op):

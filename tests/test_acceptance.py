@@ -27,11 +27,11 @@ from iterfilt import (
     raised_cosine_shape,
     sample_filter,
     stopping_bound_k0,
-    unit_eigenvectors,
 )
 from iterfilt.cli import run
 from conftest import random_doubled_filter, random_filter, sine_trend
-from oracles import dense_matrix, dense_power_apply, dense_spectrum, direct_apply, dominant_period
+from oracles import (dense_matrix, dense_power_apply, dense_spectrum, direct_apply, dominant_period,
+                     unit_eigenvectors)
 
 TRANSFORM_KINDS = [BoundaryKind.PERIODIC, BoundaryKind.REFLECTIVE, BoundaryKind.ANTIREFLECTIVE]
 

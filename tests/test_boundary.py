@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,16 @@ from iterfilt import BoundaryKind, error_propagation, extend
 from conftest import random_doubled_filter
 
 S4 = np.array([1.0, 2.0, 3.0, 4.0])
+# np.pad's keyword arguments for each rule, and each rule's largest p;
+# the zero rule has no limit and is checked up to 2n
+PAD_MODES = {
+    BoundaryKind.ZERO: {"mode": "constant"},
+    BoundaryKind.PERIODIC: {"mode": "wrap"},
+    BoundaryKind.REFLECTIVE: {"mode": "symmetric"},
+    BoundaryKind.ANTIREFLECTIVE: {"mode": "reflect", "reflect_type": "odd"},
+}
+PAD_ORACLE = [(BoundaryKind.ZERO, lambda n: 2 * n), (BoundaryKind.PERIODIC, lambda n: n),
+              (BoundaryKind.REFLECTIVE, lambda n: n), (BoundaryKind.ANTIREFLECTIVE, lambda n: n - 1)]
 
 
 class TestExtend:
@@ -47,14 +59,15 @@ class TestExtend:
             extend(S4, kind, pmax + 1)
 
     def test_matches_numpy_pad_oracle(self, rng):
-        v = rng.standard_normal(23)
-        for p in (1, 3, 7):
-            assert np.array_equal(extend(v, "periodic", p), np.pad(v, p, mode="wrap"))
-            assert np.array_equal(extend(v, "reflective", p), np.pad(v, p, mode="symmetric"))
-            assert np.array_equal(
-                extend(v, "antireflective", p),
-                np.pad(v, p, mode="reflect", reflect_type="odd"),
-            )
+        # bit for bit, signed zeros included, at every p up to each rule's
+        # limit, for odd and even n and at scales near both ends of the
+        # float range
+        for n, scale in itertools.product((3, 4, 23), (1.0, 1e300, 1e-300)):
+            v = scale * rng.standard_normal(n)
+            v[n // 2] = -0.0
+            for kind, limit in PAD_ORACLE:
+                for p in range(limit(n) + 1):
+                    assert extend(v, kind, p).tobytes() == np.pad(v, p, **PAD_MODES[kind]).tobytes()
 
     def test_periodic_exact_for_wrap_periodic_signal(self):
         # integer-frequency sinusoid on the wrap grid continues exactly

@@ -27,6 +27,7 @@ import pytest
 import iterfilt
 from iterfilt import (
     BoundaryKind,
+    ConvergenceConstants,
     Filter,
     StoppingConfig,
     StructuredOperator,
@@ -42,9 +43,11 @@ from iterfilt import (
     inner_loop,
     load_signal,
     make_sine_trend_generator,
+    operators,
     phase_sweep,
     raised_cosine_shape,
     sample_filter,
+    stopping_bound_k0,
 )
 from conftest import bench_chirp, noise_trend
 from test_decompose import chirp
@@ -83,6 +86,34 @@ def test_zero_kind_fft_sift_builds_tap_spectrum_once(apply_calls, monkeypatch):
     assert lengths.count(2 * filt.length + 1) == 1             # the taps, once per operator
     assert lengths.count(s.size) == len(apply_calls) > 1       # the vector, once per product
     assert len(lengths) == len(apply_calls) + 1
+
+
+@pytest.mark.parametrize("kind,period", [(BoundaryKind.PERIODIC, 1000),
+                                         (BoundaryKind.REFLECTIVE, 2000),
+                                         (BoundaryKind.ANTIREFLECTIVE, 1998)], ids=str)
+def test_stopping_bound_transforms_once(monkeypatch, kind, period):
+    # the bound's constants come from the eigenvalues of its own transform
+    # of s: one rfft of the taps, one of the period, and no sorted spectrum
+    op = StructuredOperator(convolve_self(sample_filter(raised_cosine_shape(), 10)), kind, 1000)
+    lengths, spectra = [], []
+    rfft, eigenvalues = np.fft.rfft, StructuredOperator.eigenvalues
+
+    def counted(a, *args, **kwargs):
+        lengths.append(np.shape(a)[-1])
+        return rfft(a, *args, **kwargs)
+
+    def counted_spectrum(self):
+        spectra.append(self.kind)
+        return eigenvalues(self)
+
+    monkeypatch.setattr(np.fft, "rfft", counted)
+    monkeypatch.setattr(StructuredOperator, "eigenvalues", counted_spectrum)
+    assert stopping_bound_k0(1e-3, op, chirp(op.n)) > 1
+    assert lengths == [op.filter.length + 1, period]   # the taps, then the period
+    del lengths[:]
+    assert ConvergenceConstants.for_operator(op).beta == 1 + (kind is BoundaryKind.ANTIREFLECTIVE)
+    assert lengths == [op.filter.length + 1]
+    assert spectra == [] and not hasattr(operators, "unit_eigenvectors")
 
 
 def test_zero_kind_blocked_sift_builds_tap_blocks_once(apply_calls, monkeypatch):

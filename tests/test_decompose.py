@@ -30,7 +30,8 @@ from iterfilt.decompose import (_decay_rows, _first_true, _search_stop, _strip_s
                                 _strips_pay)
 from conftest import (bench_chirp, kept_and_regenerated, noise_trend, outputs_by_blas_threads,
                       random_doubled_filter, same_sift, sine_trend)
-from oracles import dense_eigenbasis, dense_matrix, direct_apply, reference_sift, scan_stop
+from oracles import (dense_eigenbasis, dense_matrix, direct_apply, reference_sift, scan_stop,
+                     unit_eigenvectors)
 
 TRANSFORM_KINDS = [BoundaryKind.PERIODIC, BoundaryKind.REFLECTIVE, BoundaryKind.ANTIREFLECTIVE]
 # stopping_bound_k0 at delta = 1e-1, 1e-3, 1e-8 and 1e-12 for the n = 64
@@ -42,6 +43,12 @@ K0_AT_SEED_11 = {
 }
 
 
+# (period, n) of null-tuned operators with zero eigenvalues: periodic at
+# even n = 32 and 36 and odd n = 35, reflective at 32 and 35,
+# anti-reflective at 33 and 36
+NULL_TUNED = [(8, 32), (8, 33), (7, 35), (7, 36)]
+
+
 def null_tuned_filter(period):
     """Doubled raised-cosine filter whose response vanishes at 1/period.
 
@@ -50,6 +57,14 @@ def null_tuned_filter(period):
     sine passes through I - W untouched away from the boundaries.
     """
     return convolve_self(sample_filter(raised_cosine_shape(), period - 1))
+
+
+def edge_null_filter(n):
+    """Doubled three-tap filter whose periodic symbol vanishes at the last
+    bin of n samples, (n - 1) / 2 for odd n (which stands for its mirror
+    image too) and the Nyquist bin n / 2 for even n (which does not)."""
+    c = math.cos(math.pi / n) if n % 2 else 1.0
+    return convolve_self(Filter(np.array([c, 0.5]) / (1.0 + c)))
 
 
 class TestInnerLoop:
@@ -379,6 +394,48 @@ class TestConvergenceConstants:
         c = ConvergenceConstants.for_operator(op)
         assert c.zeta >= 1  # the tuned spectral zero
 
+    def test_zeta_is_the_spectrum_zero_multiplicity(self, rng):
+        # zeta counts the zeros among the transform's bins, each periodic
+        # bin 1..(n - 1)//2 twice for its mirror image: the sorted
+        # spectrum's count, for odd and even n, with and without zeros
+        zetas = {kind: [] for kind in TRANSFORM_KINDS}
+        for period, n in NULL_TUNED:
+            for filt in (null_tuned_filter(period), edge_null_filter(n),
+                         random_doubled_filter(rng, n)):
+                for kind in TRANSFORM_KINDS:
+                    op = StructuredOperator(filt, kind, n)
+                    zeta = ConvergenceConstants.for_operator(op).zeta
+                    assert zeta == op.eigenvalues().zero_multiplicity
+                    zetas[kind].append(zeta)
+        assert all(max(z) > 0 for z in zetas.values())
+
+
+def assert_least_k0(op, s, delta, k0):
+    """k0 meets k^k / (k+1)^(k+1) < delta / (alpha c sqrt(n - beta - zeta))
+    and k0 - 1 does not, both sides at 50 digits; alpha and beta per kind,
+    zeta the sorted spectrum's zero count, c read off the bins as the bound
+    reads it, |c| / sqrt(n) for the periodic rfft and sqrt(weight) |c| for
+    the extended kinds, and within 1e-12 of the dense unitary eigenbasis's
+    max-norm."""
+    n = op.n
+    alpha, beta = (3, 2) if op.kind is BoundaryKind.ANTIREFLECTIVE else (1, 1)
+    c, _, weight = op.to_eigenbasis(s)
+    c_dense = float(np.abs(dense_eigenbasis(op)[1] @ s).max())
+    with localcontext(prec=50):
+        if op.kind is BoundaryKind.PERIODIC:
+            c = Decimal(float(np.abs(c).max())) / Decimal(n).sqrt()
+        else:
+            c = Decimal(float((np.sqrt(weight) * np.abs(c)).max()))
+        assert abs(float(c) - c_dense) <= 1e-12 * c_dense
+        m = n - beta - op.eigenvalues().zero_multiplicity
+        rhs = Decimal(delta) / (Decimal(alpha) * c * Decimal(m).sqrt())
+
+        def holds(k):
+            k = Decimal(k)
+            return (k / (k + 1)) ** k / (k + 1) < rhs
+
+        assert holds(k0) and (k0 == 1 or not holds(k0 - 1))
+
 
 class TestStoppingBound:
     def test_large_threshold_gives_one(self, rng):
@@ -430,40 +487,30 @@ class TestStoppingBound:
     @pytest.mark.parametrize("kind", TRANSFORM_KINDS, ids=lambda k: k.value)
     @pytest.mark.parametrize("delta", [1e-1, 1e-3, 1e-8, 1e-12, 1e-15])
     def test_least_k0_at_50_digits(self, kind, delta):
-        # k0 meets k^k / (k+1)^(k+1) < delta / (alpha c sqrt(n - beta - zeta))
-        # and k0 - 1 does not, both sides at 50 digits; c read off the bins
-        # as the bound reads it, |c| / sqrt(n) for the periodic rfft and
-        # sqrt(weight) |c| for the extended kinds, and within 1e-12 of the
-        # dense unitary eigenbasis's max-norm. k0 runs from about 50 at
-        # delta = 1e-1 to 5e15-2e16 at 1e-15, where doubles no longer tell
-        # k0 from k0 - 1 (one ulp of c moves it by a few); the cases take
-        # both floor(1/(e rhs)) and the next integer. Down to 1e-12, k0 is
-        # pinned to the values of the DCT-II and DST-I transforms that the
-        # bins replaced
+        # k0 is the least k at 50 digits (assert_least_k0). It runs from
+        # about 50 at delta = 1e-1 to 5e15-2e16 at 1e-15, where doubles no
+        # longer tell k0 from k0 - 1 (one ulp of c moves it by a few); the
+        # cases take both floor(1/(e rhs)) and the next integer. Down to
+        # 1e-12, k0 is pinned to the values of the DCT-II and DST-I
+        # transforms that the bins replaced
         rng = np.random.default_rng(11)
         n = 64
         op = StructuredOperator(random_doubled_filter(rng, n), kind, n)
         s = rng.standard_normal(n)
-        consts = ConvergenceConstants.for_operator(op)
         k0 = stopping_bound_k0(delta, op, s)
         if delta >= 1e-12:
             assert k0 == K0_AT_SEED_11[kind][[1e-1, 1e-3, 1e-8, 1e-12].index(delta)]
-        c, _, weight = op.to_eigenbasis(s)
-        c_dense = float(np.abs(dense_eigenbasis(op)[1] @ s).max())
-        with localcontext(prec=50):
-            if kind is BoundaryKind.PERIODIC:
-                c = Decimal(float(np.abs(c).max())) / Decimal(n).sqrt()
-            else:
-                c = Decimal(float((np.sqrt(weight) * np.abs(c)).max()))
-            assert abs(float(c) - c_dense) <= 1e-12 * c_dense
-            m = n - consts.beta - consts.zeta
-            rhs = Decimal(delta) / (Decimal(consts.alpha) * c * Decimal(m).sqrt())
+        assert_least_k0(op, s, delta, k0)
 
-            def holds(k):
-                k = Decimal(k)
-                return (k / (k + 1)) ** k / (k + 1) < rhs
-
-            assert holds(k0) and (k0 == 1 or not holds(k0 - 1))
+    @pytest.mark.parametrize("period,n", NULL_TUNED)
+    @pytest.mark.parametrize("delta", [1e-3, 1e-8])
+    def test_least_k0_with_zero_eigenvalues(self, period, n, delta):
+        # zeta from the bound's own bins is the sorted spectrum's count
+        rng = np.random.default_rng(n)
+        for kind in TRANSFORM_KINDS:
+            op = StructuredOperator(null_tuned_filter(period), kind, n)
+            s = rng.standard_normal(n)
+            assert_least_k0(op, s, delta, stopping_bound_k0(delta, op, s))
 
     def test_invalid_delta(self, rng):
         op = StructuredOperator(random_doubled_filter(rng, 16), BoundaryKind.PERIODIC, 16)
@@ -507,7 +554,6 @@ class TestLimitBehavior:
             rng = np.random.default_rng(5)
             s = rng.standard_normal(n)
             # remove the eigenvalue-one component, which survives forever
-            from iterfilt import unit_eigenvectors
             for u in unit_eigenvectors(kind, n):
                 s = s - (s @ u) / (u @ u) * u
             iterate = diagonalized_power_apply(op, s, 2000)

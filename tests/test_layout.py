@@ -78,7 +78,7 @@ PUBLIC_NAMES = [
     "eif", "error_propagation", "extend", "filter_length", "get_shape", "inner_loop",
     "load_signal", "make_sine_trend_generator", "normalize", "phase_sweep",
     "raised_cosine_shape", "relative_error", "sample_filter", "stopping_bound_k0",
-    "triangle_shape", "uniform_shape", "unit_eigenvectors",
+    "triangle_shape", "uniform_shape",
 ]
 
 

@@ -8,7 +8,6 @@ from iterfilt import (
     Filter,
     StructuredOperator,
     diagonalized_power_apply,
-    unit_eigenvectors,
 )
 from conftest import random_doubled_filter, random_filter
 from oracles import (
@@ -21,6 +20,7 @@ from oracles import (
     dft_matrix,
     direct_apply,
     dst1_matrix,
+    unit_eigenvectors,
 )
 
 ALL_KINDS = list(BoundaryKind)

@@ -3,7 +3,8 @@ the eigenbasis contract of `StructuredOperator`.
 
 hypothesis draws the signals, derandomized and with no example database, so
 every run sees the same cases: 3 to 40 samples of any finite double,
-subnormals, zeros and the largest float among them, and constants; and, for
+subnormals, zeros and the largest float among them, and constants; 40 to
+80 samples that are all subnormal or zero; and, for
 the zero kind's kernels and Lanczos sift and the propagation's two kernels,
 a few seeded chirps of 300 to 5,000 samples.
 """
@@ -24,6 +25,9 @@ EDGES = [0.0, 1.0, -1.0, 1e308, -1e308, MAX, -MAX, 5e-324, -5e-324, 2.2250738585
          -1e-310]
 # a first component of this input exceeds MAX under the three transform kinds
 PAST_MAX = np.array([MAX, -MAX] * 5 + [MAX])
+# up to 8 ulps of the least subnormal: each component rounds by a share of
+# max|s| when scaled back, and the components must still sum to s exactly
+SUBNORMAL = 5e-324 * np.round(8 * np.sin(0.7 * np.arange(40) ** 1.3))
 
 
 def signals(bound: float):
@@ -39,6 +43,13 @@ def decompose(s, kind, mode):
     return eif(s, kind=kind, cfg=CFG)
 
 
+def subnormal_signals():
+    """40 to 80 samples, each subnormal or zero: up to 2^20 ulps of the
+    least subnormal, where one ulp is more than 1e-10 of max|s|."""
+    ulps = st.integers(-(1 << 20), 1 << 20)
+    return st.lists(ulps, min_size=40, max_size=80).map(lambda k: 5e-324 * np.array(k, dtype=float))
+
+
 KINDS = st.sampled_from(list(BoundaryKind))
 MODES = st.sampled_from(["dif", "eif"])
 SETTINGS = settings(derandomize=True, database=None, max_examples=150, deadline=None)
@@ -46,13 +57,15 @@ SETTINGS = settings(derandomize=True, database=None, max_examples=150, deadline=
 
 @pytest.mark.filterwarnings("error")
 @SETTINGS
-@given(s=signals(MAX), kind=KINDS, mode=MODES)
+@given(s=signals(MAX) | subnormal_signals(), kind=KINDS, mode=MODES)
 @example(s=np.array([0.0, 1.0, 0.0, 1.0, 0.0]), kind=BoundaryKind.ZERO, mode="dif")
 @example(s=np.array([1e308, -1e308] * 3), kind=BoundaryKind.ANTIREFLECTIVE, mode="eif")
 @example(s=np.array([5e-324, 0.0, -5e-324, 0.0]), kind=BoundaryKind.REFLECTIVE, mode="dif")
 @example(s=np.full(5, -1e-310), kind=BoundaryKind.PERIODIC, mode="eif")
 @example(s=PAST_MAX, kind=BoundaryKind.PERIODIC, mode="dif")
 @example(s=PAST_MAX, kind=BoundaryKind.ANTIREFLECTIVE, mode="eif")
+@example(s=SUBNORMAL, kind=BoundaryKind.REFLECTIVE, mode="dif")
+@example(s=SUBNORMAL, kind=BoundaryKind.PERIODIC, mode="eif")
 def test_decomposition_invariants(s, kind, mode):
     # each filter longer than the last, the trend last, finite components
     # that sum back to the input; or, where a component exceeds the largest
@@ -72,6 +85,17 @@ def test_decomposition_invariants(s, kind, mode):
     tol = 1e-10 * np.abs(np.ldexp(s, -e)).max() + len(d) * np.finfo(float).smallest_subnormal
     rebuilt = np.sum([np.ldexp(f, -e) for f in d.imfs], axis=0)
     assert np.abs(rebuilt - np.ldexp(s, -e)).max() <= tol
+
+
+@pytest.mark.parametrize("mode", ["dif", "eif"])
+@pytest.mark.parametrize("kind", list(BoundaryKind), ids=lambda k: k.value)
+def test_all_subnormal_signal_rebuilds_exactly(kind, mode):
+    # each component rounds when scaled back, by up to an eighth of max|s|
+    # here, but sums of subnormals are exact, so with the trend taken at
+    # the input's own scale the components sum back to it bit for bit
+    d = decompose(SUBNORMAL, kind, mode)
+    assert len(d) > 2
+    assert np.array_equal(d.reconstruction(), SUBNORMAL)
 
 
 @pytest.mark.filterwarnings("error")
