@@ -54,13 +54,14 @@ def _add_filter_flags(p: argparse.ArgumentParser):
                    help="filter length factor (default: %(default)s)")
 
 
-def _add_stopping_flags(p: argparse.ArgumentParser):
+def _add_stopping_flags(p: argparse.ArgumentParser, max_imfs: bool = True):
     p.add_argument("--delta", type=float, default=_STOPPING.delta,
                    help="relative step-change threshold (default: %(default)s)")
     p.add_argument("--max-inner", type=int, default=_STOPPING.max_inner,
                    help="inner iteration cap (default: %(default)s)")
-    p.add_argument("--max-imfs", type=int, default=_STOPPING.max_imfs,
-                   help="cap on emitted components, trend included (default: %(default)s)")
+    if max_imfs:  # only decompose emits more than one component
+        p.add_argument("--max-imfs", type=int, default=_STOPPING.max_imfs,
+                       help="cap on emitted components, trend included (default: %(default)s)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -105,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="extension width per side (default: twice the first filter length)")
     e.add_argument("--steps", type=int, default=None,
                    help="propagation steps (default: iterations used by the first component)")
-    _add_stopping_flags(e)
+    _add_stopping_flags(e, max_imfs=False)
     _add_filter_flags(e)
 
     ps = sub.add_parser("phasesweep", help="boundary-phase error study on growing supports")
@@ -119,14 +120,16 @@ def build_parser() -> argparse.ArgumentParser:
                               ("phase", "phase", "sine phase at the support centre")):
         ps.add_argument(f"--{flag}", type=float, default=_SINE_TREND[param],
                         help=f"{text} (default: %(default)s)")
-    _add_stopping_flags(ps)
+    _add_stopping_flags(ps, max_imfs=False)
     _add_filter_flags(ps)
 
     return parser
 
 
 def _stopping_config(args) -> StoppingConfig:
-    return StoppingConfig(**{f.name: getattr(args, f.name) for f in fields(StoppingConfig)})
+    """The parsed stopping flags, each field without a flag at its default."""
+    return StoppingConfig(**{f.name: getattr(args, f.name) for f in fields(StoppingConfig)
+                             if hasattr(args, f.name)})
 
 
 def _write_meta(args, resolved: dict | None = None, extra: dict | None = None):

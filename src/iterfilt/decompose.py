@@ -129,19 +129,22 @@ def inner_loop(s, filt: Filter, kind: BoundaryKind,
     op = StructuredOperator(filt, BoundaryKind(kind), values.size)
     e = unit_exponent(values)
     cur = np.ldexp(values, -e) if e else values  # no copy at scale 1: only the loop writes
+    norm = l2_norm(cur)
     if op.kind is not BoundaryKind.ZERO:
-        imf, k, d = _sift_spectral(op, cur, cfg)
+        imf, k, d = _sift_spectral(op, cur, norm, cfg)
+    elif norm == 0.0:
+        imf, k, d = cur.copy(), 0, None
     else:
-        imf, k, d = (_sift_strips(op, cur, cfg) or _sift_krylov(op, cur, cfg)
-                     or _sift_loop(op, cur.copy() if cur is values else cur, cfg))
+        imf, k, d = (_sift_strips(op, cur, norm, cfg) or _sift_krylov(op, cur, norm, cfg)
+                     or _sift_loop(op, cur.copy() if cur is values else cur, norm, cfg))
     return scale_back(imf, e, "the component"), k, d
 
 
-def _sift_loop(op: StructuredOperator, cur: np.ndarray,
+def _sift_loop(op: StructuredOperator, cur: np.ndarray, norm: float,
                cfg: StoppingConfig) -> tuple[np.ndarray, int, float | None]:
-    """:func:`inner_loop` by one product per step, in place on ``cur``."""
-    norm_cur = l2_norm(cur)
-    tiny = _ZERO_ITERATE * norm_cur
+    """:func:`inner_loop` by one product per step, in place on ``cur``,
+    whose norm is ``norm``."""
+    norm_cur, tiny = norm, _ZERO_ITERATE * norm
     k = 0
     d = None
     while k < cfg.max_inner and norm_cur > tiny:
@@ -155,7 +158,7 @@ def _sift_loop(op: StructuredOperator, cur: np.ndarray,
     return cur, k, d
 
 
-def _sift_spectral(op: StructuredOperator, values: np.ndarray,
+def _sift_spectral(op: StructuredOperator, values: np.ndarray, norm: float,
                    cfg: StoppingConfig) -> tuple[np.ndarray, int, float | None]:
     """:func:`inner_loop` in the eigenbasis: one transform round trip plus
     the search for the stopping step, since a step scales each coefficient
@@ -177,21 +180,20 @@ def _sift_spectral(op: StructuredOperator, values: np.ndarray,
     c, lam, weight = op.to_eigenbasis(values)
     if problem := spectrum_outside_unit(lam):
         raise ValueError(problem)
-    norm_cur = l2_norm(values)
-    tiny = _ZERO_ITERATE * norm_cur
-    if norm_cur == 0.0:
+    if norm == 0.0:
         return values.copy(), 0, None
     z = 1.0 - lam
     c = z * c
     cur = op.from_eigenbasis(c)
-    k, d = 1, l2_norm(cur - values) / norm_cur
-    k, d = _search_stop(_decay_rows(weight * np.abs(c) ** 2, z, lam), k, d, tiny, cfg)
+    k, d = 1, l2_norm(cur - values) / norm
+    k, d = _search_stop(_decay_rows(weight * np.abs(c) ** 2, z, lam), k, d,
+                        _ZERO_ITERATE * norm, cfg)
     if k > 1:
         cur = op.from_eigenbasis(z ** (k - 1) * c)
     return cur, k, d
 
 
-def _sift_strips(op: StructuredOperator, values: np.ndarray,
+def _sift_strips(op: StructuredOperator, values: np.ndarray, norm: float,
                  cfg: StoppingConfig) -> tuple[np.ndarray, int, float | None] | None:
     """:func:`inner_loop` for the zero kind as a periodic interior plus two
     boundary strips, or None where another route is to run.
@@ -239,13 +241,10 @@ def _sift_strips(op: StructuredOperator, values: np.ndarray,
     ========  ===  ====  ===  =====  =====  ======
 
     A filter whose periodic spectrum leaves [0, 1] goes to the other
-    routes, as does a zero signal.
+    routes.
     """
     n, l = values.size, op.filter.length
     if not _strips_pay(n, l, 8):  # no depth is below 8
-        return None
-    norm = l2_norm(values)
-    if norm == 0.0:
         return None
     periodic = StructuredOperator(op.filter, BoundaryKind.PERIODIC, n)
     c, lam, weight = periodic.to_eigenbasis(values)
@@ -315,7 +314,7 @@ def _strip_sums(values: np.ndarray, filt: Filter, depth: int) -> tuple[np.ndarra
     return fix_norm, fix_step
 
 
-def _sift_krylov(op: StructuredOperator, values: np.ndarray,
+def _sift_krylov(op: StructuredOperator, values: np.ndarray, norm_s: float,
                  cfg: StoppingConfig) -> tuple[np.ndarray, int, float | None] | None:
     """:func:`inner_loop` for the zero kind in a Lanczos basis of W and s,
     or None where the loop is to run instead.
@@ -357,9 +356,6 @@ def _sift_krylov(op: StructuredOperator, values: np.ndarray,
     kept = _KRYLOV_MAX * op.n <= _KRYLOV_BUDGET
     if (op.kernel == "convolve" or op.filter.length < _KRYLOV_MIN_LENGTH
             or not kept and cfg.max_inner <= _KRYLOV_LOOP_STEPS):
-        return None
-    norm_s = l2_norm(values)
-    if norm_s == 0.0:
         return None
     tiny = _ZERO_ITERATE * norm_s
     alpha, beta, basis, last_k = [], [], [], 0

@@ -284,8 +284,9 @@ def phase_sweep(generator: Callable, dt: float, span: float,
     """Re-decompose a signal family on growing supports and track errors.
 
     For every endpoint (multiples of dt up to span) the first component is
-    extracted under each boundary kind, with :func:`build_filter`'s filter
-    (built again only where its base length changes), and compared with the
+    extracted under each boundary kind, with the self-convolved filter of
+    the base length that :func:`filter_length` reads off the samples (built
+    again only where that length changes), and compared with the
     known exact component; the worst-case upper bound is propagated for as
     many steps as the slowest of those runs actually took. Each sweep point records the
     relative errors, the relative upper bound and the best-performing kind.

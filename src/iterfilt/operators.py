@@ -10,8 +10,11 @@ closed-form eigenvalues and is applied in that eigenbasis; the zero rule's
 Toeplitz operator is applied by convolving directly, as a blocked Toeplitz
 product or by FFT, whichever costs least, and its spectrum takes a dense
 eigensolve. The spectra, the eigenbasis, a k-step power application
-through it and the iteration-count bound it gives live here; the dense
-matrices and the eigenvectors of eigenvalue one are test oracles only.
+through it and the iteration-count bound it gives live here; the bound's
+constants are a fixed pair per kind and a count of zero eigenvalues, read
+off the same unsorted spectrum that the sorted one is built from. The
+dense matrices and the eigenvectors of eigenvalue one are test oracles
+only.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ from .filters import Filter
 __all__ = [
     "StructuredOperator",
     "Spectrum",
-    "ConvergenceConstants",
     "diagonalized_power_apply",
     "stopping_bound_k0",
 ]
@@ -68,11 +70,8 @@ class Spectrum:
     @classmethod
     def from_values(cls, values: np.ndarray) -> "Spectrum":
         vals = np.sort(np.asarray(values, dtype=float))[::-1]
-        return cls(
-            eigenvalues=vals,
-            unit_multiplicity=int(np.count_nonzero(np.abs(vals - 1.0) <= _MULT_TOL)),
-            zero_multiplicity=int(np.count_nonzero(np.abs(vals) <= _MULT_TOL)),
-        )
+        return cls(eigenvalues=vals, unit_multiplicity=_multiplicity(vals, 1.0),
+                   zero_multiplicity=_multiplicity(vals, 0.0))
 
 
 @dataclass(frozen=True)
@@ -240,11 +239,8 @@ class StructuredOperator:
         spectrum; it is materialized and solved densely, O(n^3) time and
         O(n^2) memory, so n is limited to 4096 there.
         """
-        if self.kind is BoundaryKind.PERIODIC:
-            half = self._transform_eigenvalues()  # the symbol is even: bin n - i mirrors bin i
-            return Spectrum.from_values(np.concatenate([half, half[1: (self.n + 1) // 2]]))
         if self.kind is not BoundaryKind.ZERO:
-            return Spectrum.from_values(self._transform_eigenvalues())
+            return Spectrum.from_values(self._all_eigenvalues(self._transform_eigenvalues()))
         if self.n > DENSE_GUARD:
             raise ValueError(f"dense materialization limited to n <= {DENSE_GUARD}")
         w = np.zeros(self.n)
@@ -323,37 +319,14 @@ class StructuredOperator:
             lam[[0, -1]] = 1.0
         return lam
 
-
-@dataclass(frozen=True)
-class ConvergenceConstants:
-    """Boundary-dependent constants of the iteration-count bound.
-
-    alpha bounds the Euclidean norm of the unitary eigenbasis transform (1
-    for the periodic DFT and the reflective DCT-II, 3 for anti-reflective,
-    whose transform splits into two unit-norm ramps and a DST-I), beta is
-    the multiplicity of eigenvalue one (the constant vector, or the two
-    anti-reflective ramps, whatever the filter), zeta the number of zero
-    eigenvalues, |lambda| <= 1e-10.
-    """
-
-    alpha: float
-    beta: int
-    zeta: int
-
-    @classmethod
-    def for_operator(cls, op: StructuredOperator) -> "ConvergenceConstants":
-        """Raises ValueError for the zero kind, which has no unit eigenvalue."""
-        return cls._of(op, op._transform_eigenvalues())
-
-    @classmethod
-    def _of(cls, op: StructuredOperator, lam: np.ndarray) -> "ConvergenceConstants":
-        """The constants from ``lam``, the eigenvalues of the bins of
-        :meth:`StructuredOperator.to_eigenbasis`, whose periodic bins
-        1..(n - 1)//2 stand for their mirror images too."""
-        zero = np.abs(lam) <= _MULT_TOL
-        mirrored = zero[1: (op.n + 1) // 2] if op.kind is BoundaryKind.PERIODIC else []
-        alpha, beta = (3.0, 2) if op.kind is BoundaryKind.ANTIREFLECTIVE else (1.0, 1)
-        return cls(alpha, beta, int(np.count_nonzero(zero) + np.count_nonzero(mirrored)))
+    def _all_eigenvalues(self, lam: np.ndarray) -> np.ndarray:
+        """All n eigenvalues, unsorted, from ``lam``, the eigenvalues of the
+        bins of :meth:`to_eigenbasis`: the periodic symbol is even, so its
+        bins 1..(n - 1)//2 appear twice, for their mirror images n - i; the
+        other kinds' n bins are the spectrum as it is."""
+        if self.kind is BoundaryKind.PERIODIC:
+            return np.concatenate([lam, lam[1: (self.n + 1) // 2]])
+        return lam
 
 
 def stopping_bound_k0(delta: float, op: StructuredOperator, s) -> int:
@@ -363,31 +336,38 @@ def stopping_bound_k0(delta: float, op: StructuredOperator, s) -> int:
 
         k0^k0 / (k0+1)^(k0+1) < rhs = delta / (alpha * c * sqrt(n - beta - zeta))
 
-    (:class:`ConvergenceConstants`, zeta from the eigenvalues of the same
-    transform) where c is the max-norm of the signal's coefficients in the
-    unitary eigenbasis, read off :meth:`StructuredOperator.to_eigenbasis`'s
-    bins c: max|c| / sqrt(n) for the periodic kind, whose unitary DFT
-    scales the rfft by 1 / sqrt(n), and max sqrt(weight) |c| for the
-    extended kinds, which gives the orthonormal DCT-II and DST-I
-    coefficients and the two ramp coefficients (weight 1) as they are. As
-    (1 + 1/k)^k < e < (1 + 1/k)^(k+1), the left side lies strictly between
-    1/(e (k+1)) and 1/(e k): every k >= x = 1/(e rhs) meets the bound and
-    no k <= x - 1 does, so k0 is max(1, floor(x)) or the next integer. One
-    comparison of the two sides' logarithms at 50 digits tells which, since
-    doubles stop telling k0 from k0 - 1 from about k0 = 10^12. Raises
-    ValueError for non-finite input, delta <= 0 and past k0 = 2^62.
-    Requires a doubled (self-convolved) filter for the guarantee to be
-    meaningful, since the bound rests on a spectrum inside [0, 1].
+    for the kind's constants: alpha bounds the Euclidean norm of the unitary
+    eigenbasis transform, 1 for the periodic DFT and the reflective DCT-II
+    and 3 for anti-reflective, whose transform splits into two unit-norm
+    ramps and a DST-I; beta is the multiplicity of eigenvalue one, 1 (the
+    constant vector) or 2 for anti-reflective (its two ramps), whatever the
+    filter; and zeta counts the zero eigenvalues, |lambda| <= 1e-10, among
+    all n that one call of :meth:`StructuredOperator.to_eigenbasis` gives.
+    c is the max-norm of the signal's coefficients in the unitary
+    eigenbasis, read off the same call's bins c: max|c| / sqrt(n) for the
+    periodic kind, whose unitary DFT scales the rfft by 1 / sqrt(n), and
+    max sqrt(weight) |c| for the extended kinds, which gives the orthonormal
+    DCT-II and DST-I coefficients and the two ramp coefficients (weight 1)
+    as they are. As (1 + 1/k)^k < e < (1 + 1/k)^(k+1), the left side lies
+    strictly between 1/(e (k+1)) and 1/(e k): every k >= x = 1/(e rhs)
+    meets the bound and no k <= x - 1 does, so k0 is max(1, floor(x)) or
+    the next integer. One comparison of the two sides' logarithms at 50
+    digits tells which, since doubles stop telling k0 from k0 - 1 from
+    about k0 = 10^12. Raises ValueError for non-finite input, delta <= 0,
+    the zero kind and past k0 = 2^62. Requires a doubled (self-convolved)
+    filter for the guarantee to be meaningful, since the bound rests on a
+    spectrum inside [0, 1].
     """
     if not (math.isfinite(delta) and delta > 0.0):
         raise ValueError("delta must be finite and positive")
     if not np.isfinite(s := _as_vector(s, op.n)).all():
         raise ValueError("s must be finite")
     c, lam, weight = op.to_eigenbasis(s)
-    consts = ConvergenceConstants._of(op, lam)
+    alpha, beta = (3, 2) if op.kind is BoundaryKind.ANTIREFLECTIVE else (1, 1)
+    zeta = _multiplicity(op._all_eigenvalues(lam), 0.0)
     c = np.abs(c) if op.kind is BoundaryKind.PERIODIC else np.sqrt(weight) * np.abs(c)
     c_inf = float(c.max())
-    m = op.n - consts.beta - consts.zeta
+    m = op.n - beta - zeta
     if m <= 0 or c_inf == 0.0:
         return 1  # every step change is already zero
 
@@ -397,7 +377,7 @@ def stopping_bound_k0(delta: float, op: StructuredOperator, s) -> int:
     with localcontext(prec=50):
         scale = Decimal(op.n if op.kind is BoundaryKind.PERIODIC else 1).sqrt()
         log_rhs = (Decimal(delta) * scale
-                   / (Decimal(consts.alpha) * Decimal(c_inf) * Decimal(m).sqrt())).ln()
+                   / (Decimal(alpha) * Decimal(c_inf) * Decimal(m).sqrt())).ln()
         # floor(x) for x = 1/(e rhs), capped at 2^62: past it no k0 is returned
         k0 = max(1, int(min((-1 - log_rhs).exp(), Decimal(1 << 62))))
         k = Decimal(k0)
@@ -417,6 +397,11 @@ def spectrum_outside_unit(lam: np.ndarray) -> str | None:
     if lo < -_SPECTRUM_SLACK or hi > 1.0 + _SPECTRUM_SLACK:
         return f"spectrum [{lo:.3g}, {hi:.3g}] is not in [0, 1]"
     return None
+
+
+def _multiplicity(vals: np.ndarray, at: float) -> int:
+    """How many of ``vals`` lie within 1e-10 of ``at``."""
+    return int(np.count_nonzero(np.abs(vals - at) <= _MULT_TOL))
 
 
 def _as_vector(x, n: int, dtype=float) -> np.ndarray:

@@ -10,6 +10,7 @@ import pytest
 import iterfilt
 from iterfilt import BoundaryKind, Filter, StructuredOperator, convolve_self
 from iterfilt.decompose import _sift_krylov
+from iterfilt.signal import l2_norm
 
 
 @pytest.fixture
@@ -99,9 +100,10 @@ def kept_and_regenerated(op, values, cfg):
     scales them (None where it sends the sift to the loop), with its basis
     kept, and with the budget for a kept basis at 0, so that a second pass
     regenerates the basis."""
-    kept = _sift_krylov(op, values, cfg)
+    norm = l2_norm(values)  # the input norm that inner_loop hands every route
+    kept = _sift_krylov(op, values, norm, cfg)
     with mock.patch("iterfilt.decompose._KRYLOV_BUDGET", 0):
-        return kept, _sift_krylov(op, values, cfg)
+        return kept, _sift_krylov(op, values, norm, cfg)
 
 
 def same_sift(a, b):

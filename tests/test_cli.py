@@ -336,7 +336,9 @@ class TestPhasesweepCommand:
         assert out1.read_bytes() == out2.read_bytes()
 
 
-STOPPING_KEYS = {"delta", "max_inner", "max_imfs", "xi", "shape"}
+# the stopping and filter flags of errorbound and phasesweep; decompose
+# also takes max_imfs
+STOPPING_KEYS = {"delta", "max_inner", "xi", "shape"}
 
 
 class TestSidecarConfig:
@@ -345,7 +347,8 @@ class TestSidecarConfig:
 
     @pytest.mark.parametrize("argv,keys", [
         (["decompose", "--max-inner", "20", "IN"],
-         {"command", "input", "output", "bc", "mode", "pad", "normalize"} | STOPPING_KEYS),
+         {"command", "input", "output", "bc", "mode", "pad", "normalize", "max_imfs"}
+         | STOPPING_KEYS),
         (["spectrum", "--bc", "zero", "--n", "16", "--length", "2"],
          {"command", "output", "bc", "n", "length", "shape", "double_filter"}),
         (["errorbound", "--max-inner", "20", "IN"],
@@ -415,9 +418,12 @@ class TestNumericFlags:
 
 class TestFlags:
     """Every stopping knob has one flag with the library's default on each
-    sifting command, and no command parses a knob it does not read."""
+    sifting command that reads it, and no command parses a knob it does not
+    read: only decompose emits more than one component, so only it takes
+    --max-imfs."""
 
     FIELDS = {f.name: f.default for f in fields(StoppingConfig)}
+    ONE_COMPONENT = {f.name: f.default for f in fields(StoppingConfig) if f.name != "max_imfs"}
 
     def test_knob_flags_are_the_config_fields(self):
         p = argparse.ArgumentParser()
@@ -428,8 +434,17 @@ class TestFlags:
     @pytest.mark.parametrize("argv", [["decompose", "IN", "OUT"], ["errorbound", "IN", "OUT"],
                                       ["phasesweep", "OUT"]], ids=lambda a: a[0])
     def test_sifting_commands_parse_every_field(self, argv):
-        parsed = vars(build_parser().parse_args(argv))
-        assert {name: parsed[name] for name in self.FIELDS} == self.FIELDS
+        args = build_parser().parse_args(argv)
+        fields_read = self.FIELDS if argv[0] == "decompose" else self.ONE_COMPONENT
+        assert {name: v for name, v in vars(args).items() if name in self.FIELDS} == fields_read
+        assert _stopping_config(args) == StoppingConfig()
+
+    @pytest.mark.parametrize("argv", [["errorbound", "IN"], ["phasesweep"]], ids=lambda a: a[0])
+    def test_max_imfs_is_a_decompose_flag(self, tmp_path, signal_file, argv):
+        out = tmp_path / "out.csv"
+        argv = [str(signal_file) if a == "IN" else a for a in argv]
+        assert run([*argv, "--max-imfs", "3", str(out)]) == 2
+        assert not out.exists()
 
     def test_spectrum_parses_no_field(self):
         parsed = vars(build_parser().parse_args(

@@ -27,7 +27,6 @@ import pytest
 import iterfilt
 from iterfilt import (
     BoundaryKind,
-    ConvergenceConstants,
     Filter,
     StoppingConfig,
     StructuredOperator,
@@ -92,7 +91,7 @@ def test_zero_kind_fft_sift_builds_tap_spectrum_once(apply_calls, monkeypatch):
                                          (BoundaryKind.REFLECTIVE, 2000),
                                          (BoundaryKind.ANTIREFLECTIVE, 1998)], ids=str)
 def test_stopping_bound_transforms_once(monkeypatch, kind, period):
-    # the bound's constants come from the eigenvalues of its own transform
+    # the bound counts zeta among the eigenvalues of its own transform
     # of s: one rfft of the taps, one of the period, and no sorted spectrum
     op = StructuredOperator(convolve_self(sample_filter(raised_cosine_shape(), 10)), kind, 1000)
     lengths, spectra = [], []
@@ -110,9 +109,6 @@ def test_stopping_bound_transforms_once(monkeypatch, kind, period):
     monkeypatch.setattr(StructuredOperator, "eigenvalues", counted_spectrum)
     assert stopping_bound_k0(1e-3, op, chirp(op.n)) > 1
     assert lengths == [op.filter.length + 1, period]   # the taps, then the period
-    del lengths[:]
-    assert ConvergenceConstants.for_operator(op).beta == 1 + (kind is BoundaryKind.ANTIREFLECTIVE)
-    assert lengths == [op.filter.length + 1]
     assert spectra == [] and not hasattr(operators, "unit_eigenvectors")
 
 

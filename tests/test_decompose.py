@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from iterfilt import (
     BoundaryKind,
-    ConvergenceConstants,
     Filter,
     FilterShape,
     StoppingConfig,
@@ -30,8 +29,8 @@ from iterfilt.decompose import (_decay_rows, _first_true, _search_stop, _strip_s
                                 _strips_pay)
 from conftest import (bench_chirp, kept_and_regenerated, noise_trend, outputs_by_blas_threads,
                       random_doubled_filter, same_sift, sine_trend)
-from oracles import (dense_eigenbasis, dense_matrix, direct_apply, reference_sift, scan_stop,
-                     unit_eigenvectors)
+from oracles import (closed_form_eigenvalues, dense_eigenbasis, dense_matrix, direct_apply,
+                     reference_sift, scan_stop, unit_eigenvectors)
 
 TRANSFORM_KINDS = [BoundaryKind.PERIODIC, BoundaryKind.REFLECTIVE, BoundaryKind.ANTIREFLECTIVE]
 # stopping_bound_k0 at delta = 1e-1, 1e-3, 1e-8 and 1e-12 for the n = 64
@@ -47,6 +46,11 @@ K0_AT_SEED_11 = {
 # even n = 32 and 36 and odd n = 35, reflective at 32 and 35,
 # anti-reflective at 33 and 36
 NULL_TUNED = [(8, 32), (8, 33), (7, 35), (7, 36)]
+# the closed forms' zero count of each NULL_TUNED case by n, periodic,
+# reflective and anti-reflective with the null-tuned filter, then with the
+# edge-null filter
+ZETA_NULL_TUNED = {32: [13, 6, 0, 1, 0, 0], 33: [0, 0, 6, 2, 1, 0], 35: [6, 5, 0, 2, 1, 0],
+                   36: [1, 0, 5, 1, 0, 0]}
 
 
 def null_tuned_filter(period):
@@ -371,49 +375,16 @@ class TestEif:
         assert short.pad == 0 and len(short) == 1  # no first filter: the signal is its trend
 
 
-class TestConvergenceConstants:
-    def test_values_per_kind(self, rng):
-        filt = random_doubled_filter(rng, 16)
-        for kind, alpha, beta in [
-            (BoundaryKind.PERIODIC, 1.0, 1),
-            (BoundaryKind.REFLECTIVE, 1.0, 1),
-            (BoundaryKind.ANTIREFLECTIVE, 3.0, 2),
-        ]:
-            c = ConvergenceConstants.for_operator(StructuredOperator(filt, kind, 16))
-            assert (c.alpha, c.beta) == (alpha, beta)
-            assert c.zeta >= 0
-
-    def test_zero_kind_rejected(self, rng):
-        op = StructuredOperator(random_doubled_filter(rng, 16), BoundaryKind.ZERO, 16)
-        with pytest.raises(ValueError):
-            ConvergenceConstants.for_operator(op)
-
-    def test_zeta_counts_kernel(self):
-        period, reps = 8, 4
-        op = StructuredOperator(null_tuned_filter(period), BoundaryKind.PERIODIC, period * reps)
-        c = ConvergenceConstants.for_operator(op)
-        assert c.zeta >= 1  # the tuned spectral zero
-
-    def test_zeta_is_the_spectrum_zero_multiplicity(self, rng):
-        # zeta counts the zeros among the transform's bins, each periodic
-        # bin 1..(n - 1)//2 twice for its mirror image: the sorted
-        # spectrum's count, for odd and even n, with and without zeros
-        zetas = {kind: [] for kind in TRANSFORM_KINDS}
-        for period, n in NULL_TUNED:
-            for filt in (null_tuned_filter(period), edge_null_filter(n),
-                         random_doubled_filter(rng, n)):
-                for kind in TRANSFORM_KINDS:
-                    op = StructuredOperator(filt, kind, n)
-                    zeta = ConvergenceConstants.for_operator(op).zeta
-                    assert zeta == op.eigenvalues().zero_multiplicity
-                    zetas[kind].append(zeta)
-        assert all(max(z) > 0 for z in zetas.values())
+def closed_form_zeta(op):
+    """The zero eigenvalues, |lambda| <= 1e-10, among all n of the paper's
+    closed forms, summed from a cosine table, not from the transform."""
+    return int(np.count_nonzero(np.abs(closed_form_eigenvalues(op)) <= 1e-10))
 
 
 def assert_least_k0(op, s, delta, k0):
     """k0 meets k^k / (k+1)^(k+1) < delta / (alpha c sqrt(n - beta - zeta))
     and k0 - 1 does not, both sides at 50 digits; alpha and beta per kind,
-    zeta the sorted spectrum's zero count, c read off the bins as the bound
+    zeta the closed forms' zero count, c read off the bins as the bound
     reads it, |c| / sqrt(n) for the periodic rfft and sqrt(weight) |c| for
     the extended kinds, and within 1e-12 of the dense unitary eigenbasis's
     max-norm."""
@@ -427,7 +398,7 @@ def assert_least_k0(op, s, delta, k0):
         else:
             c = Decimal(float((np.sqrt(weight) * np.abs(c)).max()))
         assert abs(float(c) - c_dense) <= 1e-12 * c_dense
-        m = n - beta - op.eigenvalues().zero_multiplicity
+        m = n - beta - closed_form_zeta(op)
         rhs = Decimal(delta) / (Decimal(alpha) * c * Decimal(m).sqrt())
 
         def holds(k):
@@ -505,12 +476,28 @@ class TestStoppingBound:
     @pytest.mark.parametrize("period,n", NULL_TUNED)
     @pytest.mark.parametrize("delta", [1e-3, 1e-8])
     def test_least_k0_with_zero_eigenvalues(self, period, n, delta):
-        # zeta from the bound's own bins is the sorted spectrum's count
+        # k0 at 50 digits with zeta from the closed forms: a zeta off by one
+        # moves k0 (far above 2n at 1e-8), so this pins the bound's count of
+        # zeros among its bins, each periodic bin 1..(n - 1)//2 counted for
+        # its mirror image too. The edge-null filter's one periodic zero is
+        # such a bin, (n - 1)/2, for odd n (zeta 2) and the Nyquist bin,
+        # which has no mirror image, for even n (zeta 1). The sorted
+        # spectrum's zero count is the same
         rng = np.random.default_rng(n)
-        for kind in TRANSFORM_KINDS:
-            op = StructuredOperator(null_tuned_filter(period), kind, n)
-            s = rng.standard_normal(n)
-            assert_least_k0(op, s, delta, stopping_bound_k0(delta, op, s))
+        zetas = []
+        for filt in (null_tuned_filter(period), edge_null_filter(n)):
+            for kind in TRANSFORM_KINDS:
+                op = StructuredOperator(filt, kind, n)
+                s = rng.standard_normal(n)
+                assert_least_k0(op, s, delta, stopping_bound_k0(delta, op, s))
+                zetas.append(closed_form_zeta(op))
+                assert op.eigenvalues().zero_multiplicity == zetas[-1]
+        assert zetas == ZETA_NULL_TUNED[n]
+
+    def test_zero_kind_rejected(self, rng):
+        op = StructuredOperator(random_doubled_filter(rng, 16), BoundaryKind.ZERO, 16)
+        with pytest.raises(ValueError, match="zero"):
+            stopping_bound_k0(1e-3, op, np.ones(16))
 
     def test_invalid_delta(self, rng):
         op = StructuredOperator(random_doubled_filter(rng, 16), BoundaryKind.PERIODIC, 16)
@@ -688,13 +675,24 @@ class TestSpectralSift:
         # monotonicity fails; the zero kind's loop still takes the filter
         s, cfg = chirp(2048), StoppingConfig()
         filt = plain_or_doubled(filter_length(s, cfg.xi), False)
-        with pytest.raises(ValueError, match=r"is not in \[0, 1\]"):
-            inner_loop(s, filt, kind, cfg)
+        for values in (s, np.zeros(s.size)):  # a zero input too
+            with pytest.raises(ValueError, match=r"is not in \[0, 1\]"):
+                inner_loop(values, filt, kind, cfg)
         imf, k, d = inner_loop(s, filt, BoundaryKind.ZERO, cfg)
         ref, k_ref, d_ref = reference_sift(s, filt, BoundaryKind.ZERO, cfg)
         assert k == k_ref
         assert np.abs(imf - ref).max() <= 1e-12 * max(np.abs(s).max(), np.abs(ref).max())
         assert abs(d - d_ref) <= 1e-12
+
+    @pytest.mark.parametrize("kind", list(BoundaryKind), ids=lambda k: k.value)
+    def test_zero_input_is_its_own_component(self, apply_calls, kind):
+        # a zero input is returned as a new array, signs and all, after no
+        # step and no product, under every kind
+        s = np.zeros(5000)
+        s[::2] = -0.0
+        imf, k, d = inner_loop(s, plain_or_doubled(30, True), kind)
+        assert (k, d, apply_calls) == (0, None, []) and imf is not s
+        assert np.array_equal(np.signbit(imf), np.signbit(s)) and not imf.any()
 
 
 def assert_sifts_match_reference(d, s, cfg):
@@ -745,7 +743,7 @@ class TestKrylovSift:
         # same bits and the same (k, d) with their basis kept
         pairs = []
 
-        def both(op, values, cfg):
+        def both(op, values, norm, cfg):
             kept, again = kept_and_regenerated(op, values, cfg)
             pairs.append((kept, again))
             return kept and (kept[0].copy(), *kept[1:])  # inner_loop scales it in place

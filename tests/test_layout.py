@@ -71,7 +71,7 @@ def test_tracer_hooks_resolve():
 
 
 PUBLIC_NAMES = [
-    "BoundaryKind", "ConvergenceConstants", "Decomposition", "Filter", "FilterShape",
+    "BoundaryKind", "Decomposition", "Filter", "FilterShape",
     "ImfDiagnostics", "ParseError", "SHAPE_NAMES", "Spectrum", "StoppingConfig",
     "StructuredOperator", "SweepPoint", "__version__", "actual_error", "build_filter",
     "convolve_self", "count_extrema", "diagonalized_power_apply", "dif",
