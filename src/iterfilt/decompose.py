@@ -211,8 +211,9 @@ def _sift_strips(op: StructuredOperator, values: np.ndarray, norm: float,
     periodic one does; the component is irfft(z^k c) with its strips from
     the loop run again to depth k.
 
-    D is the periodic search's stopping step plus a quarter plus 8, doubled
-    while the search needs rows past it. A fixed rule
+    D is the periodic search's stopping step plus a quarter plus 8. A search
+    that needs rows past D, like a filter whose periodic spectrum leaves
+    [0, 1], leaves the sift to the other routes. A fixed rule
     (:func:`_strips_pay`), like :attr:`StructuredOperator.kernel`'s, takes
     this route for n >= 50,000 where 16 D l <= n: its window products cost
     about 3 * 8 D l D multiply-adds against the loop's n k, on top of two
@@ -239,9 +240,6 @@ def _sift_strips(op: StructuredOperator, values: np.ndarray, norm: float,
     20,000    4    153   199  0.040  1.17   other
     20,000    10   84    113  0.057  1.25   other
     ========  ===  ====  ===  =====  =====  ======
-
-    A filter whose periodic spectrum leaves [0, 1] goes to the other
-    routes.
     """
     n, l = values.size, op.filter.length
     if not _strips_pay(n, l, 8):  # no depth is below 8
@@ -255,26 +253,26 @@ def _sift_strips(op: StructuredOperator, values: np.ndarray, norm: float,
     del lam, weight  # the rows keep what they read of these
     estimate, _ = _search_stop(rows, 0, math.inf, tiny, cfg)
     depth = min(estimate + estimate // 4 + 8, cfg.max_inner)
-    while _strips_pay(n, l, depth):
-        fix_norm, fix_step = _strip_sums(values, op.filter, depth)
+    if not _strips_pay(n, l, depth):
+        return None
+    fix_norm, fix_step = _strip_sums(values, op.filter, depth)
 
-        def fixed(j: int) -> tuple[float, float]:
-            norm2, step2 = rows(j)
-            return norm2 + fix_norm[j], step2 + fix_step[j]
+    def fixed(j: int) -> tuple[float, float]:
+        norm2, step2 = rows(j)
+        return norm2 + fix_norm[j], step2 + fix_step[j]
 
-        if (found := _search_stop(fixed, 0, math.inf, tiny, cfg, depth)) is not None:
-            k, d = found
-            del rows, fixed  # their spectra, before the component's transform
-            c *= z ** k
-            imf = periodic.from_eigenbasis(c)
-            strips = _strip_vector(values, k * l)[: 4 * k * l]  # the two zero-rule windows
-            window = StructuredOperator(op.filter, BoundaryKind.ZERO, strips.size)
-            for _ in range(k):
-                strips -= window.apply(strips)
-            imf[: k * l], imf[n - k * l:] = strips[: k * l], strips[3 * k * l:]
-            return imf, k, d
-        depth = min(2 * depth, cfg.max_inner)
-    return None
+    if (found := _search_stop(fixed, 0, math.inf, tiny, cfg, depth)) is None:
+        return None
+    k, d = found
+    del rows, fixed  # their spectra, before the component's transform
+    c *= z ** k
+    imf = periodic.from_eigenbasis(c)
+    strips = _strip_vector(values, k * l)[: 4 * k * l]  # the two zero-rule windows
+    window = StructuredOperator(op.filter, BoundaryKind.ZERO, strips.size)
+    for _ in range(k):
+        strips -= window.apply(strips)
+    imf[: k * l], imf[n - k * l:] = strips[: k * l], strips[3 * k * l:]
+    return imf, k, d
 
 
 def _strips_pay(n: int, l: int, depth: int) -> bool:

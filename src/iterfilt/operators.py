@@ -401,7 +401,8 @@ def spectrum_outside_unit(lam: np.ndarray) -> str | None:
 
 def _multiplicity(vals: np.ndarray, at: float) -> int:
     """How many of ``vals`` lie within 1e-10 of ``at``."""
-    return int(np.count_nonzero(np.abs(vals - at) <= _MULT_TOL))
+    d = np.subtract(vals, at)  # one temporary, made absolute in place
+    return int(np.count_nonzero(np.abs(d, out=d) <= _MULT_TOL))
 
 
 def _as_vector(x, n: int, dtype=float) -> np.ndarray:

@@ -37,27 +37,27 @@ def dense_matrix(op):
 
     Built directly from the Toeplitz / circulant / Toeplitz-plus-Hankel /
     anti-reflective block templates, independently of ``op.apply`` and of
-    the transforms.
+    the transforms: each part is a strided view of one template vector.
     """
     n, l = op.n, op.filter.length
     if n > DENSE_GUARD:
         raise ValueError(f"dense materialization limited to n <= {DENSE_GUARD}")
     w = np.zeros(2 * n + 2)
     w[: l + 1] = op.filter.half_weights
-    i, j = np.ogrid[:n, :n]
 
     if op.kind is BoundaryKind.ZERO:
-        return w[np.abs(i - j)]
+        return _toeplitz(w, n).copy()
 
     if op.kind is BoundaryKind.PERIODIC:
         symbol = np.zeros(n)
         symbol[: l + 1] = op.filter.half_weights
         symbol[n - l:] += op.filter.half_weights[:0:-1]
-        return symbol[(i - j) % n]
+        # element (i, j) is symbol[(i - j) % n]
+        return _hankel(symbol[(n - 1 - np.arange(2 * n - 1)) % n], n)[::-1].copy()
 
     if op.kind is BoundaryKind.REFLECTIVE:
         # Hankel corrections w_{i+j+1} (top-left) and w_{2n-1-i-j} (bottom-right)
-        return w[np.abs(i - j)] + w[i + j + 1] + w[2 * n - 1 - i - j]
+        return _toeplitz(w, n) + _hankel(w[1:], n) + _hankel(w[::-1][2:], n)
 
     # anti-reflective: zero first/last rows except unit diagonal corners,
     # ramp first/last columns, interior Toeplitz minus Hankel block
@@ -69,10 +69,20 @@ def dense_matrix(op):
     rows = np.arange(1, l + 1)
     W[rows, 0] = half[1:] + z[2: l + 2]
     W[n - 1 - rows, n - 1] = W[rows, 0]
-    ii = i[: n - 2, : n - 2]
-    jj = j[: n - 2, : n - 2]
-    W[1: n - 1, 1: n - 1] = w[np.abs(ii - jj)] - w[ii + jj + 2] - w[2 * n - 4 - ii - jj]
+    # w_{|i-j|} - w_{i+j+2} - w_{2n-4-i-j} for i, j < n - 2
+    m = n - 2
+    W[1: n - 1, 1: n - 1] = _toeplitz(w, m) - _hankel(w[2:], m) - _hankel(w[::-1][5:], m)
     return W
+
+
+def _hankel(v, n):
+    """The n x n read-only view whose element (i, j) is v[i + j]."""
+    return np.lib.stride_tricks.sliding_window_view(v, n)[:n]
+
+
+def _toeplitz(w, n):
+    """The n x n read-only view whose element (i, j) is w[|i - j|]."""
+    return _hankel(np.concatenate([w[n - 1:0:-1], w[:n]]), n)[::-1]
 
 
 def unit_eigenvectors(kind, n):

@@ -57,6 +57,8 @@ class TestExtend:
         extend(S4, kind, pmax)  # admissible
         with pytest.raises(ValueError):
             extend(S4, kind, pmax + 1)
+        with pytest.raises(ValueError, match="pad must be nonnegative"):
+            extend(S4, kind, -1)
 
     def test_matches_numpy_pad_oracle(self, rng):
         # bit for bit, signed zeros included, at every p up to each rule's

@@ -378,6 +378,16 @@ class TestTopLevel:
     def test_unknown_flag(self, tmp_path, signal_file):
         assert run(["decompose", "--frobnicate", str(signal_file), str(tmp_path / "o.csv")]) == 2
 
+    def test_unexpected_exception_exits_one(self, tmp_path, capsys, monkeypatch):
+        # an error none of the domain or I/O rules names is reported, not raised
+        def broken(args):
+            raise RuntimeError("no such state")
+
+        monkeypatch.setitem(cli._COMMANDS, "spectrum", broken)
+        argv = ["spectrum", "--bc", "periodic", "--n", "8", "--length", "1"]
+        assert run([*argv, str(tmp_path / "a.csv")]) == 1
+        assert capsys.readouterr().err == "internal error: no such state\n"
+
 
 class TestNumericFlags:
     # each non-finite numeric flag, or phasesweep's amplitude + |trend|, is

@@ -72,6 +72,17 @@ def edge_null_filter(n):
 
 
 class TestInnerLoop:
+    @pytest.mark.parametrize("field,value,message", [
+        ("delta", 0.0, "delta must be finite and positive"),
+        ("delta", math.nan, "delta must be finite and positive"),
+        ("xi", math.inf, "xi must be finite and positive"),
+        ("max_inner", 0, "iteration caps must be at least 1"),
+        ("max_imfs", 0, "iteration caps must be at least 1"),
+    ])
+    def test_stopping_config_rejects(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            StoppingConfig(**{field: value})
+
     def test_kernel_vector_is_fixed_point(self):
         # integer-period sine at the filter's spectral zero: W s = 0
         period, reps = 8, 4
@@ -416,6 +427,14 @@ class TestStoppingBound:
         # k^k/(k+1)^(k+1) at k=1 is 1/4; any threshold making the rhs
         # exceed that must return 1
         assert stopping_bound_k0(1e6, op, s) == 1
+        # and so must a zero signal, whose every step change is zero
+        assert stopping_bound_k0(1e-3, op, np.zeros(16)) == 1
+
+    def test_bound_past_2_62_rejected(self, rng):
+        # at delta = 1e-300 the least k0 is about 10^300
+        op = StructuredOperator(random_doubled_filter(rng, 16), BoundaryKind.PERIODIC, 16)
+        with pytest.raises(ValueError, match="out of range"):
+            stopping_bound_k0(1e-300, op, rng.standard_normal(16))
 
     def test_monotone_in_delta(self, rng):
         filt = random_doubled_filter(rng, 32)
@@ -793,6 +812,19 @@ class TestKrylovSift:
         ref, k_ref, d_ref = loop_sift(monkeypatch, s, filt, cfg)
         assert np.array_equal(imf, ref) and (k, d) == (k_ref, d_ref)
 
+    def test_breakdown_takes_the_loop(self, monkeypatch, apply_calls):
+        # an eigenvector of W ends the recurrence after one product (beta at
+        # most 1e-14), before any check: the loop runs and keeps its bits
+        filt, n, cfg = plain_or_doubled(8, True), 1024, StoppingConfig()
+        op = StructuredOperator(filt, BoundaryKind.ZERO, n)
+        assert filt.length >= 16 and op.kernel != "convolve"
+        lam, vectors = np.linalg.eigh(dense_matrix(op))
+        s = vectors[:, np.argmin(np.abs(lam - 0.5))]
+        imf, k, d = inner_loop(s, filt, BoundaryKind.ZERO, cfg)
+        assert len(apply_calls) == 1 + k and k > 1
+        ref, k_ref, d_ref = loop_sift(monkeypatch, s, filt, cfg)
+        assert np.array_equal(imf, ref) and (k, d) == (k_ref, d_ref)
+
     def test_basis_cap_takes_the_loop(self, monkeypatch, apply_calls):
         # the cap-hit sift's basis needs 100 vectors: capped at 60, the
         # loop runs after 60 products and returns its own bits
@@ -886,27 +918,30 @@ class TestStripSift:
         assert apply_calls and max(op.n for op in apply_calls) <= s.size // 2
         assert_sifts_match_reference(d, s, cfg)
 
-    def test_deep_strips_double_the_depth(self, strip_depths):
-        # a constant under 1e-3 noise: the periodic sift stops after about
-        # 117 steps, the zero rule's edges take 185, past the first depth
-        s = 1.0 + 1e-3 * np.random.default_rng(1).standard_normal(50_000)
-        filt, cfg = plain_or_doubled(3, True), StoppingConfig()
+    @pytest.mark.parametrize("noise,half,depth,steps", [(1e-3, 3, 154, 185), (1e-4, 2, 199, 582)])
+    def test_deep_sift_takes_one_strip_pass(self, monkeypatch, strip_depths, noise, half, depth,
+                                            steps):
+        # a constant under noise: the periodic sift stops after about 117
+        # (1e-3) or 153 (1e-4) steps, the zero rule's edges take 185 or 582,
+        # past the one depth the estimate gives, so the windows run once and
+        # the loop runs after them, with its own bits
+        s = 1.0 + noise * np.random.default_rng(1).standard_normal(50_000)
+        filt, cfg = plain_or_doubled(half, True), StoppingConfig()
         imf, k, d = inner_loop(s, filt, BoundaryKind.ZERO, cfg)
-        assert strip_depths == [154, 308]
-        ref, k_ref, d_ref = reference_sift(s, filt, BoundaryKind.ZERO, cfg)
-        assert k == k_ref == 185
-        assert np.abs(imf - ref).max() <= 1e-12 * np.abs(s).max()
-        assert abs(d - d_ref) <= 1e-12
-
-    def test_depth_past_the_rule_takes_the_loop(self, monkeypatch, strip_depths):
-        # under 1e-4 noise the edges take 582 steps: a depth of 796 would
-        # break the rule at n = 50,000, so the loop runs and keeps its bits
-        s = 1.0 + 1e-4 * np.random.default_rng(1).standard_normal(50_000)
-        filt, cfg = plain_or_doubled(2, True), StoppingConfig()
-        imf, k, d = inner_loop(s, filt, BoundaryKind.ZERO, cfg)
-        assert strip_depths == [199, 398]
+        assert strip_depths == [depth]
         ref, k_ref, d_ref = sift_without_strips(monkeypatch, s, filt, cfg)
-        assert np.array_equal(imf, ref) and (k, d) == (k_ref, d_ref) and k == 582
+        assert np.array_equal(imf, ref) and (k, d) == (k_ref, d_ref) and k == steps
+
+    def test_plain_filter_takes_the_loop(self, monkeypatch, strip_depths, apply_calls):
+        # a plain filter's periodic spectrum leaves [0, 1]: the route runs no
+        # window and the loop, with its full-length products, keeps its bits
+        s, cfg = noise_trend(7, 50_000), StoppingConfig(max_inner=40)
+        filt = plain_or_doubled(3, False)
+        imf, k, d = inner_loop(s, filt, BoundaryKind.ZERO, cfg)
+        assert strip_depths == [] and len(apply_calls) == k
+        assert {op.n for op in apply_calls} == {s.size}
+        ref, k_ref, d_ref = sift_without_strips(monkeypatch, s, filt, cfg)
+        assert np.array_equal(imf, ref) and (k, d) == (k_ref, d_ref)
 
     def test_strips_do_not_depend_on_blas_threads(self, apply_calls):
         # the window products run on the blocked kernel and the sums by

@@ -392,6 +392,12 @@ class TestPhaseSweep:
             hold = np.mean([pt.ub_rel >= pt.err_rel[kind] for pt in points])
             assert hold >= 0.95
 
+    @pytest.mark.parametrize("amplitude,period", [(0.0, 1.0), (-1.0, 1.0), (1.0, 0.0),
+                                                  (1.0, -2.0)])
+    def test_generator_needs_positive_amplitude_and_period(self, amplitude, period):
+        with pytest.raises(ValueError, match="amplitude and period must be positive"):
+            make_sine_trend_generator(amplitude=amplitude, period=period)
+
     def test_degenerate_generator_rejected(self):
         flat = lambda endpoint, dt: (np.full(50, 2.0), np.full(50, 1.0))
         with pytest.raises(ValueError):

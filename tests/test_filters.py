@@ -47,6 +47,11 @@ class TestFilterInvariants:
         with pytest.raises(ValueError, match="sum to 1"):
             Filter(np.array([0.5, 0.3]))
 
+    @pytest.mark.parametrize("weights", [[1.0], [], [[0.5, 0.25]]], ids=["one", "none", "2-d"])
+    def test_two_half_weights_required(self, weights):
+        with pytest.raises(ValueError, match="l >= 1"):
+            Filter(np.array(weights))
+
     def test_full_vector_sums_to_one(self, rng):
         for l in (1, 2, 5, 9):
             f = random_filter(rng, l)

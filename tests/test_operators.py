@@ -143,6 +143,12 @@ class TestApply:
         with pytest.raises(ValueError, match="filter length"):
             StructuredOperator(random_filter(rng, 5), BoundaryKind.PERIODIC, 10)
 
+    @pytest.mark.parametrize("kind", list(BoundaryKind), ids=lambda k: k.value)
+    def test_dimension_below_three(self, rng, kind):
+        for n in (0, 1, 2):
+            with pytest.raises(ValueError, match="at least 3"):
+                StructuredOperator(random_filter(rng, 1), kind, n)
+
 
 class TestDenseOracle:
     def test_apply_matches_dense_all_kinds(self, rng):
@@ -613,3 +619,9 @@ class TestDiagonalizedPowerApply:
         op = StructuredOperator(random_filter(rng, 2), BoundaryKind.ZERO, 10)
         with pytest.raises(ValueError, match="transform"):
             diagonalized_power_apply(op, np.ones(10), 3)
+
+    @pytest.mark.parametrize("kind", TRANSFORM_KINDS, ids=lambda k: k.value)
+    def test_negative_power_rejected(self, rng, kind):
+        op = StructuredOperator(random_filter(rng, 2), kind, 10)
+        with pytest.raises(ValueError, match="nonnegative"):
+            diagonalized_power_apply(op, np.ones(10), -1)
