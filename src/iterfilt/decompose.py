@@ -115,8 +115,8 @@ def inner_loop(s, filt: Filter, kind: BoundaryKind,
     * strips (:func:`_sift_strips`) for a shallow sift where n >= 50,000:
       one real FFT round trip and the loop on short windows at the ends;
     * a Lanczos basis of m vectors (:func:`_sift_krylov`), typically
-      60-140, for l >= 16 on the blocked or FFT kernel: m products where
-      n <= 2,621, else 2m for sifts of more than 240 steps;
+      60-140, for l >= 16: m products where n <= 2,621, else 2m for sifts
+      of more than 240 steps;
     * otherwise the loop, one product per step.
 
     All run on s scaled by the power of two that brings max|s| into
@@ -347,13 +347,11 @@ def _sift_krylov(op: StructuredOperator, values: np.ndarray, norm_s: float,
     20,000  284  200  0.60   30.5
     ======  ===  ===  =====  ====
 
-    The loop runs for the convolve kernel and l < 16 (a cheap product next
-    to a Lanczos step's vector work), where a Ritz value leaves [0, 1], at
-    m = 400 and at a breakdown.
+    The loop runs for l < 16, where a Ritz value leaves [0, 1], at m = 400
+    and at a breakdown.
     """
     kept = _KRYLOV_MAX * op.n <= _KRYLOV_BUDGET
-    if (op.kernel == "convolve" or op.filter.length < _KRYLOV_MIN_LENGTH
-            or not kept and cfg.max_inner <= _KRYLOV_LOOP_STEPS):
+    if op.filter.length < _KRYLOV_MIN_LENGTH or not kept and cfg.max_inner <= _KRYLOV_LOOP_STEPS:
         return None
     tiny = _ZERO_ITERATE * norm_s
     alpha, beta, basis, last_k = [], [], [], 0

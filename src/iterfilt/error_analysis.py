@@ -271,7 +271,11 @@ def make_sine_trend_generator(amplitude: float = 1.0, period: float = 1.0,
     def generator(endpoint: float, dt: float):
         t = np.arange(start, endpoint + 0.5 * dt, dt)
         centre = 0.5 * (start + endpoint)
-        exact = amplitude * np.sin(2.0 * np.pi * (t - centre) / period + phase)
+        with np.errstate(over="ignore"):
+            angle = 2.0 * np.pi * (t - centre) / period
+        if not np.isfinite(angle).all():
+            raise ValueError(f"period {period!r} is too short: the sine's phase overflows")
+        exact = amplitude * np.sin(angle + phase)
         return exact + trend, exact
 
     return generator

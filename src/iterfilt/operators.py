@@ -39,12 +39,10 @@ DENSE_GUARD = 4096
 _MULT_TOL = 1e-10
 # eigenvalues this far outside [0, 1] are round-off of a spectrum inside it
 _SPECTRUM_SLACK = 1e-12
-# filters of at most this many taps take numpy's convolution, operators of
-# fewer samples take no FFT, and no blocked product below _BLOCKED_MIN_SIZE
-# (see StructuredOperator.kernel)
+# filters of at most this many taps, and operators of fewer samples, take
+# numpy's convolution (see StructuredOperator.kernel)
 _CONVOLVE_TAPS = 11
 _FFT_MIN_SIZE = 640
-_BLOCKED_MIN_SIZE = 1024
 # samples per chunk of the blocked product, so its scratch stays in cache
 _GEMM_CHUNK = 1 << 14
 # cost of an FFT convolution of length N, in blocked-product multiply-adds,
@@ -127,12 +125,9 @@ class StructuredOperator:
         it costs less than the blocked Toeplitz product: about n (B + 2l)
         multiply-adds for the product (B from :func:`_block_size`) against
         2.75 N log2(N)^2 of them for the FFT, N = n + 2l. Both sides grow
-        with l, so the choice switches once. Below that switch the blocked
-        product is taken from n = 1,024 on and numpy's convolution below,
-        where the product's fixed cost of about 2Q + 3 numpy calls outweighs
-        its speed. The first l that takes the FFT, by the rule and [as
-        measured] on a 2-vCPU x86-64 host (numpy 2.4, OpenBLAS on one
-        thread):
+        with l, so the choice switches once, below to the blocked product.
+        The first l that takes the FFT, by the rule and [as measured] on a
+        2-vCPU x86-64 host (numpy 2.4, OpenBLAS on one thread):
 
         ========  ======  ===========
         n         rule    measured
@@ -149,9 +144,10 @@ class StructuredOperator:
         l of about 20 and up (the FFT tied it at l = 255, n = 512); at
         n = 768 it beat the FFT up to l of about 150, and the blocked
         product took 0.83-1.25 times its time for l = 6-150 (faster at
-        l = 6 and 20, slower at l = 10 and 40). From n = 1,024 on the
-        blocked product tied or won for every l below the FFT's
-        (interleaved medians of 15 timings).
+        l = 6 and 20, slower at l = 10 and 40; interleaved medians of 15
+        timings), and a zero-kind ``dif`` 0.95-1.07 times at n = 640-1,023
+        (of 12; 1.07 at 640). From n = 1,024 on the blocked product tied or
+        won for every l below the FFT's.
         """
         if self.kind is not BoundaryKind.ZERO:
             return "transform"
@@ -163,7 +159,7 @@ class StructuredOperator:
         work = self.n * (_block_size(l) + 2 * l)
         if work > _FFT_COST * size * math.log2(size) ** 2:
             return "fft"
-        return "gemm" if self.n >= _BLOCKED_MIN_SIZE else "convolve"
+        return "gemm"
 
     @cached_property
     def fft_length(self) -> int | None:
@@ -243,10 +239,10 @@ class StructuredOperator:
             return Spectrum.from_values(self._all_eigenvalues(self._transform_eigenvalues()))
         if self.n > DENSE_GUARD:
             raise ValueError(f"dense materialization limited to n <= {DENSE_GUARD}")
-        w = np.zeros(self.n)
-        w[: self.filter.length + 1] = self.filter.half_weights
-        i = np.arange(self.n)
-        return Spectrum.from_values(np.linalg.eigvalsh(w[np.abs(i[:, None] - i)]))
+        band = np.zeros(2 * self.n - 1)  # element (i, j) of its reversed windows is w_|i-j|
+        band[self.n - 1 - self.filter.length: self.n + self.filter.length] = self.filter.full()
+        toeplitz = np.lib.stride_tricks.sliding_window_view(band, self.n)[::-1]
+        return Spectrum.from_values(np.linalg.eigvalsh(toeplitz))
 
     def to_eigenbasis(self, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Coefficients c of x in the diagonalizing basis, the eigenvalue of

@@ -164,10 +164,13 @@ class TestDecomposeCommand:
     def test_zero_kind_outputs_do_not_depend_on_blas_threads(self, tmp_path):
         # the zero kind's long sifts solve tridiagonal eigenproblems, whose
         # eigenvectors OpenBLAS rounds by its thread count at some sizes;
-        # the written components and changes must not
-        outputs = cli_outputs_by_blas_threads(tmp_path, bench_chirp(7, 2048),
-                                              ["decompose", "--bc", "zero"])
-        assert outputs[0] == outputs[1]
+        # the written components and changes must not, on either kernel
+        for n, flags in ((300, ["--delta", "1e-6"]), (700, ["--delta", "1e-6"]), (2048, [])):
+            where = tmp_path / str(n)
+            where.mkdir()
+            outputs = cli_outputs_by_blas_threads(where, bench_chirp(7, n),
+                                                  ["decompose", "--bc", "zero", *flags])
+            assert outputs[0] == outputs[1], n
 
     def test_zero_kind_loop_norms_do_not_depend_on_blas_threads(self, tmp_path):
         # OpenBLAS splits dot products of more than 10,000 samples among its
@@ -327,6 +330,17 @@ class TestPhasesweepCommand:
                           "err_rel_reflective", "err_rel_antireflective", "best_kind"]
         assert len(rows) == 20
         assert all(r[5] in ("periodic", "reflective", "antireflective") for r in rows)
+
+    def test_period_too_short_for_the_support(self, tmp_path, capsys):
+        # the sine's phase would overflow: a domain error naming the period
+        # and no CSV; a period of 1e-300 still sweeps to finite errors
+        out = tmp_path / "sweep.csv"
+        assert run(["phasesweep", "--span", "0.1", "--period", "1e-307", str(out)]) == 4
+        assert capsys.readouterr().err.startswith("error: period 1e-307 is too short")
+        assert not out.exists()
+        assert run(["phasesweep", "--span", "0.1", "--period", "1e-300", str(out)]) == 0
+        _, rows = read_table(out)
+        assert all(np.isfinite(float(x)) for row in rows for x in row[:5])
 
     def test_deterministic(self, tmp_path):
         args = ["phasesweep", "--dt", "0.1", "--span", "0.5", "--max-inner", "4"]

@@ -64,9 +64,20 @@ def test_transform_kinds_apply_no_operator(apply_calls):
     assert apply_calls == []
 
 
-def test_zero_kind_applies_once_per_step(apply_calls):
-    d = dif(chirp(256), kind=BoundaryKind.ZERO, cfg=CFG)
-    assert len(apply_calls) == sum(diag.inner_steps for diag in d.diagnostics) > 0
+def test_zero_kind_applies_once_per_step(apply_calls, monkeypatch):
+    # the loop takes one product per step; with the Lanczos route on, the
+    # same components' filters of l >= 16 take fewer products than steps
+    s = chirp(256)
+    with monkeypatch.context() as m:
+        m.setattr("iterfilt.decompose._KRYLOV_MIN_LENGTH", 1 << 62)
+        looped = dif(s, kind=BoundaryKind.ZERO, cfg=CFG)
+    steps = [diag.inner_steps for diag in looped.diagnostics]
+    assert len(apply_calls) == sum(steps) > 0
+    apply_calls.clear()
+    d = dif(s, kind=BoundaryKind.ZERO, cfg=CFG)
+    assert [diag.inner_steps for diag in d.diagnostics] == steps
+    assert max(diag.filter_length for diag in d.diagnostics) >= 16
+    assert len(apply_calls) < sum(steps)
 
 
 def test_zero_kind_fft_sift_builds_tap_spectrum_once(apply_calls, monkeypatch):

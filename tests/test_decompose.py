@@ -788,9 +788,23 @@ class TestKrylovSift:
         assert np.abs(imf - ref).max() <= 1e-12 * np.abs(s).max()
         assert abs(d - d_ref) <= 1e-12
 
+    @pytest.mark.parametrize("n,base", [(64, 15), (255, 20), (700, 40), (1023, 60)])
+    def test_small_signals_sift_in_a_kept_basis(self, n, base, monkeypatch, apply_calls):
+        # every filter of l >= 16 takes the Lanczos route, on whichever
+        # kernel: fewer products than steps, the loop's steps, its component
+        # to 1e-12 of max|s| and its last change to 1e-12
+        s, cfg = chirp(n), StoppingConfig(delta=1e-4)
+        filt = plain_or_doubled(base, True)
+        imf, k, d = inner_loop(s, filt, BoundaryKind.ZERO, cfg)
+        assert len(apply_calls) < k
+        ref, k_ref, d_ref = loop_sift(monkeypatch, s, filt, cfg)
+        assert k == k_ref
+        assert np.abs(imf - ref).max() <= 1e-12 * np.abs(s).max()
+        assert abs(d - d_ref) <= 1e-12
+
     def test_acceptance_cases_match_reference_sift(self):
-        # criterion 7's zero-kind signals: n = 1,000 with l = 38 and 60 steps,
-        # which stay on the loop
+        # criterion 7's zero-kind signals: n = 1,000 with l = 38 and 60
+        # steps, in a kept Lanczos basis
         rng = np.random.default_rng(707)
         cfg = StoppingConfig(max_inner=60, max_imfs=6, xi=1.9)
         for trial in range(20):
@@ -817,7 +831,7 @@ class TestKrylovSift:
         # most 1e-14), before any check: the loop runs and keeps its bits
         filt, n, cfg = plain_or_doubled(8, True), 1024, StoppingConfig()
         op = StructuredOperator(filt, BoundaryKind.ZERO, n)
-        assert filt.length >= 16 and op.kernel != "convolve"
+        assert filt.length >= 16
         lam, vectors = np.linalg.eigh(dense_matrix(op))
         s = vectors[:, np.argmin(np.abs(lam - 0.5))]
         imf, k, d = inner_loop(s, filt, BoundaryKind.ZERO, cfg)

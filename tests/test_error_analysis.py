@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -397,6 +399,18 @@ class TestPhaseSweep:
     def test_generator_needs_positive_amplitude_and_period(self, amplitude, period):
         with pytest.raises(ValueError, match="amplitude and period must be positive"):
             make_sine_trend_generator(amplitude=amplitude, period=period)
+
+    @pytest.mark.parametrize("period", [1e-307, 1e-320])
+    def test_phase_past_the_largest_float_names_the_period(self, period):
+        # 2 pi (t - centre) / period overflows on the support [-8, 0.05]:
+        # a ValueError naming the period, not NaN samples or a warning
+        gen = make_sine_trend_generator(period=period)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"period {period!r} is too short"):
+                gen(0.05, 0.05)
+            samples, exact = make_sine_trend_generator(period=1e-300)(0.05, 0.05)
+        assert np.isfinite(samples).all() and np.isfinite(exact).all()
 
     def test_degenerate_generator_rejected(self):
         flat = lambda endpoint, dt: (np.full(50, 2.0), np.full(50, 1.0))

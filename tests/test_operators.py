@@ -216,9 +216,8 @@ def fft_crossover(n):
 
 def expected_kernel(kind, n, l):
     """The transform for every kind but zero. The zero rule: numpy's
-    convolution up to 11 taps or below 640 samples, the FFT from the
-    crossover on and below it the blocked product from 1,024 samples,
-    numpy's convolution under that."""
+    convolution up to 11 taps or below 640 samples, else the FFT from the
+    crossover on and the blocked product below it."""
     if kind is not BoundaryKind.ZERO:
         return "transform"
     if 2 * l + 1 <= 11 or n < 640:
@@ -226,7 +225,7 @@ def expected_kernel(kind, n, l):
     c = fft_crossover(n)
     if c is not None and l >= c:
         return "fft"
-    return "gemm" if n >= 1024 else "convolve"
+    return "gemm"
 
 
 # blocked-product lengths well inside the range of that kernel
@@ -311,16 +310,17 @@ class TestConvolutionPaths:
                 assert not any(is_5_smooth(m) for m in range(n + 2 * l, size))
 
     def test_small_sizes_convolve_directly(self):
-        # no blocked product below 1,024 samples and no FFT below 640: l = 6
-        # and 100 lie below every FFT crossover there, the widest above it
-        for n in range(3, 1024):
+        # numpy's convolution for every l below 640 samples and for l = 5 at
+        # any size; from 640 on, l = 6 and 100 lie below every FFT crossover
+        # and take the blocked product, and the widest takes the FFT
+        for n in range(3, 1025):
             widest = (n - 1) // 2
-            for l in {min(6, widest), min(100, widest)}:
+            for l in {min(5, widest), min(6, widest), min(100, widest)}:
                 op = flat_operator(l, BoundaryKind.ZERO, n)
-                assert op.kernel == "convolve" and op.fft_length is None
+                assert op.kernel == ("convolve" if n < 640 or l <= 5 else "gemm")
+                assert op.fft_length is None
             op = flat_operator(widest, BoundaryKind.ZERO, n)
             assert op.kernel == ("convolve" if n < 640 else "fft")
-        assert flat_operator(6, BoundaryKind.ZERO, 1024).kernel == "gemm"
 
 
 class TestEigenvalues:

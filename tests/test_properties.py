@@ -216,8 +216,7 @@ FAST = settings(derandomize=True, database=None, max_examples=6, deadline=None)
 
 def long_signal(n, seed):
     """A chirp of 5 to 60 cycles on a trend, with 10 % noise: its sifts
-    take the blocked and FFT kernels and, with a small delta, the Lanczos
-    basis."""
+    take each kernel and, with a small delta, the Lanczos basis."""
     rng = np.random.default_rng([seed, n])
     x = np.linspace(0.0, 1.0, n)
     clean = np.sin(2.0 * np.pi * (5.0 * x + 27.5 * x**2)) + 2.0 * x - 1.0
@@ -231,11 +230,12 @@ def kernel(n, base):
 
 
 @FAST
-@given(n=st.integers(640, 5000), base=st.integers(6, 160), seed=st.integers(0, 2**32 - 1),
+@given(n=st.integers(320, 5000), base=st.integers(6, 160), seed=st.integers(0, 2**32 - 1),
        delta=st.sampled_from([1e-3, 1e-6]))
 @example(n=2048, base=9, seed=1, delta=1e-6)     # blocked kernel, a Lanczos basis
 @example(n=1500, base=100, seed=2, delta=1e-6)   # FFT kernel, a Lanczos basis
-@example(n=700, base=40, seed=3, delta=1e-3)     # convolution kernel below n = 1,024
+@example(n=700, base=40, seed=3, delta=1e-3)     # blocked kernel below n = 1,024
+@example(n=600, base=40, seed=4, delta=1e-6)     # convolution kernel, a Lanczos basis
 def test_zero_kind_fast_paths(n, base, seed, delta):
     # the sift scales exactly by powers of two and commutes with reversal,
     # a kept Lanczos basis gives the regenerated basis's bits, and dif's
@@ -260,11 +260,12 @@ def test_zero_kind_fast_paths(n, base, seed, delta):
 
 
 def test_zero_kind_fast_path_examples_reach_every_route(apply_calls):
-    # the explicit examples above reach each kernel, and the two with
+    # the explicit examples above reach each kernel, and the three with
     # delta 1e-6 sift in a Lanczos basis: fewer products than steps, and a
     # regenerated basis too, so the kept one is compared with it
-    assert [kernel(2048, 9), kernel(1500, 100), kernel(700, 40)] == ["gemm", "fft", "convolve"]
-    for n, base, seed in ((2048, 9, 1), (1500, 100, 2)):
+    assert ([kernel(2048, 9), kernel(1500, 100), kernel(700, 40), kernel(600, 40)]
+            == ["gemm", "fft", "gemm", "convolve"])
+    for n, base, seed in ((2048, 9, 1), (1500, 100, 2), (600, 40, 4)):
         apply_calls.clear()
         s, cfg = long_signal(n, seed), StoppingConfig(delta=1e-6)
         filt = convolve_self(sample_filter(raised_cosine_shape(), base))
